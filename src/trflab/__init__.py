@@ -10,6 +10,7 @@ machinery on learned weights.
 
 from .core import (
     NotSpdError,
+    RngBatch,
     RngStream,
     as_frame,
     as_sequence,

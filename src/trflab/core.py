@@ -1,9 +1,12 @@
 """Sequence numerics, deterministic RNG streams, and small dense linear algebra.
 
 A *sequence* is an (N, d) float64 array: N frames of dimension d. A *frame*
-is a (d,) float64 array. All sampling code in this package operates on these
-two shapes and nothing else.
+is a (d,) float64 array. The sampling loops also run on a *batch* of
+sequences, a (B, N, d) array whose row i is the chain of seed i; frames are
+always axis -2, so sequence operations act on either shape.
 """
+
+import hashlib
 
 import numpy as np
 import scipy.linalg
@@ -40,11 +43,11 @@ def as_sequence(x, n_frames: int | None = None, dim: int | None = None) -> np.nd
 
 
 def reverse(x: np.ndarray) -> np.ndarray:
-    """Frame-order reversal: output frame m is input frame N-1-m.
+    """Frame-order reversal along axis -2: output frame m is input frame N-1-m.
 
     Linear and an involution; the input is never modified.
     """
-    return np.ascontiguousarray(x[::-1])
+    return np.ascontiguousarray(x[..., ::-1, :])
 
 
 class RngStream:
@@ -90,10 +93,36 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
+class RngBatch:
+    """One :class:`RngStream` per chain, drawn as a stack on a leading batch axis.
+
+    ``normal(shape)`` returns a (B, *shape) array whose row i is exactly the
+    draw ``streams[i].normal(shape)``, and ``split`` splits every stream, so
+    a sampling loop handed a batch consumes each seed's draws in the same
+    order as a run of that seed alone.
+    """
+
+    def __init__(self, streams):
+        self.streams = list(streams)
+        if not self.streams:
+            raise ValueError("a stream batch needs at least one stream")
+
+    @classmethod
+    def from_seeds(cls, seeds) -> "RngBatch":
+        return cls(RngStream(seed) for seed in seeds)
+
+    def split(self, label: int) -> "RngBatch":
+        return RngBatch(s.split(label) for s in self.streams)
+
+    def normal(self, shape) -> np.ndarray:
+        return np.stack([s.normal(shape) for s in self.streams])
+
+
 def gaussian_noise(shape, std: float, rng: RngStream) -> np.ndarray:
     """i.i.d. zero-mean Gaussian array with the given standard deviation.
 
-    Always advances ``rng``, including for ``std == 0``.
+    Always advances ``rng``, including for ``std == 0``. ``shape`` is the
+    shape of one draw; an :class:`RngBatch` prepends its batch axis.
     """
     if std < 0:
         raise ValueError(f"noise std must be >= 0, got {std}")
@@ -116,10 +145,19 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def sequence_hash(x: np.ndarray) -> str:
     """SHA-256 hex digest of a float64 array's canonical little-endian bytes."""
-    import hashlib
-
     arr = np.ascontiguousarray(x, dtype="<f8")
     h = hashlib.sha256()
     h.update(np.asarray(arr.shape, dtype="<i8").tobytes())
     h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def row_hashes(x: np.ndarray) -> str | list[str]:
+    """:func:`sequence_hash` of a sequence, or the list of it over a batch's rows."""
+    if x.ndim == 2:
+        return sequence_hash(x)
+    head = np.asarray(x.shape[-2:], dtype="<i8").tobytes()
+    data = np.ascontiguousarray(x, dtype="<f8").tobytes()
+    size = 8 * x.shape[-2] * x.shape[-1]
+    return [hashlib.sha256(head + data[i:i + size]).hexdigest()
+            for i in range(0, len(data), size)]

@@ -46,9 +46,11 @@ class DenoiserBackend:
     """Contract: deterministic clean-sequence prediction.
 
     ``predict_x0(x, sigma, cond)`` maps an (N, d) sequence at noise level
-    sigma to an (N, d) estimate of the clean sequence. Implementations must
-    be deterministic, preserve shape, and report that shape via
-    ``seq_shape`` so sampling loops know what latent to draw.
+    sigma to an (N, d) estimate of the clean sequence, and a (B, N, d)
+    batch of sequences row by row to a (B, N, d) batch of estimates.
+    Implementations must be deterministic, preserve shape, and report the
+    (N, d) shape via ``seq_shape`` so sampling loops know what latent to
+    draw. Inputs come from the sampling loops and are not re-validated.
     """
 
     def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
@@ -127,26 +129,32 @@ class GmmWorldDenoiser:
         return self.weights.size
 
     def responsibilities(self, x_flat: np.ndarray, sigma: float) -> np.ndarray:
-        """Posterior component probabilities of a noisy stacked observation."""
+        """Posterior component probabilities of a noisy stacked observation.
+
+        ``x_flat`` is (..., N*d); the result is (..., K).
+        """
         total_var = self.variances + sigma * sigma  # (K,)
-        quad = np.sum((x_flat[None, :] - self.means) ** 2, axis=1)
-        dim = x_flat.size
+        quad = np.sum((x_flat[..., None, :] - self.means) ** 2, axis=-1)
+        dim = x_flat.shape[-1]
         log_lik = np.log(self.weights) - 0.5 * quad / total_var - 0.5 * dim * np.log(2.0 * np.pi * total_var)
-        log_lik -= log_lik.max()
+        log_lik -= log_lik.max(axis=-1, keepdims=True)
         r = np.exp(log_lik)
-        return r / r.sum()
+        return r / r.sum(axis=-1, keepdims=True)
 
     def posterior_x0(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        x = as_sequence(x)
+        """Posterior mean of an (N, d) sequence or a (B, N, d) batch."""
+        x = np.asarray(x, dtype=np.float64)
         if sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {sigma}")
-        x_flat = x.reshape(-1)
-        if x_flat.size != self.means.shape[1]:
-            raise ValueError(f"sequence size {x_flat.size} does not match mixture size {self.means.shape[1]}")
+        if x.ndim < 2:
+            raise ValueError(f"sequence must be (N, d) or (B, N, d), got shape {x.shape}")
+        x_flat = x.reshape(x.shape[:-2] + (-1,))
+        if x_flat.shape[-1] != self.means.shape[1]:
+            raise ValueError(f"sequence size {x_flat.shape[-1]} does not match mixture size {self.means.shape[1]}")
         r = self.responsibilities(x_flat, sigma)
         shrink = self.variances / (self.variances + sigma * sigma)  # (K,)
-        comp_means = self.means + shrink[:, None] * (x_flat[None, :] - self.means)
-        return (r @ comp_means).reshape(x.shape)
+        comp_means = self.means + shrink[:, None] * (x_flat[..., None, :] - self.means)
+        return (r[..., None, :] @ comp_means).reshape(x.shape)
 
 
 def gmm_posterior_x0(d: GmmWorldDenoiser, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -177,16 +185,20 @@ def precondition_apply(net, x: np.ndarray, sigma: float, cond: Condition, sigma_
 class AnalyticGaussianBackend(DenoiserBackend):
     """Denoiser contract over a Gaussian-process world, any conditioning frame.
 
-    Conditioning pins frame 0 of the world's data process; the per-condition
-    moments come from ``world.conditional_moments`` and are cached, as are
-    the Cholesky factors of (cov + sigma^2 I) since samplers revisit the
-    same ladder of sigma values for every chain.
+    Conditioning pins frame 0 of the world's data process. The conditional
+    covariance is kron(F, I_d) for the world's N x N frame covariance F,
+    whatever the condition; only the mean depends on it. The posterior mean
+    at level sigma is therefore mean + M_sigma (x - mean) with the frame map
+    M_sigma = F (F + sigma^2 I)^(-1) applied along the frame axis. Frame maps
+    are cached by sigma alone and shared by every condition, since samplers
+    revisit the same ladder of sigma values on both paths; the per-condition
+    moments come from ``world.conditional_moments`` and are cached too.
     """
 
     def __init__(self, world):
         self.world = world
         self._denoisers: dict[bytes, GaussianWorldDenoiser] = {}
-        self._factors: dict[tuple[bytes, float], object] = {}
+        self._factors: dict[float, np.ndarray] = {}
 
     @property
     def seq_shape(self) -> tuple[int, int]:
@@ -199,21 +211,22 @@ class AnalyticGaussianBackend(DenoiserBackend):
             self._denoisers[key] = GaussianWorldDenoiser(mean, cov)
         return self._denoisers[key]
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
-        import scipy.linalg
+    def frame_map(self, sigma: float) -> np.ndarray:
+        """M_sigma = F (F + sigma^2 I)^(-1), the posterior-mean map on frames."""
+        key = float(sigma)
+        m = self._factors.get(key)
+        if m is None:
+            f = self.world.frame_cov
+            # (F + s^2 I)^(-1) F is M^T because F and F + s^2 I are symmetric.
+            m = spd_solve(f + key * key * np.eye(f.shape[0]), f).T
+            self._factors[key] = m
+        return m
 
-        d = self.denoiser_for(cond)
+    def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
         if sigma == 0.0:
-            return np.asarray(x, dtype=np.float64).copy()
-        fkey = (cond.key(), float(sigma))
-        factor = self._factors.get(fkey)
-        if factor is None:
-            factor = scipy.linalg.cho_factor(d.cov + sigma * sigma * d._eye, lower=True, check_finite=False)
-            self._factors[fkey] = factor
-        x = as_sequence(x)
-        resid = x.reshape(-1) - d.mean
-        sol = scipy.linalg.cho_solve(factor, resid, check_finite=False)
-        return (d.mean + d.cov @ sol).reshape(x.shape)
+            return np.array(x, dtype=np.float64)
+        mean = self.denoiser_for(cond).mean.reshape(self.seq_shape)
+        return mean + self.frame_map(sigma) @ (x - mean)
 
 
 class AnalyticGmmBackend(DenoiserBackend):
@@ -254,8 +267,9 @@ class PerFrameConditionBackend(DenoiserBackend):
         return self.base.seq_shape
 
     def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
-        x = as_sequence(x, n_frames=len(self.conditions))
+        if x.shape[-2] != len(self.conditions):
+            raise ValueError(f"sequence has {x.shape[-2]} frames, expected {len(self.conditions)}")
         out = np.empty_like(x)
         for n, cond_n in enumerate(self.conditions):
-            out[n] = self.base.predict_x0(x, sigma, cond_n)[n]
+            out[..., n, :] = self.base.predict_x0(x, sigma, cond_n)[..., n, :]
         return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_sequence
+from .core import RngBatch, as_sequence
 from .denoiser import AnalyticGaussianBackend, AnalyticGmmBackend, Condition, ROLE_END, ROLE_START
 from .metrics import MetricReport, endpoint_error, roughness
 from .sampler import sample
@@ -430,9 +430,12 @@ class ExperimentManifest:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
     """Run the configured sampler over all seeds; write outputs + manifest.
 
-    Sequential over seeds so draw order is identical on every machine. All
-    files are written atomically and the manifest last: a directory with a
-    manifest is a complete run.
+    All seeds run as one batch of chains in a single sampler call, each
+    chain drawing from its own seed's streams. With the analytic denoisers
+    every output is bit-identical to a run of that seed alone; with a
+    checkpoint it is equal up to rounding, since the MLP's matrix products
+    see the whole batch. All files are written atomically and the manifest
+    last: a directory with a manifest is a complete run.
     """
     t_begin = time.time()
     out_dir = cfg.data["out_dir"]
@@ -451,39 +454,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
     c_s, c_e = cfg.build_conditions(world)
     if kind != "forward" and c_e is None:
         raise ConfigError(f"missing required config key 'conditions.end' (sampler {kind!r} is bounded)")
+    trf_cfg = cfg.build_trf(world.seq_shape[0]) if kind == "trf" else None
+
+    seeds = cfg.data["seeds"]
+    rng = RngBatch.from_seeds(seeds)
+    if kind == "forward":
+        trajectories, _ = sample(backend, schedule, c_s, churn, rng)
+    elif kind == "trf":
+        trajectories, _ = trf_sample(backend, schedule, c_s, c_e, trf_cfg, rng)
+    elif kind == "baseline-interp":
+        trajectories = baseline_condition_interp(backend, schedule, c_s, c_e, rng, churn=churn)
+    else:
+        trajectories = baseline_inpaint(backend, schedule, c_s, c_e.frame, rng, churn=churn)
 
     outputs = {}
-    endpoint_errors = []
-    roughnesses = []
-    for seed in cfg.data["seeds"]:
-        rng = RngStream(seed)
-        if kind == "forward":
-            x, _ = sample(backend, schedule, c_s, churn, rng)
-        elif kind == "trf":
-            x, _ = trf_sample(backend, schedule, c_s, c_e, cfg.build_trf(world.seq_shape[0]), rng)
-        elif kind == "baseline-interp":
-            x = baseline_condition_interp(backend, schedule, c_s, c_e, rng, churn=churn)
-        else:
-            x = baseline_inpaint(backend, schedule, c_s, c_e.frame, rng, churn=churn)
+    for seed, x in zip(seeds, trajectories):
         name = f"seed_{seed:04d}.trft"
         path = os.path.join(out_dir, name)
         export_tensor(x, path)
         outputs[name] = sha256_file(path)
-        if c_e is not None:
-            endpoint_errors.append(endpoint_error(x, c_e.frame))
-        if x.shape[0] >= 3:
-            roughnesses.append(roughness(x))
-
-    report = MetricReport()
-    n_seeds = len(cfg.data["seeds"])
-    if endpoint_errors:
-        report.add("endpoint_error_median", np.median(endpoint_errors), n_seeds)
-    if roughnesses:
-        report.add("roughness_median", np.median(roughnesses), n_seeds)
 
     manifest = ExperimentManifest(
         format_version=MANIFEST_VERSION, config=cfg.data, config_hash=cfg.config_hash(),
-        outputs=outputs, metrics=report, wall_clock_seconds=time.time() - t_begin)
+        outputs=outputs, metrics=_summary_metrics(trajectories, c_e),
+        wall_clock_seconds=time.time() - t_begin)
     manifest.save(os.path.join(out_dir, MANIFEST_NAME))
     return manifest
 
@@ -494,22 +488,24 @@ def evaluate_run(run_dir) -> MetricReport:
     cfg = ExperimentConfig.from_dict(_strip_normalized(manifest.config))
     world = cfg.build_world()
     _, c_e = cfg.build_conditions(world)
-    endpoint_errors = []
-    roughnesses = []
+    trajectories = []
     for name, digest in sorted(manifest.outputs.items()):
         path = os.path.join(run_dir, name)
         actual = sha256_file(path)
         if actual != digest:
             raise RuntimeError(f"{path}: hash {actual} does not match manifest {digest}")
-        x = load_tensor(path)
-        if c_e is not None:
-            endpoint_errors.append(endpoint_error(x, c_e.frame))
-        if x.shape[0] >= 3:
-            roughnesses.append(roughness(x))
+        trajectories.append(load_tensor(path))
+    return _summary_metrics(trajectories, c_e)
+
+
+def _summary_metrics(trajectories, c_e: Condition | None) -> MetricReport:
+    # The manifest's metrics; evaluate_run must reproduce them exactly.
     report = MetricReport()
-    n = len(manifest.outputs)
-    if endpoint_errors:
-        report.add("endpoint_error_median", np.median(endpoint_errors), n)
+    n = len(trajectories)
+    if c_e is not None:
+        report.add("endpoint_error_median",
+                   np.median([endpoint_error(x, c_e.frame) for x in trajectories]), n)
+    roughnesses = [roughness(x) for x in trajectories if x.shape[0] >= 3]
     if roughnesses:
         report.add("roughness_median", np.median(roughnesses), n)
     return report
@@ -540,12 +536,18 @@ def sha256_file(path) -> str:
 
 
 def _atomic_write_bytes(path, data: bytes):
-    tmp = f"{path}.tmp"
+    # A temporary name of its own in the target directory, so concurrent
+    # writers never share one; removed again if the write fails.
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "xb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 

@@ -9,6 +9,12 @@ latent and feed the identical state to both of its paths.
 RNG substream labels are fixed module-wide so that runs which share a root
 stream consume identical draws in identical order — several equivalence
 tests depend on this.
+
+Every loop runs a single chain on an (N, d) latent driven by an
+:class:`~trflab.core.RngStream`, or B chains at once on a (B, N, d) latent
+driven by an :class:`~trflab.core.RngBatch` (one stream per seed); the
+batch shape comes from the initial draw and the same code serves both.
+Row i of a batched run is the run of seed i alone.
 """
 
 import json
@@ -16,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import RngStream, as_sequence, gaussian_noise, sequence_hash
+from .core import RngBatch, RngStream, as_sequence, gaussian_noise, row_hashes
 from .denoiser import Condition, DenoiserBackend
 from .schedule import ChurnParams, NoiseSchedule, churn_gamma
 
@@ -31,21 +37,28 @@ STREAM_BACKWARD_INIT = 4
 
 @dataclass
 class StepRecord:
-    """One step of a sampling run: noise levels, state hashes, fusion diagnostics."""
+    """One step of a sampling run: noise levels, state hashes, fusion diagnostics.
+
+    In a batched run the hashes, objective and disagreement are lists with
+    one entry per chain; the noise levels and the fusion count are shared.
+    """
 
     t: int
     sigma: float
     sigma_hat: float
-    latent_hash: str
-    denoised_hash: str
+    latent_hash: str | list[str]
+    denoised_hash: str | list[str]
     fusions: int = 0
-    objective: float | None = None
-    disagreement: float | None = None
+    objective: float | list[float] | None = None
+    disagreement: float | list[float] | None = None
 
 
 @dataclass
 class StepTrace:
-    """Per-step records of one run; exactly T entries for a T-step schedule."""
+    """Per-step records of one run; exactly T entries for a T-step schedule.
+
+    ``total_fusions`` counts the fusions of one chain, batched or not.
+    """
 
     records: list[StepRecord] = field(default_factory=list)
 
@@ -68,11 +81,12 @@ class StepTrace:
 
 
 def churn_perturb(x: np.ndarray, sigma: float, gamma: float, s_noise: float,
-                  rng: RngStream) -> tuple[np.ndarray, float]:
+                  rng: RngStream | RngBatch) -> tuple[np.ndarray, float]:
     """Raise the latent's noise level from sigma to sigma*(1+gamma).
 
-    Adds noise of std sqrt(sigma_hat^2 - sigma^2) * s_noise. gamma = 0 is
-    an exact no-op that does not advance the rng, so churn-free runs and
+    Adds noise of std sqrt(sigma_hat^2 - sigma^2) * s_noise of the shape of
+    ``x``, or one (N, d) draw per chain from an :class:`RngBatch`. gamma = 0
+    is an exact no-op that does not advance the rng, so churn-free runs and
     out-of-churn-window steps consume no draws.
     """
     if gamma < 0:
@@ -81,7 +95,22 @@ def churn_perturb(x: np.ndarray, sigma: float, gamma: float, s_noise: float,
         return x, sigma
     sigma_hat = sigma * (1.0 + gamma)
     std = np.sqrt(sigma_hat * sigma_hat - sigma * sigma) * s_noise
-    return x + gaussian_noise(x.shape, std, rng), sigma_hat
+    shape = x.shape[-2:] if isinstance(rng, RngBatch) else x.shape
+    return x + gaussian_noise(shape, std, rng), sigma_hat
+
+
+def check_finite(x: np.ndarray, sampler: str, t: int, sigma: float, rng: RngStream | RngBatch):
+    """Raise RuntimeError naming the sampler, step, level and seed if ``x``
+    has a non-finite entry; ``rng`` is the run's root stream or batch."""
+    if np.isfinite(x).all():
+        return
+    if x.ndim == 2:
+        seed = getattr(rng, "seed", None)
+    else:
+        bad = ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
+        seed = rng.streams[int(np.argmax(bad))].seed
+    raise RuntimeError(f"{sampler}: non-finite latent after step t={t} "
+                       f"(sigma={sigma:.6g}) for seed {seed}")
 
 
 def _euler_from_denoised(x_hat: np.ndarray, sigma_hat: float, sigma_next: float,
@@ -103,19 +132,18 @@ def edm_euler_step(backend: DenoiserBackend, x_hat: np.ndarray, sigma_hat: float
 
 
 def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
-           churn: ChurnParams, rng: RngStream) -> tuple[np.ndarray, StepTrace]:
+           churn: ChurnParams, rng: RngStream | RngBatch) -> tuple[np.ndarray, StepTrace]:
     """Forward conditional generation down the full schedule.
 
     Starts from pure noise at sigma_max and takes T steps, the last one
-    landing at sigma = 0. Returns the clean-level sequence and a trace with
-    exactly T records.
+    landing at sigma = 0. Returns the clean-level sequence (a (B, N, d)
+    batch when ``rng`` is an RngBatch) and a trace with exactly T records.
     """
-    n_frames, dim = backend.seq_shape
     n_steps = schedule.n_steps
     rng_init = rng.split(STREAM_INIT)
     rng_churn = rng.split(STREAM_CHURN)
 
-    x = gaussian_noise((n_frames, dim), schedule.sigma_max, rng_init)
+    x = gaussian_noise(backend.seq_shape, schedule.sigma_max, rng_init)
     trace = StepTrace()
     for t in range(n_steps - 1, -1, -1):
         sigma = schedule.sigma_at(t)
@@ -124,8 +152,9 @@ def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
         x_hat, sigma_hat = churn_perturb(x, sigma, gamma, churn.s_noise, rng_churn)
         denoised = backend.predict_x0(x_hat, sigma_hat, cond)
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
+        check_finite(x, "sample", t, sigma, rng)
         trace.append(StepRecord(
             t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
-            latent_hash=sequence_hash(x_hat), denoised_hash=sequence_hash(denoised),
+            latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(denoised),
         ))
     return x, trace

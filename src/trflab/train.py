@@ -174,16 +174,20 @@ class MlpBackend(DenoiserBackend):
         return (self.arch.n_frames, self.arch.frame_dim)
 
     def _net(self, x_scaled: np.ndarray, c_noise: float, cond: Condition) -> np.ndarray:
-        row = np.concatenate([
-            x_scaled.reshape(-1),
-            fourier_features(c_noise, self.arch.n_freq),
-            cond.frame,
-        ])
-        out, _ = forward(self.params, row[None, :])
-        return out[0].reshape(self.arch.n_frames, self.arch.frame_dim)
+        # One input row per sequence of the batch, all in one forward pass.
+        lead = x_scaled.shape[:-2]
+        rows = np.concatenate([
+            x_scaled.reshape(lead + (-1,)),
+            np.broadcast_to(fourier_features(c_noise, self.arch.n_freq), lead + (self.arch.n_freq,)),
+            np.broadcast_to(cond.frame, lead + (self.arch.cond_dim,)),
+        ], axis=-1)
+        out, _ = forward(self.params, rows.reshape(-1, self.arch.input_dim))
+        return out.reshape(x_scaled.shape)
 
     def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
-        x = as_sequence(x, n_frames=self.arch.n_frames, dim=self.arch.frame_dim)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-2:] != self.seq_shape:
+            raise ValueError(f"sequence shape {x.shape} does not match network {self.seq_shape}")
         if cond.frame.shape != (self.arch.cond_dim,):
             raise ValueError(f"condition dim {cond.frame.shape[0]} does not match network ({self.arch.cond_dim})")
         return precondition_apply(self._net, x, sigma, cond, self.arch.sigma_data)

@@ -15,6 +15,8 @@ it does not shrink the per-step disagreement between the two paths.
 
 Also here: the two single-path baselines this strategy is measured
 against — per-frame condition interpolation, and end-frame inpainting.
+Like the single-path loop, every sampler here runs one chain or a batch of
+chains (see :mod:`trflab.sampler`).
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, as_frame, as_sequence, gaussian_noise, reverse, sequence_hash
+from .core import RngBatch, RngStream, as_frame, as_sequence, gaussian_noise, reverse, row_hashes
 from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend, ROLE_START
 from .sampler import (
     STREAM_AUX,
@@ -33,6 +35,7 @@ from .sampler import (
     StepRecord,
     StepTrace,
     _euler_from_denoised,
+    check_finite,
     churn_perturb,
     sample,
 )
@@ -145,8 +148,13 @@ def fuse(x_fwd: np.ndarray, x_bwd: np.ndarray, alpha: AlphaSchedule) -> np.ndarr
     x_bwd = as_sequence(x_bwd, n_frames=x_fwd.shape[0], dim=x_fwd.shape[1])
     if alpha.n_frames != x_fwd.shape[0]:
         raise ValueError(f"alpha has {alpha.n_frames} weights for {x_fwd.shape[0]} frames")
+    return _fuse(x_fwd, x_bwd, alpha)
+
+
+def _fuse(x_fwd: np.ndarray, x_bwd: np.ndarray, alpha: AlphaSchedule) -> np.ndarray:
+    # Unvalidated fuse on axis -2, for sequences and batches alike.
     w = alpha.weights[:, None]
-    return w * x_fwd + (1.0 - w) * x_bwd[::-1]
+    return w * x_fwd + (1.0 - w) * x_bwd[..., ::-1, :]
 
 
 def fusion_objective(x: np.ndarray, x_fwd: np.ndarray, x_bwd: np.ndarray,
@@ -159,24 +167,32 @@ def fusion_objective(x: np.ndarray, x_fwd: np.ndarray, x_bwd: np.ndarray,
     x = as_sequence(x)
     x_fwd = as_sequence(x_fwd, n_frames=x.shape[0], dim=x.shape[1])
     x_bwd = as_sequence(x_bwd, n_frames=x.shape[0], dim=x.shape[1])
+    return float(_fusion_objective(x, x_fwd, x_bwd, alpha))
+
+
+def _fusion_objective(x, x_fwd, x_bwd, alpha: AlphaSchedule) -> np.ndarray:
+    # Unvalidated objective over the trailing (N, d) axes; one value per chain.
     w = alpha.weights
-    fwd_term = ((x - x_fwd) ** 2).sum(axis=1)
-    bwd_term = ((x - x_bwd[::-1]) ** 2).sum(axis=1)
-    return float(np.sum(w * fwd_term + (1.0 - w) * bwd_term))
+    fwd_term = ((x - x_fwd) ** 2).sum(axis=-1)
+    bwd_term = ((x - x_bwd[..., ::-1, :]) ** 2).sum(axis=-1)
+    return np.sum(w * fwd_term + (1.0 - w) * bwd_term, axis=-1)
 
 
 def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition,
-               c_e: Condition, cfg: TrfConfig, rng: RngStream) -> tuple[np.ndarray, StepTrace]:
+               c_e: Condition, cfg: TrfConfig,
+               rng: RngStream | RngBatch) -> tuple[np.ndarray, StepTrace]:
     """Bounded generation from c_s to c_e by fused two-path denoising.
 
     Per step (t counting down): churn the fused latent once, denoise it
     forward under c_s and reversed under c_e, fuse; while t is above the
     cutoff, re-noise the fused state back up to sigma_t (one shared draw),
     redo both denoise steps from sigma_t, and re-fuse, m_reinject times.
-    Returns the final fused sequence and a T-record trace carrying the last
-    fusion's objective value and path-disagreement norm per step.
+    Returns the final fused sequence (a (B, N, d) batch when ``rng`` is an
+    RngBatch) and a T-record trace carrying the last fusion's objective
+    value and path-disagreement norm per step, per chain.
     """
-    n_frames, dim = backend.seq_shape
+    shape = backend.seq_shape
+    n_frames, dim = shape
     if cfg.alpha.n_frames != n_frames:
         raise ValueError(f"alpha has {cfg.alpha.n_frames} weights for {n_frames} frames")
     if c_s.frame.shape != (dim,) or c_e.frame.shape != (dim,):
@@ -189,11 +205,11 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
     rng_rein = rng.split(STREAM_REINJECT)
     rng_bwd_churn = None if cfg.share_churn_noise else rng.split(STREAM_AUX)
 
-    x = gaussian_noise((n_frames, dim), schedule.sigma_max, rng_init)
+    x = gaussian_noise(shape, schedule.sigma_max, rng_init)
     x_bwd_first = None
     if not cfg.share_initial_noise:
         rng_bwd_init = rng.split(STREAM_BACKWARD_INIT)
-        x_bwd_first = gaussian_noise((n_frames, dim), schedule.sigma_max, rng_bwd_init)
+        x_bwd_first = gaussian_noise(shape, schedule.sigma_max, rng_bwd_init)
 
     trace = StepTrace()
     for t in range(n_steps - 1, -1, -1):
@@ -214,7 +230,7 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
                                    backend.predict_x0(x_hat, sigma_hat, c_s))
         bwd = _euler_from_denoised(bwd_in, sigma_hat, sigma_next,
                                    backend.predict_x0(bwd_in, sigma_hat, c_e))
-        x = fuse(fwd, bwd, cfg.alpha)
+        x = _fuse(fwd, bwd, cfg.alpha)
 
         fusions = 1
         if t > t0:
@@ -223,28 +239,30 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
             # both paths from sigma_t with no churn, and fuse again.
             inj = injection_std(schedule, t)
             for _ in range(cfg.m_reinject):
-                eps = gaussian_noise((n_frames, dim), inj, rng_rein)
+                eps = gaussian_noise(shape, inj, rng_rein)
                 x_up = x + eps
                 fwd = _euler_from_denoised(x_up, sigma, sigma_next,
                                            backend.predict_x0(x_up, sigma, c_s))
                 bwd_up = reverse(x_up)
                 bwd = _euler_from_denoised(bwd_up, sigma, sigma_next,
                                            backend.predict_x0(bwd_up, sigma, c_e))
-                x = fuse(fwd, bwd, cfg.alpha)
+                x = _fuse(fwd, bwd, cfg.alpha)
                 fusions += 1
 
+        check_finite(x, "trf_sample", t, sigma, rng)
+        gap = (fwd - reverse(bwd)).reshape(fwd.shape[:-2] + (-1,))
         trace.append(StepRecord(
             t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
-            latent_hash=sequence_hash(x_hat), denoised_hash=sequence_hash(x),
+            latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(x),
             fusions=fusions,
-            objective=fusion_objective(x, fwd, bwd, cfg.alpha),
-            disagreement=float(np.linalg.norm(fwd - reverse(bwd))),
+            objective=_fusion_objective(x, fwd, bwd, cfg.alpha).tolist(),
+            disagreement=np.linalg.norm(gap, axis=-1).tolist(),
         ))
     return x, trace
 
 
 def baseline_condition_interp(backend: DenoiserBackend, schedule: NoiseSchedule,
-                              c_s: Condition, c_e: Condition, rng: RngStream,
+                              c_s: Condition, c_e: Condition, rng: RngStream | RngBatch,
                               churn: ChurnParams | None = None,
                               noise_swap: bool = False) -> np.ndarray:
     """Single forward path steered by per-frame interpolated conditions.
@@ -252,8 +270,11 @@ def baseline_condition_interp(backend: DenoiserBackend, schedule: NoiseSchedule,
     Frame n is denoised under condition (1 - n/(N-1)) c_s + n/(N-1) c_e.
     With noise_swap, the end frame is replaced by a unit-variance noise
     frame before interpolating — the it-barely-matters control showing how
-    weakly the interpolated condition pins the far end.
+    weakly the interpolated condition pins the far end. Each chain would
+    then have its own conditions, so noise_swap needs a single RngStream.
     """
+    if noise_swap and isinstance(rng, RngBatch):
+        raise ValueError("noise_swap needs a single RngStream, not a stream batch")
     if churn is None:
         churn = ChurnParams()
     n_frames, dim = backend.seq_shape
@@ -268,7 +289,7 @@ def baseline_condition_interp(backend: DenoiserBackend, schedule: NoiseSchedule,
 
 
 def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition,
-                     end_frame, rng: RngStream,
+                     end_frame, rng: RngStream | RngBatch,
                      churn: ChurnParams | None = None) -> np.ndarray:
     """Forward sampling with the last frame overwritten each step.
 
@@ -295,5 +316,6 @@ def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Con
         x_hat, sigma_hat = churn_perturb(x, sigma, gamma, churn.s_noise, rng_churn)
         denoised = backend.predict_x0(x_hat, sigma_hat, c_s)
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
-        x[-1] = end + gaussian_noise((dim,), sigma_next, rng_over)
+        x[..., -1, :] = end + gaussian_noise((dim,), sigma_next, rng_over)
+        check_finite(x, "baseline_inpaint", t, sigma, rng)
     return x

@@ -59,18 +59,24 @@ class PinnedGaussianProcessWorld:
         for j in range(1, n):
             lower[j:, j] = powers[: n - j] * self.q
         self._frame_chol = lower
-        self._frame_cov = lower @ lower.T
+        #: Per-dimension N x N frame covariance F; the conditional covariance
+        #: of the stacked sequence is kron(F, I_d) whatever the condition.
+        self.frame_cov = lower @ lower.T
 
     @property
     def seq_shape(self) -> tuple[int, int]:
         return (self.n_frames, self.dim)
 
     def conditional_moments(self, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
-        """Exact mean (N*d,) and SPD covariance (N*d, N*d) given frame 0."""
+        """Exact mean (N*d,) and SPD covariance (N*d, N*d) given frame 0.
+
+        Only the mean depends on the condition; the covariance is
+        kron(frame_cov, I_d).
+        """
         frame = as_frame(cond.frame, dim=self.dim)
         powers = self.a ** np.arange(self.n_frames)
         mean = (powers[:, None] * frame[None, :]).reshape(-1)
-        cov = np.kron(self._frame_cov, np.eye(self.dim))
+        cov = np.kron(self.frame_cov, np.eye(self.dim))
         return mean, cov
 
     def sample_sequence(self, cond: Condition, rng: RngStream) -> np.ndarray:

@@ -15,7 +15,7 @@ Each test prints a single summary line with the measured values.
 
 import numpy as np
 
-from trflab.core import RngStream, reverse
+from trflab.core import RngBatch, RngStream, reverse
 from trflab.denoiser import (
     AnalyticGaussianBackend,
     AnalyticGmmBackend,
@@ -160,10 +160,8 @@ def test_criterion_05_forward_sampler_matches_exact_moments():
     backend = AnalyticGaussianBackend(world)
     sched = build_karras(100, 0.002, 80.0)
     cond = Condition(np.array([1.0, -0.5]))
-    draws = np.empty((5000, 16))
-    for seed in range(5000):
-        x, _ = sample(backend, sched, cond, ChurnParams(), RngStream(seed))
-        draws[seed] = x.reshape(-1)
+    x, _ = sample(backend, sched, cond, ChurnParams(), RngBatch.from_seeds(range(5000)))
+    draws = x.reshape(5000, 16)
     mean, cov = conditional_moments(world, cond)
     max_abs = float(np.abs(draws.mean(axis=0) - mean).max())
     frob = float(np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov))

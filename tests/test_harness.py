@@ -193,6 +193,29 @@ class TestTensorFormat:
         with pytest.raises(ValueError, match="size"):
             load_tensor(path)
 
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(RuntimeError, match="cannot write .*disk full"):
+            export_tensor(np.zeros((2, 2)), tmp_path / "x.trft")
+        assert os.listdir(tmp_path) == []
+
+    def test_temporary_names_are_unique(self, tmp_path, monkeypatch):
+        seen = []
+        real_replace = os.replace
+
+        def record(src, dst):
+            seen.append(os.path.basename(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        for _ in range(2):
+            export_tensor(np.zeros((2, 2)), tmp_path / "x.trft")
+        assert len(set(seen)) == 2 and all(name.startswith("x.trft.") for name in seen)
+        assert os.listdir(tmp_path) == ["x.trft"]
+
 
 class TestCsvFormat:
     def test_roundtrip_exact(self, tmp_path):

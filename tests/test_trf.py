@@ -8,6 +8,7 @@ import pytest
 
 from trflab import (
     AlphaSchedule,
+    RngBatch,
     AnalyticGaussianBackend,
     ChurnParams,
     Condition,
@@ -301,13 +302,11 @@ class TestTrfSample:
                         churn=ChurnParams(s_churn=0.5))
         c_s = Condition(np.array([0.4]))
         c_e = Condition(np.array([-0.3]), role=ROLE_END)
-        rec_backend = Recording()
-        for seed in range(30_000):
-            trf_sample(rec_backend, sched, c_s, c_e, cfg, RngStream(seed))
-        # Two recorded calls per seed (forward and reversed view of the same
-        # state); keep the forward one.
-        states = np.array(recorded[::2])
-        var = states.var(axis=0).mean()
+        trf_sample(Recording(), sched, c_s, c_e, cfg, RngBatch.from_seeds(range(30_000)))
+        # Two recorded batches, the forward and the reversed view of the same
+        # (30000, 3, 1) states; keep the forward one.
+        assert len(recorded) == 2 and recorded[0].shape == (30_000, 3, 1)
+        var = recorded[0].var(axis=0).mean()
         npt.assert_allclose(var, 25.0, rtol=0.02)
 
 
