@@ -22,7 +22,7 @@ from trflab.harness import export_trajectory_csv
 from trflab.metrics import energy_distance, mode_coverage
 from trflab.schedule import build_karras
 from trflab.trf import KIND_LINEAR, TrfConfig, alpha_weights, trf_sample
-from trflab.worlds import TrajectoryGmmWorld, sample_sequence
+from trflab.worlds import TrajectoryGmmWorld
 
 
 def main():
@@ -57,7 +57,7 @@ def main():
     print(f"covered {cov.n_covered}/{world.n_modes} routes, "
           f"largest share {cov.shares.max():.1%}")
 
-    exact = [sample_sequence(world, c_s, RngStream(10_000 + s)) for s in range(args.seeds)]
+    exact = [world.sample_sequence(c_s, RngStream(10_000 + s)) for s in range(args.seeds)]
     ed = energy_distance(draws, exact)
     print(f"energy distance to exact conditional draws: {ed:.4f}")
     print("(unbiased estimate: values near zero, including slightly negative,")

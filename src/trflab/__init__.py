@@ -36,8 +36,6 @@ from .denoiser import (
     PerFrameConditionBackend,
     ROLE_END,
     ROLE_START,
-    gmm_posterior_x0,
-    gp_posterior_x0,
     precondition_apply,
 )
 from .worlds import (
@@ -48,13 +46,11 @@ from .worlds import (
     conditional_gmm,
     conditional_moments,
     render_blob,
-    sample_sequence,
 )
 from .sampler import (
     StepRecord,
     StepTrace,
     churn_perturb,
-    edm_euler_step,
     sample,
 )
 from .trf import (

@@ -16,10 +16,12 @@ import sys
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    _atomic_write_bytes,
     apply_overrides,
     canonical_json,
-    run_experiment,
     evaluate_run,
+    read_raw_config,
+    run_experiment,
 )
 
 
@@ -33,15 +35,7 @@ def _add_common(p: argparse.ArgumentParser, need_config=True):
 
 
 def _load_raw(args) -> dict:
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
+    raw = read_raw_config(args.config)
     apply_overrides(raw, args.overrides)
     if args.seed is not None and args.seeds is not None:
         raise ConfigError("--seed and --seeds are mutually exclusive")
@@ -81,7 +75,6 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .harness import _atomic_write_bytes
     from .train import save_checkpoint, train
 
     raw = _load_raw(args)
@@ -147,8 +140,7 @@ def _cmd_sweep(args) -> int:
         shown = ", ".join(f"{k}={v}" for k, v in params.items())
         print(f"run_{i:03d}: {shown}")
     summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w") as fh:
-        fh.write(canonical_json({"runs": runs}) + "\n")
+    _atomic_write_bytes(summary_path, (canonical_json({"runs": runs}) + "\n").encode())
     print(f"wrote {summary_path}")
     return 0
 

@@ -95,11 +95,6 @@ class GaussianWorldDenoiser:
         return (self.mean + self.cov @ sol).reshape(n_frames, dim)
 
 
-def gp_posterior_x0(d: GaussianWorldDenoiser, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Posterior-mean denoise of ``x`` at level ``sigma`` under a Gaussian world."""
-    return d.posterior_x0(x, sigma)
-
-
 class GmmWorldDenoiser:
     """Exact posterior mean under an isotropic Gaussian-mixture world.
 
@@ -157,11 +152,6 @@ class GmmWorldDenoiser:
         return (r[..., None, :] @ comp_means).reshape(x.shape)
 
 
-def gmm_posterior_x0(d: GmmWorldDenoiser, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Posterior-mean denoise of ``x`` at level ``sigma`` under a mixture world."""
-    return d.posterior_x0(x, sigma)
-
-
 def precondition_apply(net, x: np.ndarray, sigma: float, cond: Condition, sigma_data: float) -> np.ndarray:
     """Wrap a raw network in noise-level-dependent input/output scalings.
 
@@ -192,24 +182,25 @@ class AnalyticGaussianBackend(DenoiserBackend):
     M_sigma = F (F + sigma^2 I)^(-1) applied along the frame axis. Frame maps
     are cached by sigma alone and shared by every condition, since samplers
     revisit the same ladder of sigma values on both paths; the per-condition
-    moments come from ``world.conditional_moments`` and are cached too.
+    mean comes from ``world.conditional_moments`` and is cached too.
     """
 
     def __init__(self, world):
         self.world = world
-        self._denoisers: dict[bytes, GaussianWorldDenoiser] = {}
+        self._means: dict[bytes, np.ndarray] = {}
         self._factors: dict[float, np.ndarray] = {}
 
     @property
     def seq_shape(self) -> tuple[int, int]:
         return self.world.seq_shape
 
-    def denoiser_for(self, cond: Condition) -> GaussianWorldDenoiser:
+    def mean_for(self, cond: Condition) -> np.ndarray:
+        """The (N, d) conditional mean of the world under ``cond``."""
         key = cond.key()
-        if key not in self._denoisers:
-            mean, cov = self.world.conditional_moments(cond)
-            self._denoisers[key] = GaussianWorldDenoiser(mean, cov)
-        return self._denoisers[key]
+        if key not in self._means:
+            mean, _ = self.world.conditional_moments(cond)
+            self._means[key] = np.asarray(mean, dtype=np.float64).reshape(self.seq_shape)
+        return self._means[key]
 
     def frame_map(self, sigma: float) -> np.ndarray:
         """M_sigma = F (F + sigma^2 I)^(-1), the posterior-mean map on frames."""
@@ -225,7 +216,7 @@ class AnalyticGaussianBackend(DenoiserBackend):
     def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
         if sigma == 0.0:
             return np.array(x, dtype=np.float64)
-        mean = self.denoiser_for(cond).mean.reshape(self.seq_shape)
+        mean = self.mean_for(cond)
         return mean + self.frame_map(sigma) @ (x - mean)
 
 

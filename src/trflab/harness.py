@@ -210,8 +210,6 @@ class ExperimentConfig:
             "alpha_kind": _get(trf, "alpha_kind", "trf", "str", "linear",
                                choices=("linear", "exponential")),
             "alpha_lam": _get(trf, "alpha_lam", "trf", "number", 4.0),
-            "share_initial_noise": _get(trf, "share_initial_noise", "trf", "bool", True),
-            "share_churn_noise": _get(trf, "share_churn_noise", "trf", "bool", True),
         }
         _check_unknown(trf, data["trf"], "trf")
 
@@ -223,9 +221,15 @@ class ExperimentConfig:
         seeds = raw.get("seeds", [0])
         if not isinstance(seeds, list) or not seeds:
             raise ConfigError("config key 'seeds' must be a non-empty list of integers")
+        seen = set()
         for i, s in enumerate(seeds):
             if not isinstance(s, int) or isinstance(s, bool) or s < 0:
                 raise ConfigError(f"config key 'seeds[{i}]' must be a non-negative integer")
+            if s in seen:
+                # One output file per seed: a repeat would be sampled twice
+                # but written once, and counted twice in the metrics.
+                raise ConfigError(f"config key 'seeds[{i}]' repeats seed {s}")
+            seen.add(s)
         data["seeds"] = list(seeds)
 
         out_dir = raw.get("out_dir")
@@ -263,14 +267,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_raw_config(path))
 
     # -- builders ----------------------------------------------------------
 
@@ -306,10 +303,7 @@ class ExperimentConfig:
         lam = t["alpha_lam"] if t["alpha_kind"] == KIND_EXPONENTIAL else None
         return TrfConfig(
             alpha=alpha_weights(t["alpha_kind"], n_frames, lam),
-            m_reinject=t["m_reinject"], t0=t["t0"],
-            share_initial_noise=t["share_initial_noise"],
-            share_churn_noise=t["share_churn_noise"],
-            churn=self.build_churn(),
+            m_reinject=t["m_reinject"], t0=t["t0"], churn=self.build_churn(),
         )
 
     def build_conditions(self, world) -> tuple[Condition, Condition | None]:
@@ -330,6 +324,20 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def read_raw_config(path) -> dict:
+    """The JSON object in config file ``path``, not yet validated."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be an object")
+    return raw
 
 
 def _build_world(spec: dict):

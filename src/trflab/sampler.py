@@ -1,16 +1,21 @@
-"""Forward conditional sampling: the baseline one-path generation loop.
+"""Forward conditional sampling and the one schedule walk every sampler uses.
 
-The loop walks a noise schedule from sigma_max down to 0, at each step
-optionally churning the latent up in noise before one Euler step toward
-the backend's clean-sequence prediction. Churn lives here in the loop, not
-inside the denoise step, so the fused sampler can churn a single shared
-latent and feed the identical state to both of its paths.
+:func:`_walk` walks a noise schedule from sigma_max down to 0. It draws the
+initial latent, and at each step churns the latent up in noise, hands it to
+a per-step hook, checks that the hook's new latent is finite, and keeps the
+step record the hook returns. The hook does the denoising: an Euler step
+toward the backend's clean-sequence prediction here in :func:`sample`; two
+denoised paths, their fusion and the re-injection rounds in
+:func:`~trflab.trf.trf_sample`; an Euler step plus the end-frame overwrite
+in :func:`~trflab.trf.baseline_inpaint`. Churn lives in the walk, not in
+the hook, so the fused sampler churns one shared latent and feeds the
+identical state to both of its paths.
 
 RNG substream labels are fixed module-wide so that runs which share a root
 stream consume identical draws in identical order — several equivalence
 tests depend on this.
 
-Every loop runs a single chain on an (N, d) latent driven by an
+Every sampler runs a single chain on an (N, d) latent driven by an
 :class:`~trflab.core.RngStream`, or B chains at once on a (B, N, d) latent
 driven by an :class:`~trflab.core.RngBatch` (one stream per seed); the
 batch shape comes from the initial draw and the same code serves both.
@@ -22,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import RngBatch, RngStream, as_sequence, gaussian_noise, row_hashes
+from .core import RngBatch, RngStream, gaussian_noise, row_hashes
 from .denoiser import Condition, DenoiserBackend
 from .schedule import ChurnParams, NoiseSchedule, churn_gamma
 
@@ -31,8 +36,6 @@ from .schedule import ChurnParams, NoiseSchedule, churn_gamma
 STREAM_INIT = 0
 STREAM_CHURN = 1
 STREAM_REINJECT = 2
-STREAM_AUX = 3
-STREAM_BACKWARD_INIT = 4
 
 
 @dataclass
@@ -115,20 +118,35 @@ def check_finite(x: np.ndarray, sampler: str, t: int, sigma: float, rng: RngStre
 
 def _euler_from_denoised(x_hat: np.ndarray, sigma_hat: float, sigma_next: float,
                          denoised: np.ndarray) -> np.ndarray:
+    """One Euler step from sigma_hat to sigma_next toward the prediction ``denoised``."""
     d = (x_hat - denoised) / sigma_hat
     return x_hat + (sigma_next - sigma_hat) * d
 
 
-def edm_euler_step(backend: DenoiserBackend, x_hat: np.ndarray, sigma_hat: float,
-                   sigma_next: float, cond: Condition) -> np.ndarray:
-    """One Euler step from sigma_hat toward sigma_next along the denoiser direction."""
-    if sigma_hat <= 0:
-        raise ValueError(f"sigma_hat must be > 0, got {sigma_hat}")
-    if not 0 <= sigma_next <= sigma_hat:
-        raise ValueError(f"need 0 <= sigma_next <= sigma_hat, got {sigma_next} vs {sigma_hat}")
-    x_hat = as_sequence(x_hat)
-    denoised = backend.predict_x0(x_hat, sigma_hat, cond)
-    return _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
+def _walk(name: str, shape: tuple[int, int], schedule: NoiseSchedule, churn: ChurnParams,
+          rng: RngStream | RngBatch, step) -> tuple[np.ndarray, StepTrace]:
+    """Walk the schedule top to bottom: churn, then ``step``, per level.
+
+    ``step(t, sigma, x_hat, sigma_hat, sigma_next)`` maps the churned
+    latent to the latent at sigma_next and returns it with the step's
+    record, or with None to keep no record. The initial latent is drawn
+    from ``STREAM_INIT`` and the churn from ``STREAM_CHURN``; a non-finite
+    latent after any step raises, naming ``name``.
+    """
+    n_steps = schedule.n_steps
+    x = gaussian_noise(shape, schedule.sigma_max, rng.split(STREAM_INIT))
+    rng_churn = rng.split(STREAM_CHURN)
+    trace = StepTrace()
+    for t in range(n_steps - 1, -1, -1):
+        sigma = schedule.sigma_at(t)
+        sigma_next = schedule.sigma_at(t - 1) if t > 0 else 0.0
+        gamma = churn_gamma(churn, sigma, n_steps)
+        x_hat, sigma_hat = churn_perturb(x, sigma, gamma, churn.s_noise, rng_churn)
+        x, record = step(t, sigma, x_hat, sigma_hat, sigma_next)
+        check_finite(x, name, t, sigma, rng)
+        if record is not None:
+            trace.append(record)
+    return x, trace
 
 
 def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
@@ -139,22 +157,12 @@ def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
     landing at sigma = 0. Returns the clean-level sequence (a (B, N, d)
     batch when ``rng`` is an RngBatch) and a trace with exactly T records.
     """
-    n_steps = schedule.n_steps
-    rng_init = rng.split(STREAM_INIT)
-    rng_churn = rng.split(STREAM_CHURN)
-
-    x = gaussian_noise(backend.seq_shape, schedule.sigma_max, rng_init)
-    trace = StepTrace()
-    for t in range(n_steps - 1, -1, -1):
-        sigma = schedule.sigma_at(t)
-        sigma_next = schedule.sigma_at(t - 1) if t > 0 else 0.0
-        gamma = churn_gamma(churn, sigma, n_steps)
-        x_hat, sigma_hat = churn_perturb(x, sigma, gamma, churn.s_noise, rng_churn)
+    def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat, sigma_hat, cond)
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
-        check_finite(x, "sample", t, sigma, rng)
-        trace.append(StepRecord(
+        return x, StepRecord(
             t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
             latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(denoised),
-        ))
-    return x, trace
+        )
+
+    return _walk("sample", backend.seq_shape, schedule, churn, rng, step)

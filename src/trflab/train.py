@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import RngStream, as_sequence
 from .denoiser import Condition, DenoiserBackend, precondition_apply
+from .harness import _atomic_write_bytes
 
 CHECKPOINT_MAGIC = b"TRFW"
 CHECKPOINT_VERSION = 1
@@ -319,16 +320,14 @@ def train(world, cfg: TrainConfig):
 
 
 def save_checkpoint(params: MlpParams, path):
-    """Write weights + descriptor; bit-exact roundtrip with load_checkpoint."""
+    """Write weights + descriptor atomically; bit-exact roundtrip with load_checkpoint."""
     arch = params.arch
     header = CHECKPOINT_MAGIC + struct.pack(
         "<6Id", CHECKPOINT_VERSION, arch.n_frames, arch.frame_dim,
         arch.cond_dim, arch.hidden, arch.n_freq, arch.sigma_data,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for _, block in params.blocks():
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    blocks = [np.ascontiguousarray(block, dtype="<f8").tobytes() for _, block in params.blocks()]
+    _atomic_write_bytes(path, header + b"".join(blocks))
 
 
 def load_checkpoint(path, expect_arch: ArchDescriptor | None = None) -> MlpParams:

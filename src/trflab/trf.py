@@ -15,8 +15,8 @@ it does not shrink the per-step disagreement between the two paths.
 
 Also here: the two single-path baselines this strategy is measured
 against — per-frame condition interpolation, and end-frame inpainting.
-Like the single-path loop, every sampler here runs one chain or a batch of
-chains (see :mod:`trflab.sampler`).
+Every sampler here walks the schedule with the single-path loop's walk and
+runs one chain or a batch of chains (see :mod:`trflab.sampler`).
 """
 
 import math
@@ -26,20 +26,8 @@ import numpy as np
 
 from .core import RngBatch, RngStream, as_frame, as_sequence, gaussian_noise, reverse, row_hashes
 from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend, ROLE_START
-from .sampler import (
-    STREAM_AUX,
-    STREAM_BACKWARD_INIT,
-    STREAM_CHURN,
-    STREAM_INIT,
-    STREAM_REINJECT,
-    StepRecord,
-    StepTrace,
-    _euler_from_denoised,
-    check_finite,
-    churn_perturb,
-    sample,
-)
-from .schedule import ChurnParams, NoiseSchedule, churn_gamma, injection_std
+from .sampler import STREAM_REINJECT, StepRecord, StepTrace, _euler_from_denoised, _walk, sample
+from .schedule import ChurnParams, NoiseSchedule, injection_std
 
 KIND_LINEAR = "linear"
 KIND_EXPONENTIAL = "exponential"
@@ -112,16 +100,12 @@ class TrfConfig:
     fusion at high noise; it smooths the expected fused path but leaves the
     forward/backward disagreement of the exact denoisers unchanged (a churned
     run shows less disagreement only because the re-injected rounds step
-    from sigma_t rather than the churned sigma_hat). The share flags pin
-    down which noise draws the two paths have in common: by default both
-    paths start from identical noise and see the same churn perturbation.
+    from sigma_t rather than the churned sigma_hat).
     """
 
     alpha: AlphaSchedule
     m_reinject: int = 2
     t0: int | None = None
-    share_initial_noise: bool = True
-    share_churn_noise: bool = True
     churn: ChurnParams = field(default_factory=ChurnParams)
 
     def __post_init__(self):
@@ -197,41 +181,20 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
         raise ValueError(f"alpha has {cfg.alpha.n_frames} weights for {n_frames} frames")
     if c_s.frame.shape != (dim,) or c_e.frame.shape != (dim,):
         raise ValueError("conditioning frames do not match the backend's frame dimension")
-    n_steps = schedule.n_steps
-    t0 = cfg.resolved_t0(n_steps)
-
-    rng_init = rng.split(STREAM_INIT)
-    rng_churn = rng.split(STREAM_CHURN)
+    t0 = cfg.resolved_t0(schedule.n_steps)
     rng_rein = rng.split(STREAM_REINJECT)
-    rng_bwd_churn = None if cfg.share_churn_noise else rng.split(STREAM_AUX)
 
-    x = gaussian_noise(shape, schedule.sigma_max, rng_init)
-    x_bwd_first = None
-    if not cfg.share_initial_noise:
-        rng_bwd_init = rng.split(STREAM_BACKWARD_INIT)
-        x_bwd_first = gaussian_noise(shape, schedule.sigma_max, rng_bwd_init)
+    def fused(x_in, sigma_in, sigma_next):
+        # Denoise x_in forward under c_s and reversed under c_e, then fuse.
+        fwd = _euler_from_denoised(x_in, sigma_in, sigma_next,
+                                   backend.predict_x0(x_in, sigma_in, c_s))
+        bwd_in = reverse(x_in)
+        bwd = _euler_from_denoised(bwd_in, sigma_in, sigma_next,
+                                   backend.predict_x0(bwd_in, sigma_in, c_e))
+        return fwd, bwd, _fuse(fwd, bwd, cfg.alpha)
 
-    trace = StepTrace()
-    for t in range(n_steps - 1, -1, -1):
-        sigma = schedule.sigma_at(t)
-        sigma_next = schedule.sigma_at(t - 1) if t > 0 else 0.0
-        gamma = churn_gamma(cfg.churn, sigma, n_steps)
-        x_hat, sigma_hat = churn_perturb(x, sigma, gamma, cfg.churn.s_noise, rng_churn)
-        if cfg.share_churn_noise:
-            bwd_in = reverse(x_hat)
-        else:
-            bwd_in, _ = churn_perturb(reverse(x), sigma, gamma, cfg.churn.s_noise, rng_bwd_churn)
-        if t == n_steps - 1 and x_bwd_first is not None:
-            # Decoupled initialization: the backward path's first input is
-            # its own noise draw, churned from its own stream.
-            bwd_in, _ = churn_perturb(x_bwd_first, sigma, gamma, cfg.churn.s_noise, rng_bwd_init)
-
-        fwd = _euler_from_denoised(x_hat, sigma_hat, sigma_next,
-                                   backend.predict_x0(x_hat, sigma_hat, c_s))
-        bwd = _euler_from_denoised(bwd_in, sigma_hat, sigma_next,
-                                   backend.predict_x0(bwd_in, sigma_hat, c_e))
-        x = _fuse(fwd, bwd, cfg.alpha)
-
+    def step(t, sigma, x_hat, sigma_hat, sigma_next):
+        fwd, bwd, x = fused(x_hat, sigma_hat, sigma_next)
         fusions = 1
         if t > t0:
             # Re-injection: lift the fused state back to sigma_t (the new
@@ -239,50 +202,31 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
             # both paths from sigma_t with no churn, and fuse again.
             inj = injection_std(schedule, t)
             for _ in range(cfg.m_reinject):
-                eps = gaussian_noise(shape, inj, rng_rein)
-                x_up = x + eps
-                fwd = _euler_from_denoised(x_up, sigma, sigma_next,
-                                           backend.predict_x0(x_up, sigma, c_s))
-                bwd_up = reverse(x_up)
-                bwd = _euler_from_denoised(bwd_up, sigma, sigma_next,
-                                           backend.predict_x0(bwd_up, sigma, c_e))
-                x = _fuse(fwd, bwd, cfg.alpha)
+                fwd, bwd, x = fused(x + gaussian_noise(shape, inj, rng_rein), sigma, sigma_next)
                 fusions += 1
-
-        check_finite(x, "trf_sample", t, sigma, rng)
         gap = (fwd - reverse(bwd)).reshape(fwd.shape[:-2] + (-1,))
-        trace.append(StepRecord(
+        return x, StepRecord(
             t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
             latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(x),
             fusions=fusions,
             objective=_fusion_objective(x, fwd, bwd, cfg.alpha).tolist(),
             disagreement=np.linalg.norm(gap, axis=-1).tolist(),
-        ))
-    return x, trace
+        )
+
+    return _walk("trf_sample", shape, schedule, cfg.churn, rng, step)
 
 
 def baseline_condition_interp(backend: DenoiserBackend, schedule: NoiseSchedule,
                               c_s: Condition, c_e: Condition, rng: RngStream | RngBatch,
-                              churn: ChurnParams | None = None,
-                              noise_swap: bool = False) -> np.ndarray:
+                              churn: ChurnParams | None = None) -> np.ndarray:
     """Single forward path steered by per-frame interpolated conditions.
 
     Frame n is denoised under condition (1 - n/(N-1)) c_s + n/(N-1) c_e.
-    With noise_swap, the end frame is replaced by a unit-variance noise
-    frame before interpolating — the it-barely-matters control showing how
-    weakly the interpolated condition pins the far end. Each chain would
-    then have its own conditions, so noise_swap needs a single RngStream.
     """
-    if noise_swap and isinstance(rng, RngBatch):
-        raise ValueError("noise_swap needs a single RngStream, not a stream batch")
     if churn is None:
         churn = ChurnParams()
-    n_frames, dim = backend.seq_shape
-    end_frame = c_e.frame
-    if noise_swap:
-        end_frame = rng.split(STREAM_AUX).normal((dim,))
-    u = np.linspace(0.0, 1.0, n_frames)
-    conds = [Condition((1.0 - un) * c_s.frame + un * end_frame, role=ROLE_START) for un in u]
+    u = np.linspace(0.0, 1.0, backend.seq_shape[0])
+    conds = [Condition((1.0 - un) * c_s.frame + un * c_e.frame, role=ROLE_START) for un in u]
     per_frame = PerFrameConditionBackend(backend, conds)
     x, _ = sample(per_frame, schedule, c_s, churn, rng)
     return x
@@ -301,21 +245,15 @@ def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Con
     """
     if churn is None:
         churn = ChurnParams()
-    n_frames, dim = backend.seq_shape
+    dim = backend.seq_shape[1]
     end = as_frame(end_frame, dim=dim)
-    n_steps = schedule.n_steps
-    rng_init = rng.split(STREAM_INIT)
-    rng_churn = rng.split(STREAM_CHURN)
     rng_over = rng.split(STREAM_REINJECT)
 
-    x = gaussian_noise((n_frames, dim), schedule.sigma_max, rng_init)
-    for t in range(n_steps - 1, -1, -1):
-        sigma = schedule.sigma_at(t)
-        sigma_next = schedule.sigma_at(t - 1) if t > 0 else 0.0
-        gamma = churn_gamma(churn, sigma, n_steps)
-        x_hat, sigma_hat = churn_perturb(x, sigma, gamma, churn.s_noise, rng_churn)
+    def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat, sigma_hat, c_s)
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
         x[..., -1, :] = end + gaussian_noise((dim,), sigma_next, rng_over)
-        check_finite(x, "baseline_inpaint", t, sigma, rng)
+        return x, None
+
+    x, _ = _walk("baseline_inpaint", backend.seq_shape, schedule, churn, rng, step)
     return x

@@ -298,10 +298,6 @@ def conditional_moments(world, cond: Condition) -> tuple[np.ndarray, np.ndarray]
     return world.conditional_moments(cond)
 
 
-def sample_sequence(world, cond: Condition, rng: RngStream) -> np.ndarray:
-    return world.sample_sequence(cond, rng)
-
-
 def conditional_gmm(world: TrajectoryGmmWorld, cond: Condition) -> GmmWorldDenoiser:
     if not isinstance(world, TrajectoryGmmWorld):
         raise TypeError(f"conditional_gmm needs a TrajectoryGmmWorld, not {type(world).__name__}")

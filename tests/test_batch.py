@@ -109,15 +109,6 @@ def test_batch_of_one_matches_single_stream(name, kind):
             assert len(trace_b.records[0].latent_hash) == 1
 
 
-def test_noise_swap_rejects_a_batch():
-    backend, start, end = _gp()
-    sched = build_karras(12, 0.01, 20.0)
-    c_s, c_e = Condition(start), Condition(end, role=ROLE_END)
-    with pytest.raises(ValueError, match="noise_swap needs a single RngStream"):
-        baseline_condition_interp(backend, sched, c_s, c_e, RngBatch.from_seeds(SEEDS[:4]),
-                                  noise_swap=True)
-
-
 def test_churn_with_one_stream_draws_the_whole_latent():
     # A single stream on a 3-D latent gives every row its own noise; a
     # batch gives row i the (N, d) draw of seed i.

@@ -19,8 +19,6 @@ from trflab.denoiser import (
     GaussianWorldDenoiser,
     GmmWorldDenoiser,
     PerFrameConditionBackend,
-    gmm_posterior_x0,
-    gp_posterior_x0,
     precondition_apply,
 )
 from trflab.worlds import PinnedGaussianProcessWorld, TrajectoryGmmWorld
@@ -106,9 +104,9 @@ class TestGaussianPosterior:
         x1 = rng.normal((3, 1))
         x2 = rng.normal((3, 1))
         t = 0.37
-        lhs = gp_posterior_x0(d, x1 + t * (x2 - x1), 0.9)
-        d1 = gp_posterior_x0(d, x1, 0.9)
-        d2 = gp_posterior_x0(d, x2, 0.9)
+        lhs = d.posterior_x0(x1 + t * (x2 - x1), 0.9)
+        d1 = d.posterior_x0(x1, 0.9)
+        d2 = d.posterior_x0(x2, 0.9)
         np.testing.assert_allclose(lhs, d1 + t * (d2 - d1), atol=1e-12)
 
     def test_validation(self):
@@ -175,7 +173,7 @@ class TestGmmPosterior:
     def test_small_sigma_returns_observation(self):
         d = self._mixture()
         x = np.array([[1.7]])
-        np.testing.assert_allclose(gmm_posterior_x0(d, x, 1e-6), x, atol=1e-4)
+        np.testing.assert_allclose(d.posterior_x0(x, 1e-6), x, atol=1e-4)
 
     def test_large_sigma_returns_prior_mean(self):
         d = self._mixture()
@@ -269,7 +267,7 @@ class TestAnalyticBackends:
         backend = AnalyticGaussianBackend(world)
         c1 = Condition(np.array([1.0]))
         c2 = Condition(np.array([1.0]))
-        assert backend.denoiser_for(c1) is backend.denoiser_for(c2)
+        assert backend.mean_for(c1) is backend.mean_for(c2)
         x = RngStream(9).normal((4, 1))
         first = backend.predict_x0(x, 0.8, c1)
         second = backend.predict_x0(x, 0.8, c2)

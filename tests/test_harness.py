@@ -58,6 +58,8 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"world": {"kind": "gp", "a": True}})
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict(gp_raw(seeds=[-1]))
+        with pytest.raises(ConfigError, match=r"seeds\[1\]"):
+            ExperimentConfig.from_dict(gp_raw(seeds=[0, 0, 1]))
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict(gp_raw(seeds=[]))
 
@@ -362,6 +364,13 @@ class TestCli:
                      "--out", str(tmp_path / "r")]) == 1
         assert main(["sample", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r")]) == 1
+        capsys.readouterr()
+        for raw, key in ((gp_raw(seeds=[0, 0, 1]), "seeds[1]"),
+                         (gp_raw(trf={"share_churn_noise": False}), "trf.share_churn_noise")):
+            bad = self._write_config(tmp_path, raw)
+            assert main(["trf", "--config", bad, "--out", str(tmp_path / "r")]) == 1
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_runtime_errors_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path / "nowhere")]) == 2

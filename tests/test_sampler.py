@@ -16,9 +16,9 @@ from trflab import (
     RngStream,
     build_karras,
     churn_perturb,
-    edm_euler_step,
     sample,
 )
+from trflab.sampler import _euler_from_denoised
 
 
 class UnitGaussianBackend:
@@ -63,32 +63,24 @@ class TestChurnPerturb:
 
 
 class TestEdmEulerStep:
+    """The Euler step every sampler takes, fed the unit-Gaussian prediction."""
+
+    def _step(self, x, sigma_hat, sigma_next):
+        denoised = UnitGaussianBackend().predict_x0(x, sigma_hat, Condition(np.zeros(1)))
+        return _euler_from_denoised(x, sigma_hat, sigma_next, denoised)
+
     def test_hand_computed_unit_gaussian(self):
         # x=2, sigma=1: D = 2/(1+1) = 1, d = (2-1)/1 = 1, step to 0 gives 1.
-        backend = UnitGaussianBackend()
-        x = np.full((3, 1), 2.0)
-        out = edm_euler_step(backend, x, 1.0, 0.0, Condition(np.zeros(1)))
+        out = self._step(np.full((3, 1), 2.0), 1.0, 0.0)
         npt.assert_allclose(out, 1.0, rtol=1e-14)
 
     def test_no_move_when_sigma_unchanged(self):
-        backend = UnitGaussianBackend()
         x = np.array([[2.0], [0.5], [-1.0]])
-        out = edm_euler_step(backend, x, 1.0, 1.0, Condition(np.zeros(1)))
-        npt.assert_array_equal(out, x)
+        npt.assert_array_equal(self._step(x, 1.0, 1.0), x)
 
     def test_step_to_zero_returns_prediction(self):
-        backend = UnitGaussianBackend()
         x = np.array([[4.0], [-2.0], [1.0]])
-        out = edm_euler_step(backend, x, 2.0, 0.0, Condition(np.zeros(1)))
-        npt.assert_allclose(out, x / 5.0, rtol=1e-14)
-
-    def test_invalid_sigmas_rejected(self):
-        backend = UnitGaussianBackend()
-        x = np.zeros((3, 1))
-        with pytest.raises(ValueError):
-            edm_euler_step(backend, x, 0.0, 0.0, Condition(np.zeros(1)))
-        with pytest.raises(ValueError):
-            edm_euler_step(backend, x, 1.0, 2.0, Condition(np.zeros(1)))
+        npt.assert_allclose(self._step(x, 2.0, 0.0), x / 5.0, rtol=1e-14)
 
 
 class TestSample:

@@ -1,6 +1,8 @@
 """Trainable backend: gradients vs finite differences, loss identities,
 checkpoint format, and optimizer behavior."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,21 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         n_weights = sum(b.size for _, b in params.blocks())
         assert path.stat().st_size == 4 + 6 * 4 + 8 + 8 * n_weights
+
+    def test_failed_rename_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.trfw"
+        save_checkpoint(self._params(), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        other = init_params(tiny_arch(), RngStream(34))
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_checkpoint(other, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["net.trfw"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "net.trfw"

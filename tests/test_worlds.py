@@ -20,7 +20,6 @@ from trflab.worlds import (
     conditional_gmm,
     conditional_moments,
     render_blob,
-    sample_sequence,
 )
 
 
@@ -76,8 +75,8 @@ class TestGaussianProcessWorld:
     def test_sample_determinism(self):
         world = PinnedGaussianProcessWorld(a=0.7, q=0.3, dim=2, n_frames=5)
         cond = Condition(np.array([0.5, 0.5]))
-        a = sample_sequence(world, cond, RngStream(42))
-        b = sample_sequence(world, cond, RngStream(42))
+        a = world.sample_sequence(cond, RngStream(42))
+        b = world.sample_sequence(cond, RngStream(42))
         np.testing.assert_array_equal(a, b)
 
     def test_training_pair_start_matches_condition(self):
