@@ -13,10 +13,10 @@ import json
 import os
 import sys
 
+from .core import _atomic_write_bytes
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    _atomic_write_bytes,
     apply_overrides,
     canonical_json,
     evaluate_run,

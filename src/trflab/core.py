@@ -7,6 +7,7 @@ always axis -2, so sequence operations act on either shape.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import scipy.linalg
@@ -161,3 +162,24 @@ def row_hashes(x: np.ndarray) -> str | list[str]:
     size = 8 * x.shape[-2] * x.shape[-1]
     return [hashlib.sha256(head + data[i:i + size]).hexdigest()
             for i in range(0, len(data), size)]
+
+
+def _atomic_write_bytes(path, data: bytes):
+    """Write ``data`` to ``path`` through a temporary file and a rename.
+
+    The temporary name is unique to this write and lives in the target
+    directory, so concurrent writers never share one; it is removed again
+    if the write or the rename fails, which raises RuntimeError. Readers
+    see the old file or the complete new one, never a partial write.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc

@@ -42,18 +42,34 @@ class Condition:
         return np.ascontiguousarray(self.frame, dtype="<f8").tobytes()
 
 
+#: What ``predict_x0`` conditions on: one condition, or one per slice of a condition axis.
+Conditions = Condition | tuple[Condition, ...]
+
+
+def _on_condition_axis(stack: np.ndarray, ndim: int) -> np.ndarray:
+    """Lay a (C, ...) stack of per-condition values out against an input of
+    ``ndim`` axes whose axis 0 is the condition axis: one singleton axis is
+    inserted per batch axis, so slice c broadcasts over slice c of the input."""
+    return stack.reshape(stack.shape[:1] + (1,) * (ndim - stack.ndim) + stack.shape[1:])
+
+
 class DenoiserBackend:
     """Contract: deterministic clean-sequence prediction.
 
     ``predict_x0(x, sigma, cond)`` maps an (N, d) sequence at noise level
     sigma to an (N, d) estimate of the clean sequence, and a (B, N, d)
     batch of sequences row by row to a (B, N, d) batch of estimates.
+    ``cond`` is one :class:`Condition` for the whole input, or a tuple of C
+    conditions for an input of shape (C, ..., N, d) with a leading
+    condition axis: slice c is then denoised under ``cond[c]``, exactly as
+    a call on that slice alone would denoise it. The fused sampler uses
+    this to denoise its forward and backward paths in one call.
     Implementations must be deterministic, preserve shape, and report the
     (N, d) shape via ``seq_shape`` so sampling loops know what latent to
     draw. Inputs come from the sampling loops and are not re-validated.
     """
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
+    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -152,7 +168,7 @@ class GmmWorldDenoiser:
         return (r[..., None, :] @ comp_means).reshape(x.shape)
 
 
-def precondition_apply(net, x: np.ndarray, sigma: float, cond: Condition, sigma_data: float) -> np.ndarray:
+def precondition_apply(net, x: np.ndarray, sigma: float, cond: Conditions, sigma_data: float) -> np.ndarray:
     """Wrap a raw network in noise-level-dependent input/output scalings.
 
     Returns c_skip * x + c_out * net(c_in * x, c_noise, cond) with
@@ -182,25 +198,34 @@ class AnalyticGaussianBackend(DenoiserBackend):
     M_sigma = F (F + sigma^2 I)^(-1) applied along the frame axis. Frame maps
     are cached by sigma alone and shared by every condition, since samplers
     revisit the same ladder of sigma values on both paths; the per-condition
-    mean comes from ``world.conditional_moments`` and is cached too.
+    mean comes from ``world.conditional_moments`` and is cached too. A
+    condition-axis call applies the frame map once to the whole stack, with
+    the stacked means cached per tuple of conditions.
     """
 
     def __init__(self, world):
         self.world = world
-        self._means: dict[bytes, np.ndarray] = {}
+        self._means: dict[bytes | tuple[bytes, ...], np.ndarray] = {}
         self._factors: dict[float, np.ndarray] = {}
 
     @property
     def seq_shape(self) -> tuple[int, int]:
         return self.world.seq_shape
 
-    def mean_for(self, cond: Condition) -> np.ndarray:
-        """The (N, d) conditional mean of the world under ``cond``."""
-        key = cond.key()
-        if key not in self._means:
-            mean, _ = self.world.conditional_moments(cond)
-            self._means[key] = np.asarray(mean, dtype=np.float64).reshape(self.seq_shape)
-        return self._means[key]
+    def mean_for(self, cond: Conditions) -> np.ndarray:
+        """The (N, d) conditional mean of the world under ``cond``, or the
+        (C, N, d) stack of them for a tuple of C conditions."""
+        single = isinstance(cond, Condition)
+        key = cond.key() if single else tuple(c.key() for c in cond)
+        mean = self._means.get(key)
+        if mean is None:
+            if single:
+                mean, _ = self.world.conditional_moments(cond)
+                mean = np.asarray(mean, dtype=np.float64).reshape(self.seq_shape)
+            else:
+                mean = np.stack([self.mean_for(c) for c in cond])
+            self._means[key] = mean
+        return mean
 
     def frame_map(self, sigma: float) -> np.ndarray:
         """M_sigma = F (F + sigma^2 I)^(-1), the posterior-mean map on frames."""
@@ -213,15 +238,22 @@ class AnalyticGaussianBackend(DenoiserBackend):
             self._factors[key] = m
         return m
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
+    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
         if sigma == 0.0:
             return np.array(x, dtype=np.float64)
         mean = self.mean_for(cond)
+        if mean.ndim > 2:
+            mean = _on_condition_axis(mean, x.ndim)
         return mean + self.frame_map(sigma) @ (x - mean)
 
 
 class AnalyticGmmBackend(DenoiserBackend):
-    """Denoiser contract over a trajectory-mixture world, any conditioning frame."""
+    """Denoiser contract over a trajectory-mixture world, any conditioning frame.
+
+    A condition-axis call denoises slice by slice into one output: conditioning
+    drops the components whose weight underflows, so the conditions' mixtures
+    need not have the same number of components.
+    """
 
     def __init__(self, world):
         self.world = world
@@ -237,30 +269,40 @@ class AnalyticGmmBackend(DenoiserBackend):
             self._denoisers[key] = self.world.conditional_gmm(cond)
         return self._denoisers[key]
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
-        return self.denoiser_for(cond).posterior_x0(x, sigma)
+    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
+        if isinstance(cond, Condition):
+            return self.denoiser_for(cond).posterior_x0(x, sigma)
+        out = np.empty(x.shape)
+        for c, cond_c in enumerate(cond):
+            out[c] = self.denoiser_for(cond_c).posterior_x0(x[c], sigma)
+        return out
 
 
 class PerFrameConditionBackend(DenoiserBackend):
     """Compose a base backend under a different conditioning frame per output frame.
 
     Frame n of the prediction is frame n of the base backend's prediction
-    under conditions[n]. Used by the condition-interpolation baseline, where
-    each frame is steered by its own blend of the two bounding frames.
+    under conditions[n]. One condition-axis call to the base backend
+    predicts the whole input under all N conditions at once, and frame n is
+    taken from slice n. The ``cond`` argument is ignored, so every leading
+    axis of the input, a condition axis included, is a batch axis here.
+    Used by the condition-interpolation baseline, where each frame is
+    steered by its own blend of the two bounding frames.
     """
 
     def __init__(self, base: DenoiserBackend, conditions: list[Condition]):
         self.base = base
-        self.conditions = list(conditions)
+        self.conditions = tuple(conditions)
 
     @property
     def seq_shape(self) -> tuple[int, int]:
         return self.base.seq_shape
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
-        if x.shape[-2] != len(self.conditions):
-            raise ValueError(f"sequence has {x.shape[-2]} frames, expected {len(self.conditions)}")
-        out = np.empty_like(x)
-        for n, cond_n in enumerate(self.conditions):
-            out[..., n, :] = self.base.predict_x0(x, sigma, cond_n)[..., n, :]
-        return out
+    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
+        n_frames = len(self.conditions)
+        if x.shape[-2] != n_frames:
+            raise ValueError(f"sequence has {x.shape[-2]} frames, expected {n_frames}")
+        pred = self.base.predict_x0(np.broadcast_to(x, (n_frames,) + x.shape), sigma, self.conditions)
+        # pred[n, ..., n, :] for every n; the indexed axis lands first.
+        frames = np.arange(n_frames)
+        return np.moveaxis(pred[frames, ..., frames, :], 0, -2)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngBatch, as_sequence
+from .core import RngBatch, _atomic_write_bytes, as_sequence
 from .denoiser import AnalyticGaussianBackend, AnalyticGmmBackend, Condition, ROLE_END, ROLE_START
 from .metrics import MetricReport, endpoint_error, roughness
 from .sampler import sample
@@ -492,8 +492,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
 
 def evaluate_run(run_dir) -> MetricReport:
     """Recompute metrics for a completed run, verifying output integrity."""
-    manifest = ExperimentManifest.load(os.path.join(run_dir, MANIFEST_NAME))
-    cfg = ExperimentConfig.from_dict(_strip_normalized(manifest.config))
+    manifest_path = os.path.join(run_dir, MANIFEST_NAME)
+    manifest = ExperimentManifest.load(manifest_path)
+    try:
+        cfg = ExperimentConfig.from_dict(_strip_normalized(manifest.config))
+    except ConfigError as exc:
+        # Manifests echo the config of the trflab that wrote them, and keys
+        # come and go between versions without a new manifest version.
+        raise ConfigError(f"{manifest_path}: its config does not validate under this "
+                          f"trflab's schema (written by an older version?): {exc}") from exc
     world = cfg.build_world()
     _, c_e = cfg.build_conditions(world)
     trajectories = []
@@ -541,22 +548,6 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _atomic_write_bytes(path, data: bytes):
-    # A temporary name of its own in the target directory, so concurrent
-    # writers never share one; removed again if the write fails.
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
 # -- trajectory/frame exporters -------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import RngBatch, RngStream, gaussian_noise, row_hashes
+from .core import RngBatch, RngStream, _atomic_write_bytes, gaussian_noise, row_hashes
 from .denoiser import Condition, DenoiserBackend
 from .schedule import ChurnParams, NoiseSchedule, churn_gamma
 
@@ -79,8 +79,7 @@ class StepTrace:
         return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in self.records)
 
     def save_jsonl(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json_lines())
+        _atomic_write_bytes(path, self.to_json_lines().encode())
 
 
 def churn_perturb(x: np.ndarray, sigma: float, gamma: float, s_noise: float,

@@ -14,14 +14,14 @@ order. Version, shape, and corruption problems are reported as distinct
 error types.
 """
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, as_sequence
-from .denoiser import Condition, DenoiserBackend, precondition_apply
-from .harness import _atomic_write_bytes
+from .core import RngStream, _atomic_write_bytes, as_sequence
+from .denoiser import Condition, Conditions, DenoiserBackend, _on_condition_axis, precondition_apply
 
 CHECKPOINT_MAGIC = b"TRFW"
 CHECKPOINT_VERSION = 1
@@ -164,7 +164,13 @@ def backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpParams:
 
 
 class MlpBackend(DenoiserBackend):
-    """Denoiser contract over trained MLP weights (preconditioned)."""
+    """Denoiser contract over trained MLP weights (preconditioned).
+
+    Every sequence of the input is one row of a single forward pass, and
+    each row carries the frame of the condition it is denoised under, so a
+    condition-axis call costs one pass over the weights, not one per
+    condition.
+    """
 
     def __init__(self, params: MlpParams):
         self.params = params
@@ -174,23 +180,28 @@ class MlpBackend(DenoiserBackend):
     def seq_shape(self) -> tuple[int, int]:
         return (self.arch.n_frames, self.arch.frame_dim)
 
-    def _net(self, x_scaled: np.ndarray, c_noise: float, cond: Condition) -> np.ndarray:
-        # One input row per sequence of the batch, all in one forward pass.
+    def _net(self, x_scaled: np.ndarray, c_noise: float, cond: Conditions) -> np.ndarray:
+        # One input row per sequence of the input, all in one forward pass.
         lead = x_scaled.shape[:-2]
+        if isinstance(cond, Condition):
+            frames = cond.frame
+        else:
+            frames = _on_condition_axis(np.stack([c.frame for c in cond]), len(lead) + 1)
         rows = np.concatenate([
             x_scaled.reshape(lead + (-1,)),
             np.broadcast_to(fourier_features(c_noise, self.arch.n_freq), lead + (self.arch.n_freq,)),
-            np.broadcast_to(cond.frame, lead + (self.arch.cond_dim,)),
+            np.broadcast_to(frames, lead + (self.arch.cond_dim,)),
         ], axis=-1)
         out, _ = forward(self.params, rows.reshape(-1, self.arch.input_dim))
         return out.reshape(x_scaled.shape)
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Condition) -> np.ndarray:
+    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-2:] != self.seq_shape:
             raise ValueError(f"sequence shape {x.shape} does not match network {self.seq_shape}")
-        if cond.frame.shape != (self.arch.cond_dim,):
-            raise ValueError(f"condition dim {cond.frame.shape[0]} does not match network ({self.arch.cond_dim})")
+        for c in (cond,) if isinstance(cond, Condition) else cond:
+            if c.frame.shape != (self.arch.cond_dim,):
+                raise ValueError(f"condition dim {c.frame.shape[0]} does not match network ({self.arch.cond_dim})")
         return precondition_apply(self._net, x, sigma, cond, self.arch.sigma_data)
 
 
@@ -331,13 +342,18 @@ def save_checkpoint(params: MlpParams, path):
 
 
 def load_checkpoint(path, expect_arch: ArchDescriptor | None = None) -> MlpParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
     header_size = 4 + 6 * 4 + 8
-    if len(data) < header_size or data[:4] != CHECKPOINT_MAGIC:
+    with open(path, "rb") as fh:
+        header = fh.read(header_size)
+        # The weight blocks are read once, into one buffer that they then
+        # view. Starting it after the 36-byte header keeps every block
+        # 8-byte aligned, which matrix products need for their BLAS path.
+        payload = bytearray(max(os.fstat(fh.fileno()).st_size - header_size, 0))
+        payload = memoryview(payload)[:fh.readinto(payload)]
+    if len(header) < header_size or header[:4] != CHECKPOINT_MAGIC:
         raise CheckpointCorruptError(f"{path}: not a checkpoint file (bad magic or truncated header)")
     version, n_frames, frame_dim, cond_dim, hidden, n_freq, sigma_data = struct.unpack(
-        "<6Id", data[4:header_size])
+        "<6Id", header[4:])
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
     try:
@@ -353,14 +369,14 @@ def load_checkpoint(path, expect_arch: ArchDescriptor | None = None) -> MlpParam
         raise CheckpointShapeError(f"{path}: descriptor {arch} does not match expected {expect_arch}")
 
     blocks = {}
-    offset = header_size
+    offset = 0
     for name, shape in arch.block_shapes().items():
         n_bytes = 8 * int(np.prod(shape))
-        chunk = data[offset:offset + n_bytes]
+        chunk = payload[offset:offset + n_bytes]
         if len(chunk) != n_bytes:
             raise CheckpointCorruptError(f"{path}: truncated in layer {name}")
-        blocks[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        blocks[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
         offset += n_bytes
-    if offset != len(data):
-        raise CheckpointCorruptError(f"{path}: {len(data) - offset} trailing bytes")
+    if offset != len(payload):
+        raise CheckpointCorruptError(f"{path}: {len(payload) - offset} trailing bytes")
     return MlpParams(arch, **blocks)

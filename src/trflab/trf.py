@@ -2,7 +2,9 @@
 
 One latent is denoised along two conditional paths at once: a forward path
 conditioned on the start frame, and a backward path that sees the
-frame-reversed latent conditioned on the end frame. After every step the
+frame-reversed latent conditioned on the end frame. Both paths go to the
+denoiser as one call, stacked on the contract's condition axis, and take
+one Euler step together. After every step the
 two predictions are fused frame-by-frame with weights that hand the start
 of the sequence to the forward path and the end to the backward path; the
 fused result is the closed-form minimizer of a weighted least-squares
@@ -184,13 +186,19 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
     t0 = cfg.resolved_t0(schedule.n_steps)
     rng_rein = rng.split(STREAM_REINJECT)
 
+    conds = (c_s, c_e)
+    both = None  # the two paths' inputs on a condition axis, reused every fusion
+
     def fused(x_in, sigma_in, sigma_next):
-        # Denoise x_in forward under c_s and reversed under c_e, then fuse.
-        fwd = _euler_from_denoised(x_in, sigma_in, sigma_next,
-                                   backend.predict_x0(x_in, sigma_in, c_s))
-        bwd_in = reverse(x_in)
-        bwd = _euler_from_denoised(bwd_in, sigma_in, sigma_next,
-                                   backend.predict_x0(bwd_in, sigma_in, c_e))
+        # Denoise x_in forward under c_s and reversed under c_e in one
+        # backend call and one Euler step on the stack, then fuse.
+        nonlocal both
+        if both is None:
+            both = np.empty((2,) + x_in.shape)
+        both[0] = x_in
+        both[1] = x_in[..., ::-1, :]
+        fwd, bwd = _euler_from_denoised(both, sigma_in, sigma_next,
+                                        backend.predict_x0(both, sigma_in, conds))
         return fwd, bwd, _fuse(fwd, bwd, cfg.alpha)
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):

@@ -144,7 +144,8 @@ def test_output_bytes_do_not_depend_on_the_seed_list(tmp_path, world, command):
 
 class NanBelow:
     """Wraps a backend; puts a NaN into row ``row`` of its prediction
-    (the only sequence when unbatched) at every level up to ``sigma_bad``."""
+    (the only sequence when unbatched) at every level up to ``sigma_bad``,
+    in every slice of a condition-axis call."""
 
     def __init__(self, base, sigma_bad, row=0):
         self.base = base
@@ -155,7 +156,8 @@ class NanBelow:
     def predict_x0(self, x, sigma, cond):
         out = self.base.predict_x0(x, sigma, cond)
         if sigma <= self.sigma_bad:
-            (out[self.row] if out.ndim == 3 else out)[0, 0] = np.nan
+            for pred in (out,) if isinstance(cond, Condition) else out:
+                (pred[self.row] if pred.ndim == 3 else pred)[0, 0] = np.nan
         return out
 
 

@@ -303,3 +303,56 @@ class TestPerFrameConditionBackend:
         for n in range(3):
             np.testing.assert_array_equal(out[n], base.predict_x0(x, 0.7, conds[n])[n])
         assert composed.seq_shape == (3, 1)
+
+
+def _condition_axis_cases():
+    """{name: (backend, conditions)} for every backend of the package."""
+    from trflab.train import ArchDescriptor, MlpBackend, init_params
+
+    gp = AnalyticGaussianBackend(PinnedGaussianProcessWorld(a=0.8, q=0.3, dim=2, n_frames=5))
+    # tau = 0.02 drops the three arcs that start at (1, 0) under the first
+    # condition but keeps all six under the second.
+    gmm = AnalyticGmmBackend(TrajectoryGmmWorld.arcs(n_frames=5, tau=0.02))
+    assert [gmm.denoiser_for(Condition(np.array(f))).n_components
+            for f in ([-1.0, 0.0], [0.0, 0.0])] == [3, 6]
+    mlp = MlpBackend(init_params(ArchDescriptor(n_frames=5, frame_dim=2, cond_dim=2, hidden=16),
+                                 RngStream(5)))
+    per_frame = PerFrameConditionBackend(
+        gp, [Condition(np.array([v, -v])) for v in np.linspace(-1.0, 1.0, 5)])
+    frames = ([-1.0, 0.0], [0.0, 0.0], [0.5, -0.25])
+    conds = tuple(Condition(np.array(f), role=role) for f, role in zip(frames, (ROLE_START, ROLE_END, ROLE_START)))
+    return {"gp": (gp, conds), "gmm": (gmm, conds[:2]), "mlp": (mlp, conds),
+            "perframe": (per_frame, conds)}
+
+
+class TestConditionAxis:
+    """Slice c of a condition-axis call is the single-condition call on slice c.
+
+    Bit for bit, with one exception: an unbatched MLP call on one (N, d)
+    slice is a one-row forward pass, which numpy hands to BLAS's
+    matrix-vector kernel, and that rounds differently from the
+    matrix-matrix kernel the stacked rows take. That case holds to 1e-12.
+    """
+
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("name", ["gp", "gmm", "mlp", "perframe"])
+    def test_slices_match_single_condition_calls(self, name, lead):
+        backend, conds = _condition_axis_cases()[name]
+        x = RngStream(11).normal((len(conds),) + lead + backend.seq_shape) * 2.0
+        for sigma in (0.05, 0.7, 6.0):
+            out = backend.predict_x0(x, sigma, conds)
+            assert out.shape == x.shape
+            for c, cond in enumerate(conds):
+                single = backend.predict_x0(x[c], sigma, cond)
+                if name == "mlp" and not lead:
+                    np.testing.assert_allclose(out[c], single, rtol=0, atol=1e-12)
+                else:
+                    np.testing.assert_array_equal(out[c], single)
+
+    def test_gp_caches_the_stacked_mean_per_tuple(self):
+        backend, conds = _condition_axis_cases()["gp"]
+        stacked = backend.mean_for(conds)
+        assert stacked.shape == (3, 5, 2)
+        assert backend.mean_for(tuple(Condition(c.frame.copy()) for c in conds)) is stacked
+        for c, cond in enumerate(conds):
+            np.testing.assert_array_equal(stacked[c], backend.mean_for(cond))

@@ -314,6 +314,22 @@ class TestRunExperiment:
             manifest = run_experiment(cfg)
             assert len(manifest.outputs) == 1
 
+    def test_older_manifest_config_names_the_manifest(self, tmp_path, capsys):
+        # A run written while trf.share_churn_noise was still a config key:
+        # its outputs are intact, but its echoed config no longer validates.
+        run_experiment(ExperimentConfig.from_dict(gp_raw(sampler="trf", out_dir=str(tmp_path / "run"))))
+        path = tmp_path / "run" / "manifest.json"
+        d = json.loads(path.read_text())
+        d["config"]["trf"]["share_churn_noise"] = True
+        path.write_text(json.dumps(d))
+        with pytest.raises(ConfigError) as err:
+            evaluate_run(tmp_path / "run")
+        msg = str(err.value)
+        assert msg.startswith(f"{path}: its config does not validate under this trflab's schema")
+        assert msg.endswith("unknown config key 'trf.share_churn_noise'")
+        assert main(["eval", "--out", str(tmp_path / "run")]) == 1
+        assert str(path) in capsys.readouterr().err
+
     def test_manifest_version_check(self, tmp_path):
         cfg = ExperimentConfig.from_dict(gp_raw(out_dir=str(tmp_path / "run")))
         run_experiment(cfg)

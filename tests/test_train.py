@@ -292,7 +292,19 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.arch == params.arch
         for name in _BLOCKS:
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
+            block = getattr(loaded, name)
+            np.testing.assert_array_equal(block, getattr(params, name))
+            # Writable, and aligned so that matrix products take the BLAS path.
+            assert block.flags.writeable and block.flags.aligned
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        path = tmp_path / "net.trfw"
+        save_checkpoint(self._params(), path)
+        data = bytearray(path.read_bytes())
+        data[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last entry of b3
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="layer b3: non-finite weights"):
+            load_checkpoint(path)
 
     def test_roundtrip_preserves_predictions(self, tmp_path):
         params = self._params()
@@ -331,6 +343,13 @@ class TestCheckpoint:
         path = tmp_path / "net.trfw"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "net.trfw"
+        save_checkpoint(self._params(), path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(CheckpointCorruptError, match="truncated header"):
             load_checkpoint(path)
 
     def test_truncation_names_layer(self, tmp_path):

@@ -192,6 +192,19 @@ def alg1_reference(backend, sigmas, c_s, c_e, m_reinject, t0, s_churn, seed):
     return x, fused_states
 
 
+class Counting:
+    """Wraps a backend; records the input shape and the conditions of every call."""
+
+    def __init__(self, base):
+        self.base = base
+        self.seq_shape = base.seq_shape
+        self.calls = []
+
+    def predict_x0(self, x, sigma, cond):
+        self.calls.append((x.shape, cond))
+        return self.base.predict_x0(x, sigma, cond)
+
+
 class TestTrfSample:
     def setup_method(self):
         self.world = PinnedGaussianProcessWorld(a=1.0, q=0.3, dim=2, n_frames=8)
@@ -302,11 +315,24 @@ class TestTrfSample:
         c_s = Condition(np.array([0.4]))
         c_e = Condition(np.array([-0.3]), role=ROLE_END)
         trf_sample(Recording(), sched, c_s, c_e, cfg, RngBatch.from_seeds(range(30_000)))
-        # Two recorded batches, the forward and the reversed view of the same
-        # (30000, 3, 1) states; keep the forward one.
-        assert len(recorded) == 2 and recorded[0].shape == (30_000, 3, 1)
-        var = recorded[0].var(axis=0).mean()
+        # One recorded stack of the forward and the reversed view of the same
+        # (30000, 3, 1) states on the condition axis; keep the forward one.
+        assert len(recorded) == 1 and recorded[0].shape == (2, 30_000, 3, 1)
+        var = recorded[0][0].var(axis=0).mean()
         npt.assert_allclose(var, 25.0, rtol=0.02)
+
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["stream", "batch"])
+    def test_one_backend_call_per_fusion(self, lead):
+        counting = Counting(self.backend)
+        cfg = TrfConfig(alpha=self.alpha, m_reinject=2)
+        rng = RngBatch.from_seeds(range(lead[0])) if lead else RngStream(0)
+        _, trace = trf_sample(counting, build_karras(10, 0.01, 20.0), self.c_s, self.c_e, cfg, rng)
+        assert trace.total_fusions == 10 + 2 * 4  # re-injection at t = 6..9 > t0 = 5
+        assert len(counting.calls) == trace.total_fusions
+        for shape, cond in counting.calls:
+            assert shape == (2,) + lead + (8, 2)
+            assert cond[0] is self.c_s and cond[1] is self.c_e and len(cond) == 2
 
 
 class TestBaselineConditionInterp:
@@ -322,6 +348,17 @@ class TestBaselineConditionInterp:
                                              RngStream(4))
         x_plain, _ = sample(self.backend, sched, c, ChurnParams(), RngStream(4))
         npt.assert_allclose(x_interp, x_plain, atol=1e-12)
+
+    def test_one_base_call_per_step(self):
+        counting = Counting(self.backend)
+        c_s = Condition(np.array([-0.5, 0.0]))
+        c_e = Condition(np.array([0.5, 1.0]), role=ROLE_END)
+        baseline_condition_interp(counting, build_karras(7, 0.01, 20.0), c_s, c_e,
+                                  RngBatch.from_seeds(range(4)))
+        assert len(counting.calls) == 7
+        for shape, cond in counting.calls:
+            assert shape == (6, 4, 6, 2) and len(cond) == 6
+            npt.assert_allclose([c.frame for c in cond], np.linspace(c_s.frame, c_e.frame, 6), atol=1e-15)
 
 def inpaint_reference(backend, sigmas, c_s, end, s_churn, seed):
     """Straight-line transliteration of the inpainting loop, N=3, d=1 only.
