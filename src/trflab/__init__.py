@@ -15,6 +15,7 @@ from .core import (
     as_frame,
     as_sequence,
     gaussian_noise,
+    normal_rows,
     reverse,
     sequence_hash,
     spd_solve,

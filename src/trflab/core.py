@@ -10,7 +10,7 @@ import hashlib
 import os
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class NotSpdError(ValueError):
@@ -130,18 +130,43 @@ def gaussian_noise(shape, std: float, rng: RngStream) -> np.ndarray:
     return std * rng.normal(shape)
 
 
+def normal_rows(rng: RngStream | RngBatch, n: int, shape) -> np.ndarray:
+    """n standard-normal draws of ``shape`` taken in one call, row j the j-th.
+
+    ``rng.normal((n, *shape))`` fills its values in draw order, so row j
+    equals the j-th of n successive ``normal(shape)`` draws, bit for bit.
+    From an :class:`RngBatch` row j is the (B, *shape) stack of every
+    stream's j-th draw (a view into the (B, n, *shape) draw).
+    """
+    table = rng.normal((n,) + tuple(shape))
+    return np.moveaxis(table, 1, 0) if isinstance(rng, RngBatch) else table
+
+
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for symmetric positive-definite A via Cholesky.
 
-    Raises :class:`NotSpdError` when the factorization fails.
+    Calls LAPACK's ``dpotrf``/``dpotrs`` directly, the routines behind
+    ``scipy.linalg.cho_factor``/``cho_solve``, with the same arguments.
+    Raises :class:`NotSpdError` when A is not square or the factorization
+    fails.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NotSpdError(f"matrix is not symmetric positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotSpdError(f"matrix is not symmetric positive definite: expected a square "
+                          f"2-D matrix, got shape {a.shape}")
+    if b.shape[:1] != a.shape[:1]:
+        raise ValueError(f"right-hand side of shape {b.shape} does not match matrix {a.shape}")
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise NotSpdError(f"matrix is not symmetric positive definite: "
+                          f"leading minor {info} is not positive definite")
+    if info < 0:
+        raise ValueError(f"dpotrf rejected argument {-info}")
+    x, info = dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs rejected argument {-info}")
+    return x
 
 
 def sequence_hash(x: np.ndarray) -> str:

@@ -14,12 +14,13 @@ File formats:
 * frame grids — binary 8-bit PGM (P5), [0,1] mapped linearly to [0,255].
 """
 
+import functools
 import hashlib
 import json
 import os
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +43,21 @@ SWEEP_AXES = ("m_reinject", "t0", "alpha_kind", "s_churn")
 
 class ConfigError(Exception):
     """Invalid experiment configuration; the message names the offending key."""
+
+
+def _builds(section: str):
+    """Decorate a config builder: a ValueError it raises, which means a value
+    out of range, becomes a ConfigError that names config section
+    ``section`` and keeps the original message."""
+    def decorate(build):
+        @functools.wraps(build)
+        def wrapper(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except ValueError as exc:
+                raise ConfigError(f"invalid '{section}' config: {exc}") from exc
+        return wrapper
+    return decorate
 
 
 _MISSING = object()
@@ -271,6 +287,7 @@ class ExperimentConfig:
 
     # -- builders ----------------------------------------------------------
 
+    @_builds("world")
     def build_world(self):
         return _build_world(self.data["world"])
 
@@ -291,20 +308,25 @@ class ExperimentConfig:
                 f"checkpoint network shape {backend.seq_shape} does not match world {world.seq_shape}")
         return backend
 
+    @_builds("schedule")
     def build_schedule(self):
         s = self.data["schedule"]
         return build_karras(s["n_steps"], s["sigma_min"], s["sigma_max"], s["rho"])
 
+    @_builds("churn")
     def build_churn(self) -> ChurnParams:
         return ChurnParams(**self.data["churn"])
 
-    def build_trf(self, n_frames: int) -> TrfConfig:
+    @_builds("trf")
+    def build_trf(self, n_frames: int, n_steps: int) -> TrfConfig:
+        """The fused sampler's config, its cutoff t0 resolved against n_steps."""
         t = self.data["trf"]
         lam = t["alpha_lam"] if t["alpha_kind"] == KIND_EXPONENTIAL else None
-        return TrfConfig(
+        cfg = TrfConfig(
             alpha=alpha_weights(t["alpha_kind"], n_frames, lam),
             m_reinject=t["m_reinject"], t0=t["t0"], churn=self.build_churn(),
         )
+        return replace(cfg, t0=cfg.resolved_t0(n_steps))
 
     def build_conditions(self, world) -> tuple[Condition, Condition | None]:
         spec = self.data["conditions"]
@@ -442,17 +464,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
     chain drawing from its own seed's streams. With the analytic denoisers
     every output is bit-identical to a run of that seed alone; with a
     checkpoint it is equal up to rounding, since the MLP's matrix products
-    see the whole batch. All files are written atomically and the manifest
-    last: a directory with a manifest is a complete run.
+    see the whole batch. Every builder runs before the output directory is
+    created, so a config error leaves nothing behind. All files are written
+    atomically and the manifest last: a directory with a manifest is a
+    complete run.
     """
     t_begin = time.time()
     out_dir = cfg.data["out_dir"]
     if not out_dir:
         raise ConfigError("missing required config key 'out_dir'")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise RuntimeError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     world = cfg.build_world()
     backend = cfg.build_backend(world)
@@ -462,7 +482,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
     c_s, c_e = cfg.build_conditions(world)
     if kind != "forward" and c_e is None:
         raise ConfigError(f"missing required config key 'conditions.end' (sampler {kind!r} is bounded)")
-    trf_cfg = cfg.build_trf(world.seq_shape[0]) if kind == "trf" else None
+    trf_cfg = cfg.build_trf(world.seq_shape[0], schedule.n_steps) if kind == "trf" else None
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     seeds = cfg.data["seeds"]
     rng = RngBatch.from_seeds(seeds)

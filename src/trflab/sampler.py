@@ -20,6 +20,16 @@ Every sampler runs a single chain on an (N, d) latent driven by an
 driven by an :class:`~trflab.core.RngBatch` (one stream per seed); the
 batch shape comes from the initial draw and the same code serves both.
 Row i of a batched run is the run of seed i alone.
+
+Each noise substream is drawn once per run: the walk takes one unit-normal
+row per churned step from a single ``(n_churn, *shape)`` draw (see
+:func:`~trflab.core.normal_rows`), and the fused sampler and the inpainting
+baseline do the same for their re-injection and overwrite noise. Since a
+generator fills a draw in order, this consumes exactly the values that one
+draw per step would. Step records always carry the noise levels and the
+fusion count; the latent hashes and the fusion diagnostics cost two SHA-256
+per chain per step and are computed only when a caller asks for them with
+``diagnostics=True``.
 """
 
 import json
@@ -27,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import RngBatch, RngStream, _atomic_write_bytes, gaussian_noise, row_hashes
+from .core import RngBatch, RngStream, _atomic_write_bytes, gaussian_noise, normal_rows, row_hashes
 from .denoiser import Condition, DenoiserBackend
 from .schedule import ChurnParams, NoiseSchedule, churn_gamma
 
@@ -40,17 +50,21 @@ STREAM_REINJECT = 2
 
 @dataclass
 class StepRecord:
-    """One step of a sampling run: noise levels, state hashes, fusion diagnostics.
+    """One step of a sampling run: noise levels, fusion count and, on request, diagnostics.
 
-    In a batched run the hashes, objective and disagreement are lists with
-    one entry per chain; the noise levels and the fusion count are shared.
+    ``t``, ``sigma``, ``sigma_hat`` and ``fusions`` are always set. The
+    latent and denoised hashes, and for the fused sampler the fusion
+    objective and the forward/backward path disagreement, are set only in a
+    run with ``diagnostics=True`` and are None otherwise. In a batched run
+    they are lists with one entry per chain; the noise levels and the
+    fusion count are shared.
     """
 
     t: int
     sigma: float
     sigma_hat: float
-    latent_hash: str | list[str]
-    denoised_hash: str | list[str]
+    latent_hash: str | list[str] | None = None
+    denoised_hash: str | list[str] | None = None
     fusions: int = 0
     objective: float | list[float] | None = None
     disagreement: float | list[float] | None = None
@@ -83,13 +97,14 @@ class StepTrace:
 
 
 def churn_perturb(x: np.ndarray, sigma: float, gamma: float, s_noise: float,
-                  rng: RngStream | RngBatch) -> tuple[np.ndarray, float]:
+                  noise: np.ndarray | None) -> tuple[np.ndarray, float]:
     """Raise the latent's noise level from sigma to sigma*(1+gamma).
 
-    Adds noise of std sqrt(sigma_hat^2 - sigma^2) * s_noise of the shape of
-    ``x``, or one (N, d) draw per chain from an :class:`RngBatch`. gamma = 0
-    is an exact no-op that does not advance the rng, so churn-free runs and
-    out-of-churn-window steps consume no draws.
+    ``noise`` is the step's unit standard-normal draw, of the shape of ``x``
+    (one row of the walk's churn table); the latent gains it scaled to std
+    sqrt(sigma_hat^2 - sigma^2) * s_noise. gamma = 0 is an exact no-op that
+    ignores ``noise``, so the walk draws no row for churn-free runs and for
+    steps outside the churn window.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -97,8 +112,7 @@ def churn_perturb(x: np.ndarray, sigma: float, gamma: float, s_noise: float,
         return x, sigma
     sigma_hat = sigma * (1.0 + gamma)
     std = np.sqrt(sigma_hat * sigma_hat - sigma * sigma) * s_noise
-    shape = x.shape[-2:] if isinstance(rng, RngBatch) else x.shape
-    return x + gaussian_noise(shape, std, rng), sigma_hat
+    return x + std * noise, sigma_hat
 
 
 def check_finite(x: np.ndarray, sampler: str, t: int, sigma: float, rng: RngStream | RngBatch):
@@ -129,18 +143,22 @@ def _walk(name: str, shape: tuple[int, int], schedule: NoiseSchedule, churn: Chu
     ``step(t, sigma, x_hat, sigma_hat, sigma_next)`` maps the churned
     latent to the latent at sigma_next and returns it with the step's
     record, or with None to keep no record. The initial latent is drawn
-    from ``STREAM_INIT`` and the churn from ``STREAM_CHURN``; a non-finite
+    from ``STREAM_INIT``, and the churn noise of every step with gamma > 0
+    in one draw from ``STREAM_CHURN``, taken row by row; a non-finite
     latent after any step raises, naming ``name``.
     """
     n_steps = schedule.n_steps
     x = gaussian_noise(shape, schedule.sigma_max, rng.split(STREAM_INIT))
-    rng_churn = rng.split(STREAM_CHURN)
+    # gammas[t] is the churn factor at countdown step t, level sigma_at(t).
+    gammas = [churn_gamma(churn, sigma, n_steps) for sigma in schedule.sigmas[::-1].tolist()]
+    churn_rows = iter(normal_rows(rng.split(STREAM_CHURN), sum(g > 0 for g in gammas), shape))
     trace = StepTrace()
     for t in range(n_steps - 1, -1, -1):
         sigma = schedule.sigma_at(t)
         sigma_next = schedule.sigma_at(t - 1) if t > 0 else 0.0
-        gamma = churn_gamma(churn, sigma, n_steps)
-        x_hat, sigma_hat = churn_perturb(x, sigma, gamma, churn.s_noise, rng_churn)
+        gamma = gammas[t]
+        x_hat, sigma_hat = churn_perturb(x, sigma, gamma, churn.s_noise,
+                                         next(churn_rows) if gamma > 0 else None)
         x, record = step(t, sigma, x_hat, sigma_hat, sigma_next)
         check_finite(x, name, t, sigma, rng)
         if record is not None:
@@ -149,19 +167,21 @@ def _walk(name: str, shape: tuple[int, int], schedule: NoiseSchedule, churn: Chu
 
 
 def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
-           churn: ChurnParams, rng: RngStream | RngBatch) -> tuple[np.ndarray, StepTrace]:
+           churn: ChurnParams, rng: RngStream | RngBatch,
+           diagnostics: bool = False) -> tuple[np.ndarray, StepTrace]:
     """Forward conditional generation down the full schedule.
 
     Starts from pure noise at sigma_max and takes T steps, the last one
     landing at sigma = 0. Returns the clean-level sequence (a (B, N, d)
-    batch when ``rng`` is an RngBatch) and a trace with exactly T records.
+    batch when ``rng`` is an RngBatch) and a trace with exactly T records,
+    which carry the latent and denoised hashes when ``diagnostics`` is set.
     """
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat, sigma_hat, cond)
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
-        return x, StepRecord(
-            t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
-            latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(denoised),
-        )
+        diag = {}
+        if diagnostics:
+            diag = dict(latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(denoised))
+        return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat), **diag)
 
     return _walk("sample", backend.seq_shape, schedule, churn, rng, step)

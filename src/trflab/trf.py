@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngBatch, RngStream, as_frame, as_sequence, gaussian_noise, reverse, row_hashes
+from .core import RngBatch, RngStream, as_frame, as_sequence, normal_rows, reverse, row_hashes
 from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend, ROLE_START
 from .sampler import STREAM_REINJECT, StepRecord, StepTrace, _euler_from_denoised, _walk, sample
 from .schedule import ChurnParams, NoiseSchedule, injection_std
@@ -165,17 +165,20 @@ def _fusion_objective(x, x_fwd, x_bwd, alpha: AlphaSchedule) -> np.ndarray:
 
 
 def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition,
-               c_e: Condition, cfg: TrfConfig,
-               rng: RngStream | RngBatch) -> tuple[np.ndarray, StepTrace]:
+               c_e: Condition, cfg: TrfConfig, rng: RngStream | RngBatch,
+               diagnostics: bool = False) -> tuple[np.ndarray, StepTrace]:
     """Bounded generation from c_s to c_e by fused two-path denoising.
 
     Per step (t counting down): churn the fused latent once, denoise it
     forward under c_s and reversed under c_e, fuse; while t is above the
     cutoff, re-noise the fused state back up to sigma_t (one shared draw),
     redo both denoise steps from sigma_t, and re-fuse, m_reinject times.
-    Returns the final fused sequence (a (B, N, d) batch when ``rng`` is an
-    RngBatch) and a T-record trace carrying the last fusion's objective
-    value and path-disagreement norm per step, per chain.
+    The re-injection noise of the whole run is one draw of
+    m_reinject * #{t > t0} rows, used in order. Returns the final fused
+    sequence (a (B, N, d) batch when ``rng`` is an RngBatch) and a T-record
+    trace of the fusion counts; with ``diagnostics`` set the records also
+    carry the state hashes and the last fusion's objective value and
+    path-disagreement norm, per chain.
     """
     shape = backend.seq_shape
     n_frames, dim = shape
@@ -184,7 +187,8 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
     if c_s.frame.shape != (dim,) or c_e.frame.shape != (dim,):
         raise ValueError("conditioning frames do not match the backend's frame dimension")
     t0 = cfg.resolved_t0(schedule.n_steps)
-    rng_rein = rng.split(STREAM_REINJECT)
+    n_rein = cfg.m_reinject * max(schedule.n_steps - 1 - t0, 0)
+    rein_rows = iter(normal_rows(rng.split(STREAM_REINJECT), n_rein, shape))
 
     conds = (c_s, c_e)
     both = None  # the two paths' inputs on a condition axis, reused every fusion
@@ -210,16 +214,16 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
             # both paths from sigma_t with no churn, and fuse again.
             inj = injection_std(schedule, t)
             for _ in range(cfg.m_reinject):
-                fwd, bwd, x = fused(x + gaussian_noise(shape, inj, rng_rein), sigma, sigma_next)
+                fwd, bwd, x = fused(x + inj * next(rein_rows), sigma, sigma_next)
                 fusions += 1
-        gap = (fwd - reverse(bwd)).reshape(fwd.shape[:-2] + (-1,))
-        return x, StepRecord(
-            t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
-            latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(x),
-            fusions=fusions,
-            objective=_fusion_objective(x, fwd, bwd, cfg.alpha).tolist(),
-            disagreement=np.linalg.norm(gap, axis=-1).tolist(),
-        )
+        diag = {}
+        if diagnostics:
+            gap = (fwd - reverse(bwd)).reshape(fwd.shape[:-2] + (-1,))
+            diag = dict(latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(x),
+                        objective=_fusion_objective(x, fwd, bwd, cfg.alpha).tolist(),
+                        disagreement=np.linalg.norm(gap, axis=-1).tolist())
+        return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
+                             fusions=fusions, **diag)
 
     return _walk("trf_sample", shape, schedule, cfg.churn, rng, step)
 
@@ -249,18 +253,19 @@ def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Con
     target diffused to the latent's current level, end + sigma * eps; the
     final step overwrites at sigma = 0, so the output ends exactly at the
     target. The rest of the sequence is never told about the target, which
-    is what produces the characteristic late-sequence jump.
+    is what produces the characteristic late-sequence jump. The overwrite
+    noise of the whole run is one (T, d) draw, one row per step.
     """
     if churn is None:
         churn = ChurnParams()
     dim = backend.seq_shape[1]
     end = as_frame(end_frame, dim=dim)
-    rng_over = rng.split(STREAM_REINJECT)
+    over_rows = iter(normal_rows(rng.split(STREAM_REINJECT), schedule.n_steps, (dim,)))
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat, sigma_hat, c_s)
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
-        x[..., -1, :] = end + gaussian_noise((dim,), sigma_next, rng_over)
+        x[..., -1, :] = end + sigma_next * next(over_rows)
         return x, None
 
     x, _ = _walk("baseline_inpaint", backend.seq_shape, schedule, churn, rng, step)

@@ -14,6 +14,7 @@ Each test prints a single summary line with the measured values.
 """
 
 import numpy as np
+import pytest
 
 from trflab.core import RngBatch, RngStream, reverse
 from trflab.denoiser import (
@@ -59,7 +60,8 @@ class ZeroNoiseRng:
 
 
 class FrameReversedRng:
-    """RngStream adapter that frame-reverses every sequence-shaped draw;
+    """RngStream adapter that frame-reverses every sequence-shaped draw,
+    an (N, d) draw or an (n, N, d) table of them, along its frame axis -2;
     the noise half of time-reversal symmetry."""
 
     def __init__(self, base):
@@ -70,7 +72,7 @@ class FrameReversedRng:
 
     def normal(self, shape):
         draw = self._base.normal(shape)
-        return draw[::-1].copy() if draw.ndim == 2 else draw
+        return draw[..., ::-1, :].copy() if draw.ndim >= 2 else draw
 
 
 def _report(num, name, ok, detail):
@@ -186,7 +188,8 @@ def test_criterion_06_reinjection_lowers_roughness():
     cfg_off = TrfConfig(alpha=alpha, m_reinject=0)
     t0 = cfg_on.resolved_t0(sched.n_steps)
     x_on, trace_on = trf_sample(backend, sched, c_s, c_e, cfg_on, ZeroNoiseRng())
-    x_off, trace_off = trf_sample(backend, sched, c_s, c_e, cfg_off, ZeroNoiseRng())
+    x_off, trace_off = trf_sample(backend, sched, c_s, c_e, cfg_off, ZeroNoiseRng(),
+                                  diagnostics=True)
     rough_on, rough_off = roughness(x_on), roughness(x_off)
     disagreement = max(r.disagreement for r in trace_off.records)
     rounds = 1 + cfg_on.m_reinject
@@ -220,6 +223,7 @@ def test_criterion_07_explores_distinct_routes():
                    f"max share {max_share:.3f} (<= 0.95)")
 
 
+@pytest.mark.slow  # trains the pixel denoiser for 5000 steps: most of the Tier-1 wall time
 def test_criterion_08_trained_pixel_backend_learns_and_steers():
     traj = TrajectoryGmmWorld.arcs(n_frames=8, tau=0.1)
     world = MovingBlobWorld(traj, grid_size=16, bump_std=1.5, pixels_per_unit=5.0)

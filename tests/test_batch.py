@@ -34,6 +34,7 @@ from trflab import (
     trf_sample,
 )
 from trflab.cli import main
+from trflab.core import normal_rows
 from trflab.sampler import churn_perturb
 from trflab.train import init_params
 
@@ -60,15 +61,15 @@ KINDS = ("sample", "trf", "interp", "inpaint")
 
 
 def _run(kind, backend, start, end, rng):
-    """Output and trace (None for the baselines) of one sampler kind."""
+    """Output and trace, with its diagnostics (None for the baselines), of one sampler kind."""
     sched = build_karras(12, 0.01, 20.0)
     c_s = Condition(start)
     c_e = Condition(end, role=ROLE_END)
     if kind == "sample":
-        return sample(backend, sched, c_s, ChurnParams(), rng)
+        return sample(backend, sched, c_s, ChurnParams(), rng, diagnostics=True)
     if kind == "trf":
         cfg = TrfConfig(alpha=alpha_weights("linear", 6), m_reinject=2)
-        return trf_sample(backend, sched, c_s, c_e, cfg, rng)
+        return trf_sample(backend, sched, c_s, c_e, cfg, rng, diagnostics=True)
     if kind == "interp":
         return baseline_condition_interp(backend, sched, c_s, c_e, rng), None
     return baseline_inpaint(backend, sched, c_s, end, rng), None
@@ -111,12 +112,14 @@ def test_batch_of_one_matches_single_stream(name, kind):
 
 def test_churn_with_one_stream_draws_the_whole_latent():
     # A single stream on a 3-D latent gives every row its own noise; a
-    # batch gives row i the (N, d) draw of seed i.
+    # batch gives row i the (N, d) draw of seed i. The unit draws are the
+    # first rows of the walk's churn tables.
     x = np.zeros((3, 4, 2))
-    x_hat, _ = churn_perturb(x, 1.0, 1.0, 1.0, RngStream(7))
+    x_hat, _ = churn_perturb(x, 1.0, 1.0, 1.0, normal_rows(RngStream(7), 2, (3, 4, 2))[0])
     np.testing.assert_array_equal(x_hat, np.sqrt(3.0) * RngStream(7).normal((3, 4, 2)))
     assert not np.array_equal(x_hat[0], x_hat[1])
-    x_hat, _ = churn_perturb(x, 1.0, 1.0, 1.0, RngBatch.from_seeds([7, 8, 9]))
+    batch = RngBatch.from_seeds([7, 8, 9])
+    x_hat, _ = churn_perturb(x, 1.0, 1.0, 1.0, normal_rows(batch, 2, (4, 2))[0])
     for i, seed in enumerate([7, 8, 9]):
         np.testing.assert_array_equal(x_hat[i], np.sqrt(3.0) * RngStream(seed).normal((4, 2)))
 

@@ -6,10 +6,12 @@ import pytest
 
 from trflab import (
     NotSpdError,
+    RngBatch,
     RngStream,
     as_frame,
     as_sequence,
     gaussian_noise,
+    normal_rows,
     reverse,
     sequence_hash,
     spd_solve,
@@ -119,6 +121,39 @@ class TestGaussianNoise:
             gaussian_noise((2, 2), -0.1, RngStream(0))
 
 
+class TestNormalRows:
+    """One draw of n rows must be the n per-step draws it replaces, bit for bit."""
+
+    def test_stream_rows_are_successive_draws(self):
+        table = normal_rows(RngStream(3, stream=5), 7, (4, 2))
+        rng = RngStream(3, stream=5)
+        assert table.shape == (7, 4, 2)
+        for row in table:
+            npt.assert_array_equal(row, rng.normal((4, 2)))
+
+    def test_batch_rows_stack_every_streams_successive_draws(self):
+        seeds = [4, 9, 11]
+        table = normal_rows(RngBatch.from_seeds(seeds), 5, (3, 2))
+        assert table.shape == (5, 3, 3, 2)
+        streams = [RngStream(seed) for seed in seeds]
+        for row in table:
+            npt.assert_array_equal(row, np.stack([s.normal((3, 2)) for s in streams]))
+
+    def test_stream_rows_of_a_3d_latent(self):
+        # A single stream on a (B, N, d) latent draws the whole latent per
+        # row, so its chains get independent noise.
+        table = normal_rows(RngStream(7), 4, (3, 4, 2))
+        rng = RngStream(7)
+        for row in table:
+            npt.assert_array_equal(row, rng.normal((3, 4, 2)))
+        assert not np.array_equal(table[0, 0], table[0, 1])
+
+    def test_zero_rows_consume_nothing(self):
+        rng = RngStream(2)
+        assert normal_rows(rng, 0, (4, 2)).shape == (0, 4, 2)
+        npt.assert_array_equal(rng.normal((3,)), RngStream(2).normal((3,)))
+
+
 class TestSpdSolve:
     def test_identity(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -157,6 +192,27 @@ class TestSpdSolve:
     def test_non_spd_rejected(self):
         with pytest.raises(NotSpdError):
             spd_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(NotSpdError, match="square 2-D"):
+            spd_solve(np.ones(shape), np.ones(2))
+
+    def test_mismatched_rhs_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            spd_solve(np.eye(2), np.ones(3))
+
+    def test_bit_identical_to_scipy_cho_solve(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(4)
+        for dim in (2, 16, 50):
+            m = rng.normal(size=(dim, dim))
+            a_mat = m @ m.T + 0.1 * np.eye(dim)
+            for b in (rng.normal(size=dim), rng.normal(size=(dim, 3)), a_mat):
+                factor = scipy.linalg.cho_factor(a_mat, lower=True, check_finite=False)
+                ref = scipy.linalg.cho_solve(factor, b, check_finite=False)
+                npt.assert_array_equal(spd_solve(a_mat, b), ref)
 
 
 class TestValidation:

@@ -392,6 +392,50 @@ class TestCli:
         assert main(["eval", "--out", str(tmp_path / "nowhere")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, section, message", [
+        ("churn.s_tmin=60", "churn", "s_tmin=60.0 exceeds s_tmax=50.0"),
+        ("schedule.n_steps=0", "schedule", "need n_steps >= 2, got 0"),
+        ("schedule.sigma_min=-1", "schedule", "need 0 < sigma_min < sigma_max"),
+        ("trf.t0=999", "trf", "t0 must be in [0, 5], got 999"),
+        ("world.q=-0.3", "world", "innovation std must be positive, got -0.3"),
+        ("trf.m_reinject=-1", "trf", "m_reinject must be >= 0, got -1"),
+        ("schedule.rho=0", "schedule", "rho must be > 0"),
+        ("world.n_frames=1", "trf", "need at least 2 frames, got 1"),
+    ])
+    def test_range_errors_exit_1_naming_the_section(self, tmp_path, capsys, override, section,
+                                                    message):
+        cfg = self._write_config(tmp_path, gp_raw())
+        out = tmp_path / "r"
+        assert main(["trf", "--config", cfg, "--out", str(out), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid '{section}' config: ")
+        assert message in err
+        assert not out.exists()
+
+    def test_value_error_while_sampling_exits_2(self, tmp_path, capsys, monkeypatch):
+        from trflab import denoiser
+
+        def broken(self, x, sigma, cond):
+            raise ValueError("denoiser failed")
+
+        monkeypatch.setattr(denoiser.AnalyticGaussianBackend, "predict_x0", broken)
+        cfg = self._write_config(tmp_path, gp_raw())
+        assert main(["trf", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "error: ValueError: denoiser failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["sample"], ["trf"], ["baseline", "--kind", "interp"],
+                                         ["baseline", "--kind", "inpaint"]],
+                             ids=["sample", "trf", "interp", "inpaint"])
+    def test_commands_hash_no_trace(self, tmp_path, monkeypatch, command):
+        # Runs discard their step traces, so they must not pay for hashes.
+        def fail(x):
+            raise AssertionError("row_hashes called")
+
+        monkeypatch.setattr("trflab.sampler.row_hashes", fail)
+        monkeypatch.setattr("trflab.trf.row_hashes", fail)
+        cfg = self._write_config(tmp_path, gp_raw(seeds=[0, 1]))
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
     def test_eval_prints_metrics(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, gp_raw())
         out = str(tmp_path / "run")

@@ -33,34 +33,35 @@ class UnitGaussianBackend:
 
 class TestChurnPerturb:
     def test_gamma_zero_noop(self):
-        rng = RngStream(0)
+        # A step outside the churn window gets no draw at all.
         x = np.ones((3, 2))
-        x_hat, sigma_hat = churn_perturb(x, 1.5, 0.0, 1.0, rng)
+        x_hat, sigma_hat = churn_perturb(x, 1.5, 0.0, 1.0, None)
         assert x_hat is x and sigma_hat == 1.5
-        assert rng.n_draws == 0
 
     def test_sigma_inflation(self):
         x = np.zeros((2, 2))
-        _, sigma_hat = churn_perturb(x, 1.0, 1.0, 1.0, RngStream(0))
+        noise = RngStream(0).normal((2, 2))
+        x_hat, sigma_hat = churn_perturb(x, 1.0, 1.0, 1.0, noise)
         assert sigma_hat == 2.0
+        npt.assert_array_equal(x_hat, np.sqrt(3.0) * noise)
 
     def test_added_noise_std(self):
         # sigma=1, gamma=1: added std is sqrt(4-1) * s_noise.
         x = np.zeros((100_000, 1))
-        x_hat, _ = churn_perturb(x, 1.0, 1.0, 1.0, RngStream(1))
+        x_hat, _ = churn_perturb(x, 1.0, 1.0, 1.0, RngStream(1).normal(x.shape))
         npt.assert_allclose(x_hat.std(), math.sqrt(3), rtol=0.02)
 
     def test_variance_bookkeeping(self):
         rng = RngStream(2)
         x = np.zeros((100_000, 1))
         for sigma, gamma, s_noise in ((1.0, 0.3, 1.0), (2.0, 0.1, 1.1)):
-            x_hat, sigma_hat = churn_perturb(x, sigma, gamma, s_noise, rng)
+            x_hat, sigma_hat = churn_perturb(x, sigma, gamma, s_noise, rng.normal(x.shape))
             expect = (sigma_hat**2 - sigma**2) * s_noise**2
             npt.assert_allclose(x_hat.var(), expect, rtol=0.02)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            churn_perturb(np.zeros((2, 1)), 1.0, -0.1, 1.0, RngStream(0))
+            churn_perturb(np.zeros((2, 1)), 1.0, -0.1, 1.0, np.zeros((2, 1)))
 
 
 class TestEdmEulerStep:
@@ -93,8 +94,8 @@ class TestSample:
     def test_deterministic(self):
         sched = build_karras(10, 0.01, 10.0)
         churn = ChurnParams()
-        x1, t1 = sample(self.backend, sched, self.cond, churn, RngStream(3))
-        x2, t2 = sample(self.backend, sched, self.cond, churn, RngStream(3))
+        x1, t1 = sample(self.backend, sched, self.cond, churn, RngStream(3), diagnostics=True)
+        x2, t2 = sample(self.backend, sched, self.cond, churn, RngStream(3), diagnostics=True)
         npt.assert_array_equal(x1, x2)
         assert t1.to_json_lines() == t2.to_json_lines()
 
@@ -121,6 +122,18 @@ class TestSample:
         _, trace = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(0))
         assert len(trace) == 25
 
+    def test_records_without_diagnostics(self):
+        sched = build_karras(6, 0.01, 20.0)
+        x_off, off = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(4))
+        x_on, on = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(4),
+                          diagnostics=True)
+        npt.assert_array_equal(x_off, x_on)
+        assert len(off) == 6 and off.total_fusions == 0
+        for a, b in zip(off.records, on.records):
+            assert (a.t, a.sigma, a.sigma_hat, a.fusions) == (b.t, b.sigma, b.sigma_hat, 0)
+            assert a.latent_hash is None and a.denoised_hash is None
+            assert isinstance(b.latent_hash, str) and isinstance(b.denoised_hash, str)
+
     def test_trace_sigmas_decrease(self):
         sched = build_karras(25, 0.002, 80.0)
         _, trace = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(1))
@@ -129,7 +142,8 @@ class TestSample:
 
     def test_trace_json_lines_roundtrip(self, tmp_path):
         sched = build_karras(4, 0.01, 5.0)
-        _, trace = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(2))
+        _, trace = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(2),
+                          diagnostics=True)
         path = tmp_path / "trace.jsonl"
         trace.save_jsonl(path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -140,9 +154,11 @@ class TestSample:
     def test_failed_trace_write_keeps_the_earlier_trace(self, tmp_path, monkeypatch):
         sched = build_karras(4, 0.01, 5.0)
         path = tmp_path / "trace.jsonl"
-        sample(self.backend, sched, self.cond, ChurnParams(), RngStream(2))[1].save_jsonl(path)
+        sample(self.backend, sched, self.cond, ChurnParams(), RngStream(2),
+               diagnostics=True)[1].save_jsonl(path)
         before = path.read_bytes()
-        _, other = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(3))
+        _, other = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(3),
+                          diagnostics=True)
 
         def fail(src, dst):
             raise OSError("disk full")

@@ -10,16 +10,19 @@ from trflab import (
     AlphaSchedule,
     RngBatch,
     AnalyticGaussianBackend,
+    AnalyticGmmBackend,
     ChurnParams,
     Condition,
     PinnedGaussianProcessWorld,
     ROLE_END,
     RngStream,
+    TrajectoryGmmWorld,
     TrfConfig,
     alpha_weights,
     baseline_condition_interp,
     baseline_inpaint,
     build_karras,
+    churn_gamma,
     fuse,
     fusion_objective,
     reverse,
@@ -34,7 +37,8 @@ class FrameReversedRng:
     """RngStream adapter that frame-reverses every sequence-shaped draw.
 
     Wrapping the root stream of a run with this is the noise half of the
-    time-reversal symmetry: same draws, opposite frame order.
+    time-reversal symmetry: same draws, opposite frame order. Frames are
+    axis -2 of an (N, d) draw and of an (n, N, d) table of n such draws.
     """
 
     def __init__(self, base):
@@ -45,7 +49,7 @@ class FrameReversedRng:
 
     def normal(self, shape):
         draw = self._base.normal(shape)
-        return draw[::-1].copy() if draw.ndim == 2 else draw
+        return draw[..., ::-1, :].copy() if draw.ndim >= 2 else draw
 
 
 class TestAlphaWeights:
@@ -192,6 +196,61 @@ def alg1_reference(backend, sigmas, c_s, c_e, m_reinject, t0, s_churn, seed):
     return x, fused_states
 
 
+def trf_per_step_reference(backend, sched, c_s, c_e, cfg, rng):
+    """trf_sample written out with one noise draw at each use.
+
+    Independent of the sampler's whole-run noise tables: the initial
+    latent, every churned step and every re-injection round draw from
+    their substream at the moment they need noise, as ``rng.normal`` of
+    one latent (a (B, N, d) stack from an RngBatch). The arithmetic is
+    trf_sample's, operation for operation, so the outputs must be equal
+    bit for bit.
+    """
+    n_steps = sched.n_steps
+    shape = backend.seq_shape
+    t0 = cfg.resolved_t0(n_steps)
+    w = cfg.alpha.weights[:, None]
+    rng_churn = rng.split(STREAM_CHURN)
+    rng_rein = rng.split(STREAM_REINJECT)
+
+    def fused(x_in, sig, sig_next):
+        both = np.stack([x_in, x_in[..., ::-1, :]])
+        den = backend.predict_x0(both, sig, (c_s, c_e))
+        fwd, bwd = both + (sig_next - sig) * ((both - den) / sig)
+        return w * fwd + (1.0 - w) * bwd[..., ::-1, :]
+
+    x = sched.sigma_max * rng.split(STREAM_INIT).normal(shape)
+    for t in range(n_steps - 1, -1, -1):
+        sig = sched.sigma_at(t)
+        sig_next = sched.sigma_at(t - 1) if t > 0 else 0.0
+        gamma = churn_gamma(cfg.churn, sig, n_steps)
+        sig_hat, x_hat = sig, x
+        if gamma > 0:
+            sig_hat = sig * (1.0 + gamma)
+            std = np.sqrt(sig_hat * sig_hat - sig * sig) * cfg.churn.s_noise
+            x_hat = x + std * rng_churn.normal(shape)
+        x = fused(x_hat, sig_hat, sig_next)
+        if t > t0:
+            inj = float(np.sqrt(sig * sig - sig_next * sig_next))
+            for _ in range(cfg.m_reinject):
+                x = fused(x + inj * rng_rein.normal(shape), sig, sig_next)
+    return x
+
+
+class DrawLog:
+    """RngStream wrapper that logs (substream label, shape) of every normal draw."""
+
+    def __init__(self, base, log, label=None):
+        self._base, self.log, self.label = base, log, label
+
+    def split(self, label):
+        return DrawLog(self._base.split(label), self.log, label)
+
+    def normal(self, shape):
+        self.log.append((self.label, tuple(shape)))
+        return self._base.normal(shape)
+
+
 class Counting:
     """Wraps a backend; records the input shape and the conditions of every call."""
 
@@ -222,7 +281,8 @@ class TestTrfSample:
         cfg = TrfConfig(alpha=alpha_weights("linear", 2), m_reinject=1, t0=1,
                         churn=ChurnParams(s_churn=0.5))
         for seed in range(5):
-            x, trace = trf_sample(backend, sched, c_s, c_e, cfg, RngStream(seed))
+            x, trace = trf_sample(backend, sched, c_s, c_e, cfg, RngStream(seed),
+                                  diagnostics=True)
             x_ref, fused_ref = alg1_reference(
                 backend, sched.sigmas, c_s, c_e, 1, 1, 0.5, seed
             )
@@ -333,6 +393,74 @@ class TestTrfSample:
         for shape, cond in counting.calls:
             assert shape == (2,) + lead + (8, 2)
             assert cond[0] is self.c_s and cond[1] is self.c_e and len(cond) == 2
+
+
+class TestNoiseTables:
+    """The fused sampler draws each substream once per run and uses it row by row."""
+
+    def setup_method(self):
+        world = PinnedGaussianProcessWorld(a=1.0, q=0.3, dim=2, n_frames=8)
+        self.backend = AnalyticGaussianBackend(world)
+        self.c_s = Condition(np.zeros(2))
+        self.c_e = Condition(np.array([1.0, 1.0]), role=ROLE_END)
+        self.alpha = alpha_weights("linear", 8)
+
+    @pytest.mark.parametrize("world", ["gp", "gmm"])
+    @pytest.mark.parametrize("lead", [(), (16,)], ids=["stream", "batch"])
+    def test_matches_per_step_draw_reference(self, world, lead):
+        if world == "gp":
+            backend, c_s, c_e = self.backend, self.c_s, self.c_e
+        else:
+            backend = AnalyticGmmBackend(TrajectoryGmmWorld.arcs(n_frames=8, tau=0.1))
+            c_s = Condition(np.array([-1.0, 0.0]))
+            c_e = Condition(np.array([1.0, 0.0]), role=ROLE_END)
+        # sigma_max above s_tmax and sigma_min below s_tmin: the churn window
+        # excludes steps at both ends of the ladder.
+        sched = build_karras(14, 0.002, 80.0)
+        cfg = TrfConfig(alpha=self.alpha, m_reinject=2)
+        for seed in (0, 5):
+            def rng():
+                return RngBatch.from_seeds(range(seed, seed + lead[0])) if lead else RngStream(seed)
+            x, _ = trf_sample(backend, sched, c_s, c_e, cfg, rng())
+            npt.assert_array_equal(x, trf_per_step_reference(backend, sched, c_s, c_e, cfg, rng()))
+
+    def _draws(self, sched, cfg):
+        log = []
+        trf_sample(self.backend, sched, self.c_s, self.c_e, cfg, DrawLog(RngStream(0), log))
+        return {label: shape for label, shape in log}
+
+    def test_churn_table_has_one_row_per_churned_step(self):
+        sched = build_karras(14, 0.002, 80.0)
+        churn = ChurnParams()
+        n_churn = sum(churn_gamma(churn, sched.sigma_at(t), 14) > 0 for t in range(14))
+        assert 0 < n_churn < 14
+        draws = self._draws(sched, TrfConfig(alpha=self.alpha, churn=churn))
+        assert draws[STREAM_CHURN] == (n_churn, 8, 2)
+        draws = self._draws(sched, TrfConfig(alpha=self.alpha, churn=ChurnParams(s_churn=0.0)))
+        assert draws[STREAM_CHURN] == (0, 8, 2)
+
+    @pytest.mark.parametrize("m, t0, rows", [(2, None, 2 * 6), (3, 4, 3 * 9), (0, 4, 0),
+                                              (2, 14, 0), (2, 13, 0), (2, 0, 2 * 13)])
+    def test_reinjection_table_has_m_rows_per_step_above_t0(self, m, t0, rows):
+        draws = self._draws(build_karras(14, 0.002, 80.0),
+                            TrfConfig(alpha=self.alpha, m_reinject=m, t0=t0))
+        assert draws[STREAM_REINJECT] == (rows, 8, 2)
+        assert draws[STREAM_INIT] == (8, 2)
+
+    def test_records_without_diagnostics(self):
+        sched = build_karras(10, 0.01, 20.0)
+        cfg = TrfConfig(alpha=self.alpha, m_reinject=2, t0=5)
+        rng = RngBatch.from_seeds(range(3))
+        x_off, off = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg, rng)
+        x_on, on = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg,
+                              RngBatch.from_seeds(range(3)), diagnostics=True)
+        npt.assert_array_equal(x_off, x_on)
+        assert len(off) == 10 and off.total_fusions == 10 + 2 * 4
+        for a, b in zip(off.records, on.records):
+            assert (a.t, a.sigma, a.sigma_hat, a.fusions) == (b.t, b.sigma, b.sigma_hat, b.fusions)
+            assert a.fusions == (3 if a.t > 5 else 1)
+            assert (a.latent_hash, a.denoised_hash, a.objective, a.disagreement) == (None,) * 4
+            assert len(b.latent_hash) == len(b.objective) == len(b.disagreement) == 3
 
 
 class TestBaselineConditionInterp:
