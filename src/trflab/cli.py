@@ -8,6 +8,8 @@ dotted-path overrides (--set trf.m_reinject=3). Exit codes: 0 success,
 """
 
 import argparse
+import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -17,6 +19,7 @@ from .core import _atomic_write_bytes
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    SWEEP_AXES,
     apply_overrides,
     canonical_json,
     evaluate_run,
@@ -77,16 +80,15 @@ def _cmd_baseline(args) -> int:
 def _cmd_train(args) -> int:
     from .train import save_checkpoint, train
 
-    raw = _load_raw(args)
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig.from_dict(_load_raw(args))
     out_dir = cfg.data["out_dir"]
     if not out_dir:
         raise ConfigError("missing required config key 'out_dir'")
-    os.makedirs(out_dir, exist_ok=True)
     world = cfg.build_world()
     train_cfg = cfg.build_train()
     if args.seed is not None:
-        train_cfg = type(train_cfg)(**{**train_cfg.__dict__, "seed": args.seed})
+        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
+    os.makedirs(out_dir, exist_ok=True)
     params, curve = train(world, train_cfg)
     ckpt = os.path.join(out_dir, "checkpoint.trfw")
     save_checkpoint(params, ckpt)
@@ -115,25 +117,26 @@ def _cmd_sweep(args) -> int:
     out_dir = cfg.data["out_dir"]
     if not out_dir:
         raise ConfigError("missing required config key 'out_dir'")
-    os.makedirs(out_dir, exist_ok=True)
 
-    axes = list(sweep.keys())
-    runs = []
-    for i, combo in enumerate(itertools.product(*(sweep[axis] for axis in axes))):
-        params = dict(zip(axes, combo))
+    # Every grid point is validated and built before the first run writes.
+    points = []
+    for i, combo in enumerate(itertools.product(*sweep.values())):
+        params = dict(zip(sweep, combo))
         sub_raw = json.loads(canonical_json(raw))
-        sub_raw.pop("sweep", None)
+        del sub_raw["sweep"]
         for axis, value in params.items():
-            if axis == "s_churn":
-                sub_raw.setdefault("churn", {})["s_churn"] = value
-            else:
-                sub_raw.setdefault("trf", {})[axis] = value
-        sub_dir = os.path.join(out_dir, f"run_{i:03d}")
-        sub_raw["out_dir"] = sub_dir
-        manifest = run_experiment(ExperimentConfig.from_dict(sub_raw))
+            sub_raw.setdefault(SWEEP_AXES[axis], {})[axis] = value
+        sub_raw["out_dir"] = os.path.join(out_dir, f"run_{i:03d}")
+        sub_cfg = ExperimentConfig.from_dict(sub_raw)
+        sub_cfg.build_run()
+        points.append((params, sub_cfg))
+
+    runs = []
+    for i, (params, sub_cfg) in enumerate(points):
+        manifest = run_experiment(sub_cfg)
         runs.append({
             "params": params,
-            "dir": os.path.basename(sub_dir),
+            "dir": f"run_{i:03d}",
             "metrics": manifest.metrics.to_dict(),
             "fingerprint": manifest.fingerprint(),
         })
@@ -145,6 +148,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; each parse copies the --set default list
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trflab",

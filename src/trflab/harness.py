@@ -19,8 +19,9 @@ import hashlib
 import json
 import os
 import struct
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from .denoiser import AnalyticGaussianBackend, AnalyticGmmBackend, Condition, RO
 from .metrics import MetricReport, endpoint_error, roughness
 from .sampler import sample
 from .schedule import ChurnParams, build_karras
-from .trf import KIND_EXPONENTIAL, TrfConfig, alpha_weights, baseline_condition_interp, baseline_inpaint, trf_sample
+from .train import MlpBackend, TrainConfig, load_checkpoint
+from .trf import (KIND_EXPONENTIAL, KIND_LINEAR, TrfConfig, alpha_weights, baseline_condition_interp,
+                  baseline_inpaint, trf_sample)
 from .worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWorld
 
 MANIFEST_VERSION = 1
@@ -38,7 +41,8 @@ TENSOR_MAGIC = b"TRFT"
 TENSOR_VERSION = 1
 
 SAMPLER_KINDS = ("forward", "trf", "baseline-interp", "baseline-inpaint")
-SWEEP_AXES = ("m_reinject", "t0", "alpha_kind", "s_churn")
+#: Each sweep axis and the config section it sets.
+SWEEP_AXES = {"m_reinject": "trf", "t0": "trf", "alpha_kind": "trf", "s_churn": "churn"}
 
 
 class ConfigError(Exception):
@@ -46,135 +50,172 @@ class ConfigError(Exception):
 
 
 def _builds(section: str):
-    """Decorate a config builder: a ValueError it raises, which means a value
-    out of range, becomes a ConfigError that names config section
-    ``section`` and keeps the original message."""
+    """Decorate a config builder: a ValueError or OverflowError it raises,
+    which means a value out of range, becomes a ConfigError that names
+    config section ``section`` and keeps the original message."""
     def decorate(build):
         @functools.wraps(build)
         def wrapper(*args, **kwargs):
             try:
                 return build(*args, **kwargs)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"invalid '{section}' config: {exc}") from exc
         return wrapper
     return decorate
 
 
-_MISSING = object()
+_REQUIRED = object()
+
+
+def _dataclass_schema(cls) -> dict:
+    """Schema entries of a config dataclass: its fields, types and defaults."""
+    kinds = {float: "number", int: "int"}
+    return {f.name: (kinds[f.type], f.default) for f in fields(cls)}
+
+
+#: Every config section: key -> (kind, default[, choices]). A default of
+#: None makes the key optional, and an explicit null then means the same as
+#: leaving it out. A "section" value is checked against the entry named
+#: after its key; a world or backend section has a "kind" key, which picks
+#: the entry for its other keys.
+_SCHEMA = {
+    "": {  # the config root
+        "world": ("section", _REQUIRED),
+        "backend": ("section", {"kind": "analytic"}),
+        "schedule": ("section", {}),
+        "churn": ("section", {}),
+        "sampler": ("str", "forward", SAMPLER_KINDS),
+        "trf": ("section", {}),
+        "conditions": ("section", None),
+        "seeds": ("seeds", [0]),
+        "out_dir": ("str", None),
+        "train": ("section", {}),
+        "sweep": ("sweep", None),
+    },
+    "world": {"kind": ("str", _REQUIRED, ("gp", "gmm", "blob"))},
+    "trajectory": {"kind": ("str", _REQUIRED, ("gp", "gmm"))},
+    "backend": {"kind": ("str", _REQUIRED, ("analytic", "checkpoint"))},
+    "gp": {"a": ("number", 1.0), "q": ("number", 0.3), "dim": ("int", 2), "n_frames": ("int", 16)},
+    "gmm": {
+        "n_frames": ("int", 16),
+        "start": ("numbers", [-1.0, 0.0]),
+        "end": ("numbers", [1.0, 0.0]),
+        "bulges": ("numbers", [0.8, 0.0, -0.8]),
+        "tau": ("number", 0.1),
+        "time_symmetric": ("bool", True),
+    },
+    "blob": {
+        "grid_size": ("int", 16),
+        "bump_std": ("number", 1.5),
+        "pixels_per_unit": ("number", 5.0),
+        "origin": ("numbers", [0.0, 0.0]),
+        "trajectory": ("section", _REQUIRED),
+    },
+    "analytic": {},
+    "checkpoint": {"path": ("str", _REQUIRED)},
+    "schedule": {
+        "n_steps": ("int", 25),
+        "sigma_min": ("number", 0.002),
+        "sigma_max": ("number", 80.0),
+        "rho": ("number", 7.0),
+    },
+    "churn": _dataclass_schema(ChurnParams),
+    "trf": {
+        "m_reinject": ("int", 2),
+        "t0": ("int", None),
+        "alpha_kind": ("str", KIND_LINEAR, (KIND_LINEAR, KIND_EXPONENTIAL)),
+        "alpha_lam": ("number", 4.0),
+    },
+    "conditions": {"start": ("numbers", _REQUIRED), "end": ("numbers", None)},
+    "train": _dataclass_schema(TrainConfig),
+}
 
 
 def _full_key(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _get(d: dict, key: str, path: str, kind: str, default=_MISSING, choices=None):
-    full = _full_key(path, key)
-    if key not in d:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key '{full}'")
-        return default
-    v = d[key]
-    checks = {
-        "number": lambda: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "int": lambda: isinstance(v, int) and not isinstance(v, bool),
-        "int_or_null": lambda: v is None or (isinstance(v, int) and not isinstance(v, bool)),
-        "bool": lambda: isinstance(v, bool),
-        "str": lambda: isinstance(v, str),
-        "list": lambda: isinstance(v, list),
-        "dict": lambda: isinstance(v, dict),
-    }
-    if not checks[kind]():
-        raise ConfigError(f"config key '{full}' must be {kind}, got {type(v).__name__}")
+def _value(v, kind: str, key: str, choices=None):
+    """Config value ``v`` of key ``key`` checked against ``kind``; numbers
+    come back as finite floats."""
+    if kind == "numbers":
+        if not isinstance(v, list):
+            raise ConfigError(f"config key '{key}' must be a list of numbers, got {type(v).__name__}")
+        return [_value(item, "number", f"{key}[{i}]") for i, item in enumerate(v)]
+    types = {"number": (int, float), "int": int, "str": str, "bool": bool}[kind]
+    if not isinstance(v, types) or (isinstance(v, bool) and kind != "bool"):
+        raise ConfigError(f"config key '{key}' must be {kind}, got {type(v).__name__}")
+    if kind == "number":
+        # NaN fails the comparison; a huge int would overflow float().
+        if not abs(v) <= sys.float_info.max:
+            raise ConfigError(f"config key '{key}' must be a finite number, got {v}")
+        v = float(v)
     if choices is not None and v not in choices:
-        raise ConfigError(f"config key '{full}' must be one of {list(choices)}, got {v!r}")
-    return float(v) if kind == "number" else v
+        raise ConfigError(f"config key '{key}' must be one of {list(choices)}, got {v!r}")
+    return v
 
 
-def _number_list(d: dict, key: str, path: str, default=_MISSING):
-    v = _get(d, key, path, "list", default=default)
-    if v is default and v is not _MISSING:
-        return v
-    full = _full_key(path, key)
-    out = []
-    for i, item in enumerate(v):
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise ConfigError(f"config key '{full}[{i}]' must be a number")
-        out.append(float(item))
-    return out
-
-
-def _check_unknown(d: dict, allowed, path: str):
-    unknown = sorted(set(d) - set(allowed))
+def _section(d, path: str, schema: dict) -> dict:
+    """Section ``d`` at ``path`` validated against ``schema``, defaults applied."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"config key '{path}' must be an object" if path
+                          else "config root must be an object")
+    if "kind" in schema:
+        schema = {"kind": schema["kind"], **_SCHEMA[_field(d, "kind", schema["kind"], path)]}
+    unknown = sorted(set(d) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config key '{_full_key(path, unknown[0])}'")
+    return {key: _field(d, key, spec, path) for key, spec in schema.items()}
 
 
-def _parse_world(d, path: str) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"config key '{path}' must be an object")
-    kind = _get(d, "kind", path, "str", choices=("gp", "gmm", "blob"))
-    if kind == "gp":
-        out = {
-            "kind": "gp",
-            "a": _get(d, "a", path, "number", 1.0),
-            "q": _get(d, "q", path, "number", 0.3),
-            "dim": _get(d, "dim", path, "int", 2),
-            "n_frames": _get(d, "n_frames", path, "int", 16),
-        }
-    elif kind == "gmm":
-        out = {
-            "kind": "gmm",
-            "n_frames": _get(d, "n_frames", path, "int", 16),
-            "start": _number_list(d, "start", path, [-1.0, 0.0]),
-            "end": _number_list(d, "end", path, [1.0, 0.0]),
-            "bulges": _number_list(d, "bulges", path, [0.8, 0.0, -0.8]),
-            "tau": _get(d, "tau", path, "number", 0.1),
-            "time_symmetric": _get(d, "time_symmetric", path, "bool", True),
-        }
-    else:
-        sub = d.get("trajectory")
-        if sub is None:
-            raise ConfigError(f"missing required config key '{_full_key(path, 'trajectory')}'")
-        traj = _parse_world(sub, _full_key(path, "trajectory"))
-        if traj["kind"] == "blob":
-            raise ConfigError(f"config key '{_full_key(path, 'trajectory')}' cannot nest another blob world")
-        out = {
-            "kind": "blob",
-            "grid_size": _get(d, "grid_size", path, "int", 16),
-            "bump_std": _get(d, "bump_std", path, "number", 1.5),
-            "pixels_per_unit": _get(d, "pixels_per_unit", path, "number", 5.0),
-            "origin": _number_list(d, "origin", path, [0.0, 0.0]),
-            "trajectory": traj,
-        }
-    _check_unknown(d, out, path)
-    return out
+def _field(d: dict, key: str, spec: tuple, path: str):
+    kind, default, *choices = spec
+    full = _full_key(path, key)
+    v = d.get(key, default)
+    if v is _REQUIRED:
+        raise ConfigError(f"missing required config key '{full}'")
+    if v is None and default is None:
+        return None
+    if kind == "section":
+        return _section(v, full, _SCHEMA[key])
+    if kind == "seeds":
+        return _seeds(v)
+    if kind == "sweep":
+        return _sweep(v)
+    return _value(v, kind, full, *choices)
 
 
-def _parse_backend(d, path: str) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"config key '{path}' must be an object")
-    kind = _get(d, "kind", path, "str", choices=("analytic", "checkpoint"))
-    if kind == "analytic":
-        out = {"kind": "analytic"}
-    else:
-        out = {"kind": "checkpoint", "path": _get(d, "path", path, "str")}
-    _check_unknown(d, out, path)
-    return out
+def _seeds(seeds) -> list:
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError("config key 'seeds' must be a non-empty list of integers")
+    seen = set()
+    for i, s in enumerate(seeds):
+        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+            raise ConfigError(f"config key 'seeds[{i}]' must be a non-negative integer")
+        if s in seen:
+            # One output file per seed: a repeat would be sampled twice
+            # but written once, and counted twice in the metrics.
+            raise ConfigError(f"config key 'seeds[{i}]' repeats seed {s}")
+        seen.add(s)
+    return list(seeds)
 
 
-def _parse_conditions(d, path: str) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"config key '{path}' must be an object")
-    out = {
-        "start": _number_list(d, "start", path),
-        "end": _number_list(d, "end", path, None),
-    }
-    _check_unknown(d, out, path)
-    return out
-
-
-_TOP_KEYS = ("world", "backend", "schedule", "churn", "sampler", "trf",
-             "conditions", "seeds", "out_dir", "train", "sweep")
+def _sweep(sweep) -> dict:
+    # Values are checked against their axis's schema entry but kept as
+    # given; each grid point is validated in full when the sweep expands.
+    if not isinstance(sweep, dict):
+        raise ConfigError("config key 'sweep' must be an object")
+    unknown = sorted(set(sweep) - set(SWEEP_AXES))
+    if unknown:
+        raise ConfigError(f"unknown config key 'sweep.{unknown[0]}'")
+    for axis, values in sweep.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"config key 'sweep.{axis}' must be a non-empty list")
+        kind, default, *choices = _SCHEMA[SWEEP_AXES[axis]][axis]
+        for i, v in enumerate(values):
+            if v is not None or default is not None:
+                _value(v, kind, f"sweep.{axis}[{i}]", *choices)
+    return sweep
 
 
 @dataclass(frozen=True)
@@ -185,101 +226,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        _check_unknown(raw, _TOP_KEYS, "")
-        if "world" not in raw:
-            raise ConfigError("missing required config key 'world'")
-        data = {"world": _parse_world(raw["world"], "world")}
-        data["backend"] = _parse_backend(raw.get("backend", {"kind": "analytic"}), "backend")
-
-        sched = raw.get("schedule", {})
-        if not isinstance(sched, dict):
-            raise ConfigError("config key 'schedule' must be an object")
-        data["schedule"] = {
-            "n_steps": _get(sched, "n_steps", "schedule", "int", 25),
-            "sigma_min": _get(sched, "sigma_min", "schedule", "number", 0.002),
-            "sigma_max": _get(sched, "sigma_max", "schedule", "number", 80.0),
-            "rho": _get(sched, "rho", "schedule", "number", 7.0),
-        }
-        _check_unknown(sched, data["schedule"], "schedule")
-
-        churn = raw.get("churn", {})
-        if not isinstance(churn, dict):
-            raise ConfigError("config key 'churn' must be an object")
-        data["churn"] = {
-            "s_churn": _get(churn, "s_churn", "churn", "number", 0.5),
-            "s_tmin": _get(churn, "s_tmin", "churn", "number", 0.05),
-            "s_tmax": _get(churn, "s_tmax", "churn", "number", 50.0),
-            "s_noise": _get(churn, "s_noise", "churn", "number", 1.0),
-        }
-        _check_unknown(churn, data["churn"], "churn")
-
-        data["sampler"] = _get(raw, "sampler", "", "str", "forward", choices=SAMPLER_KINDS)
-
-        trf = raw.get("trf", {})
-        if not isinstance(trf, dict):
-            raise ConfigError("config key 'trf' must be an object")
-        data["trf"] = {
-            "m_reinject": _get(trf, "m_reinject", "trf", "int", 2),
-            "t0": _get(trf, "t0", "trf", "int_or_null", None),
-            "alpha_kind": _get(trf, "alpha_kind", "trf", "str", "linear",
-                               choices=("linear", "exponential")),
-            "alpha_lam": _get(trf, "alpha_lam", "trf", "number", 4.0),
-        }
-        _check_unknown(trf, data["trf"], "trf")
-
-        if "conditions" in raw:
-            data["conditions"] = _parse_conditions(raw["conditions"], "conditions")
-        else:
-            data["conditions"] = None
-
-        seeds = raw.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError("config key 'seeds' must be a non-empty list of integers")
-        seen = set()
-        for i, s in enumerate(seeds):
-            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-                raise ConfigError(f"config key 'seeds[{i}]' must be a non-negative integer")
-            if s in seen:
-                # One output file per seed: a repeat would be sampled twice
-                # but written once, and counted twice in the metrics.
-                raise ConfigError(f"config key 'seeds[{i}]' repeats seed {s}")
-            seen.add(s)
-        data["seeds"] = list(seeds)
-
-        out_dir = raw.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ConfigError("config key 'out_dir' must be a string")
-        data["out_dir"] = out_dir
-
-        tr = raw.get("train", {})
-        if not isinstance(tr, dict):
-            raise ConfigError("config key 'train' must be an object")
-        data["train"] = {
-            "lr": _get(tr, "lr", "train", "number", 1e-3),
-            "n_steps": _get(tr, "n_steps", "train", "int", 5000),
-            "batch_size": _get(tr, "batch_size", "train", "int", 64),
-            "p_mean": _get(tr, "p_mean", "train", "number", -1.2),
-            "p_std": _get(tr, "p_std", "train", "number", 1.2),
-            "sigma_data": _get(tr, "sigma_data", "train", "number", 0.5),
-            "hidden": _get(tr, "hidden", "train", "int", 256),
-            "n_freq": _get(tr, "n_freq", "train", "int", 8),
-            "seed": _get(tr, "seed", "train", "int", 0),
-        }
-        _check_unknown(tr, data["train"], "train")
-
-        sweep = raw.get("sweep")
-        if sweep is not None:
-            if not isinstance(sweep, dict):
-                raise ConfigError("config key 'sweep' must be an object")
-            _check_unknown(sweep, SWEEP_AXES, "sweep")
-            for axis, values in sweep.items():
-                if not isinstance(values, list) or not values:
-                    raise ConfigError(f"config key 'sweep.{axis}' must be a non-empty list")
-        data["sweep"] = sweep
-
-        return cls(data=data)
+        return cls(data=_section(raw, "", _SCHEMA[""]))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -299,8 +246,6 @@ class ExperimentConfig:
             if isinstance(world, TrajectoryGmmWorld):
                 return AnalyticGmmBackend(world)
             raise ConfigError("the blob world has no analytic denoiser; use a checkpoint backend")
-        from .train import MlpBackend, load_checkpoint
-
         params = load_checkpoint(spec["path"])
         backend = MlpBackend(params)
         if backend.seq_shape != world.seq_shape:
@@ -336,10 +281,24 @@ class ExperimentConfig:
         c_e = None if spec["end"] is None else _frame_condition(world, spec["end"], ROLE_END)
         return c_s, c_e
 
-    def build_train(self):
-        from .train import TrainConfig
-
+    @_builds("train")
+    def build_train(self) -> TrainConfig:
         return TrainConfig(**self.data["train"])
+
+    def build_run(self):
+        """Everything ``run_experiment`` needs, built before it writes anything:
+        (backend, schedule, churn, start and end conditions, fused-sampler
+        config or None). A bad value raises ConfigError."""
+        world = self.build_world()
+        backend = self.build_backend(world)
+        schedule = self.build_schedule()
+        churn = self.build_churn()
+        kind = self.data["sampler"]
+        c_s, c_e = self.build_conditions(world)
+        if kind != "forward" and c_e is None:
+            raise ConfigError(f"missing required config key 'conditions.end' (sampler {kind!r} is bounded)")
+        trf_cfg = self.build_trf(world.seq_shape[0], schedule.n_steps) if kind == "trf" else None
+        return backend, schedule, churn, c_s, c_e, trf_cfg
 
     def canonical_json(self) -> str:
         return canonical_json(self.data)
@@ -363,17 +322,12 @@ def read_raw_config(path) -> dict:
 
 
 def _build_world(spec: dict):
+    kwargs = {k: v for k, v in spec.items() if k != "kind"}
     if spec["kind"] == "gp":
-        return PinnedGaussianProcessWorld(spec["a"], spec["q"], dim=spec["dim"],
-                                          n_frames=spec["n_frames"])
+        return PinnedGaussianProcessWorld(**kwargs)
     if spec["kind"] == "gmm":
-        return TrajectoryGmmWorld.arcs(
-            n_frames=spec["n_frames"], start=spec["start"], end=spec["end"],
-            bulges=spec["bulges"], tau=spec["tau"],
-            time_symmetric=spec["time_symmetric"])
-    traj = _build_world(spec["trajectory"])
-    return MovingBlobWorld(traj, grid_size=spec["grid_size"], bump_std=spec["bump_std"],
-                           pixels_per_unit=spec["pixels_per_unit"], origin=spec["origin"])
+        return TrajectoryGmmWorld.arcs(**kwargs)
+    return MovingBlobWorld(_build_world(kwargs.pop("trajectory")), **kwargs)
 
 
 def _frame_condition(world, values: list, role: str) -> Condition:
@@ -474,21 +428,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
     if not out_dir:
         raise ConfigError("missing required config key 'out_dir'")
 
-    world = cfg.build_world()
-    backend = cfg.build_backend(world)
-    schedule = cfg.build_schedule()
-    churn = cfg.build_churn()
-    kind = cfg.data["sampler"]
-    c_s, c_e = cfg.build_conditions(world)
-    if kind != "forward" and c_e is None:
-        raise ConfigError(f"missing required config key 'conditions.end' (sampler {kind!r} is bounded)")
-    trf_cfg = cfg.build_trf(world.seq_shape[0], schedule.n_steps) if kind == "trf" else None
+    backend, schedule, churn, c_s, c_e, trf_cfg = cfg.build_run()
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise RuntimeError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     seeds = cfg.data["seeds"]
+    kind = cfg.data["sampler"]
     rng = RngBatch.from_seeds(seeds)
     if kind == "forward":
         trajectories, _ = sample(backend, schedule, c_s, churn, rng)
@@ -499,17 +446,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
     else:
         trajectories = baseline_inpaint(backend, schedule, c_s, c_e.frame, rng, churn=churn)
 
+    # Metrics first: one that fails leaves no trajectory without a manifest.
+    metrics = _summary_metrics(trajectories, c_e)
     outputs = {}
     for seed, x in zip(seeds, trajectories):
         name = f"seed_{seed:04d}.trft"
-        path = os.path.join(out_dir, name)
-        export_tensor(x, path)
-        outputs[name] = sha256_file(path)
+        outputs[name] = export_tensor(x, os.path.join(out_dir, name))
 
     manifest = ExperimentManifest(
         format_version=MANIFEST_VERSION, config=cfg.data, config_hash=cfg.config_hash(),
-        outputs=outputs, metrics=_summary_metrics(trajectories, c_e),
-        wall_clock_seconds=time.time() - t_begin)
+        outputs=outputs, metrics=metrics, wall_clock_seconds=time.time() - t_begin)
     manifest.save(os.path.join(out_dir, MANIFEST_NAME))
     return manifest
 
@@ -519,7 +465,7 @@ def evaluate_run(run_dir) -> MetricReport:
     manifest_path = os.path.join(run_dir, MANIFEST_NAME)
     manifest = ExperimentManifest.load(manifest_path)
     try:
-        cfg = ExperimentConfig.from_dict(_strip_normalized(manifest.config))
+        cfg = ExperimentConfig.from_dict(manifest.config)
     except ConfigError as exc:
         # Manifests echo the config of the trflab that wrote them, and keys
         # come and go between versions without a new manifest version.
@@ -548,14 +494,6 @@ def _summary_metrics(trajectories, c_e: Condition | None) -> MetricReport:
     if roughnesses:
         report.add("roughness_median", np.median(roughnesses), n)
     return report
-
-
-def _strip_normalized(config: dict) -> dict:
-    # A normalized echo validates as-is except for the None placeholders.
-    out = {k: v for k, v in config.items() if v is not None}
-    if "conditions" in out and out["conditions"].get("end") is None:
-        out["conditions"] = {k: v for k, v in out["conditions"].items() if v is not None}
-    return out
 
 
 # -- serialization helpers -------------------------------------------------
@@ -596,11 +534,14 @@ def load_trajectory_csv(path) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in rows])
 
 
-def export_tensor(x: np.ndarray, path):
-    """Binary sequence tensor; 16 header bytes + 8*N*d payload bytes."""
+def export_tensor(x: np.ndarray, path) -> str:
+    """Binary sequence tensor; 16 header bytes + 8*N*d payload bytes.
+    Returns the SHA-256 hex digest of the bytes written."""
     x = as_sequence(x)
     header = TENSOR_MAGIC + struct.pack("<3I", TENSOR_VERSION, x.shape[0], x.shape[1])
-    _atomic_write_bytes(path, header + np.ascontiguousarray(x, dtype="<f8").tobytes())
+    data = header + np.ascontiguousarray(x, dtype="<f8").tobytes()
+    _atomic_write_bytes(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def load_tensor(path) -> np.ndarray:

@@ -222,6 +222,8 @@ class TrainConfig:
             raise ValueError("lr must be >= 0 and n_steps/batch_size >= 1")
         if self.p_std <= 0 or self.sigma_data <= 0:
             raise ValueError("p_std and sigma_data must be positive")
+        if self.hidden < 1 or self.n_freq < 2 or self.n_freq % 2 != 0:
+            raise ValueError("hidden must be >= 1 and n_freq a positive even number")
 
 
 def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarray):

@@ -109,8 +109,8 @@ class TrajectoryGmmWorld:
 
     def __init__(self, templates, weights=None, tau: float = 0.1, time_symmetric: bool = True):
         templates = np.asarray(templates, dtype=np.float64)
-        if templates.ndim != 3:
-            raise ValueError("templates must be (K, N, d)")
+        if templates.ndim != 3 or templates.shape[0] < 1:
+            raise ValueError("templates must be (K, N, d) with K >= 1")
         k, n, d = templates.shape
         if n < 2:
             raise ValueError("templates need at least 2 frames")
@@ -242,13 +242,13 @@ class MovingBlobWorld:
                  pixels_per_unit: float = 5.0, origin=(0.0, 0.0)):
         if trajectory_world.dim != 2:
             raise ValueError("blob rendering needs a 2-D trajectory world")
-        if grid_size < 2 or bump_std <= 0 or pixels_per_unit <= 0:
-            raise ValueError("invalid grid geometry")
+        self.origin = np.asarray(origin, dtype=np.float64)
+        if grid_size < 2 or bump_std <= 0 or pixels_per_unit <= 0 or self.origin.shape != (2,):
+            raise ValueError("need grid_size >= 2, bump_std > 0, pixels_per_unit > 0 and a 2-D origin")
         self.trajectory_world = trajectory_world
         self.grid_size = int(grid_size)
         self.bump_std = float(bump_std)
         self.pixels_per_unit = float(pixels_per_unit)
-        self.origin = np.asarray(origin, dtype=np.float64)
         self.n_frames = trajectory_world.n_frames
         self.dim = self.grid_size ** 2
 

@@ -1,7 +1,9 @@
 """Config validation, file formats, run orchestration, and the CLI contract."""
 
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +24,11 @@ from trflab.harness import (
     run_experiment,
     sha256_file,
 )
+from trflab.schedule import ChurnParams
+from trflab.train import TrainConfig
 from trflab.worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWorld
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def gp_raw(**extra):
@@ -56,6 +62,10 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(gp_raw(schedule={"n_steps": "25"}))
         with pytest.raises(ConfigError, match="world.a"):
             ExperimentConfig.from_dict({"world": {"kind": "gp", "a": True}})
+        with pytest.raises(ConfigError, match="'churn.s_tmax' must be a finite number, got inf"):
+            ExperimentConfig.from_dict(gp_raw(churn={"s_tmax": float("inf")}))
+        with pytest.raises(ConfigError, match=r"'conditions.start\[0\]' must be a finite number"):
+            ExperimentConfig.from_dict(gp_raw(conditions={"start": [float("nan")]}))
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict(gp_raw(seeds=[-1]))
         with pytest.raises(ConfigError, match=r"seeds\[1\]"):
@@ -81,6 +91,12 @@ class TestConfigValidation:
         assert cfg.data["trf"]["t0"] is None
         assert cfg.data["seeds"] == [0]
         assert cfg.data["world"]["a"] == 1.0
+        assert cfg.data["churn"] == dataclasses.asdict(ChurnParams())
+        assert cfg.data["train"] == dataclasses.asdict(TrainConfig())
+        # An explicit null means the same as leaving an optional key out.
+        nulls = {"world": {"kind": "gp"}, "trf": {"t0": None}, "conditions": None,
+                 "out_dir": None, "sweep": None}
+        assert ExperimentConfig.from_dict(nulls).data == cfg.data
 
     def test_blob_world_requires_trajectory(self):
         with pytest.raises(ConfigError, match="world.trajectory"):
@@ -94,6 +110,8 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(gp_raw(sweep={"gamma": [1]}))
         with pytest.raises(ConfigError, match="sweep.t0"):
             ExperimentConfig.from_dict(gp_raw(sweep={"t0": []}))
+        with pytest.raises(ConfigError, match=r"sweep.m_reinject\[1\]"):
+            ExperimentConfig.from_dict(gp_raw(sweep={"m_reinject": [0, "x"]}))
 
     def test_build_world_and_conditions(self):
         cfg = ExperimentConfig.from_dict(gp_raw())
@@ -141,6 +159,69 @@ class TestConfigValidation:
         assert a.config_hash() != c.config_hash()
 
 
+# Normalized configs are echoed into manifests and hashed into fingerprints,
+# so their hashes must not move. "sweep", "start-only" and the benchmark
+# workload configs at workload seed 5 (paths replaced) are pinned as well.
+PINNED = {
+    "gp": ({"world": {"kind": "gp"}},
+           "405111aa3e699182f08a03301dbe48aeb93ad796a69750163b6a546f11fd7e63"),
+    "gmm": ({"world": {"kind": "gmm"}},
+            "697775e6a6dd7b33556d87a466265e679b2e680d1353faa75682963874fd2058"),
+    "blob-checkpoint": (
+        {"world": {"kind": "blob", "grid_size": 12, "origin": [0, 1],
+                   "trajectory": {"kind": "gmm", "n_frames": 5, "bulges": [1, -1]}},
+         "backend": {"kind": "checkpoint", "path": "x.trfw"},
+         "conditions": {"start": [-1, 0], "end": [1, 0]},
+         "train": {"n_steps": 30, "lr": 0.01, "hidden": 8}, "out_dir": "o"},
+        "96f225c8c439ab3c33361de5134b1c59d8c011cdb5d11d42d72b01f82d6b9f57"),
+    "sweep": (
+        {"world": {"kind": "gp", "a": 0.5, "q": 0.3, "dim": 1, "n_frames": 4},
+         "schedule": {"n_steps": 5, "sigma_max": 10}, "sampler": "trf",
+         "conditions": {"start": [1.0], "end": [0.5]}, "seeds": [0, 3],
+         "churn": {"s_churn": 1, "s_tmax": 20},
+         "trf": {"t0": 2, "alpha_kind": "exponential", "alpha_lam": 3},
+         "sweep": {"m_reinject": [0, 2], "s_churn": [0, 0.5]}},
+        "2526ff710ee7ec7a37ff5ad723062d5017ac1111ab5090c01a643cc7ee09c1f6"),
+    "start-only": ({"world": {"kind": "gp", "a": 1, "q": 1, "dim": 3},
+                    "conditions": {"start": [0, 0, 0]}},
+                   "11ae3e55d618a5ba851bb65b6360206edad7769d540b8d3b7a621b7e7c6c667f"),
+}
+PINNED_WORKLOADS = {
+    "gp-bounded/gp.json": "48a6ccdd5503b491214ea277f37320a16db294c021a9702890c5123261860e16",
+    "gmm-mixed/gmm.json": "3a540c8743ad07ed274cba387f6aa7393a9f3254a68898203be87626c2266a0f",
+    "blob-train-sample/blob_train.json":
+        "57bed9b165db819f8cab7b510490ea43baba3a3287c60b19c1da0f6a467767fc",
+    "blob-train-sample/blob_trf.json":
+        "0a37a7fe5f8886a1b91ca9f684e2ac664cb0c410a790228f457b01f9af2777ad",
+}
+
+
+class TestPinnedConfigHashes:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_config(self, name):
+        raw, digest = PINNED[name]
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.config_hash() == digest
+        # The normalized echo in a manifest validates as it is, to itself.
+        assert ExperimentConfig.from_dict(cfg.data).data == cfg.data
+
+    def test_benchmark_workload_configs(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        from workloads import FULL, WORKLOADS, make_plan
+
+        hashes = {}
+        for workload in WORKLOADS:
+            make_plan(workload, 5, str(tmp_path / workload), FULL[workload])
+            for path in sorted((tmp_path / workload).glob("*.json")):
+                raw = json.loads(path.read_text())
+                if "backend" in raw:
+                    raw["backend"]["path"] = "ckpt.trfw"
+                if "out_dir" in raw:
+                    raw["out_dir"] = "train"
+                hashes[f"{workload}/{path.name}"] = ExperimentConfig.from_dict(raw).config_hash()
+        assert hashes == PINNED_WORKLOADS
+
+
 class TestApplyOverrides:
     def test_json_values_and_paths(self):
         raw = {"world": {"kind": "gp"}}
@@ -167,7 +248,7 @@ class TestTensorFormat:
     def test_roundtrip_bit_exact(self, tmp_path):
         x = np.random.default_rng(0).standard_normal((7, 3))
         path = tmp_path / "x.trft"
-        export_tensor(x, path)
+        assert export_tensor(x, path) == sha256_file(path)
         np.testing.assert_array_equal(load_tensor(path), x)
 
     def test_file_size(self, tmp_path):
@@ -368,6 +449,10 @@ class TestCli:
                      "--set", "schedule.n_steps=7"]) == 0
         manifest = ExperimentManifest.load(os.path.join(out, "manifest.json"))
         assert manifest.config["schedule"]["n_steps"] == 7
+        # The parser is reused between calls; an earlier --set must not leak.
+        assert main(["sample", "--config", cfg, "--out", out + "2"]) == 0
+        manifest = ExperimentManifest.load(os.path.join(out + "2", "manifest.json"))
+        assert manifest.config["schedule"]["n_steps"] == 5
 
     def test_config_errors_exit_1(self, tmp_path, capsys):
         bad = self._write_config(tmp_path, gp_raw(mothion_id=1))
@@ -412,6 +497,30 @@ class TestCli:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, override, named", [
+        ("trf", "churn.s_churn=NaN", r"'churn.s_churn' must be a finite number, got nan"),
+        ("trf", "churn.s_noise=Infinity", r"'churn.s_noise' must be a finite number, got inf"),
+        ("trf", "churn.s_tmax=Infinity", r"'churn.s_tmax' must be a finite number, got inf"),
+        ("trf", "schedule.sigma_max=1e400", r"'schedule.sigma_max' must be a finite number"),
+        ("trf", "schedule.rho=1e-300", r"invalid 'schedule' config: "),
+        ("train", "train.lr=-1", r"invalid 'train' config: lr must be >= 0"),
+        ("train", "train.batch_size=0", r"invalid 'train' config: .*batch_size >= 1"),
+        ("train", "train.hidden=0", r"invalid 'train' config: hidden must be >= 1"),
+        ("train", "train.n_freq=-1", r"invalid 'train' config: .*n_freq a positive even"),
+        ("train", "world.q=-1", r"invalid 'world' config: innovation std"),
+        ("sweep", 'sweep={"t0":[1,999]}', r"invalid 'trf' config: t0 must be in \[0, 5\], got 999"),
+        ("sweep", 'sweep={"m_reinject":[0,"x"]}', r"'sweep.m_reinject\[1\]' must be int"),
+        ("sweep", 'sweep={"s_churn":[0.5,-1]}', r"invalid 'churn' config: s_churn must be >= 0"),
+    ])
+    def test_bad_values_exit_1_before_anything_is_written(self, tmp_path, capsys, command,
+                                                          override, named):
+        cfg = self._write_config(tmp_path, gp_raw(train={"n_steps": 5, "batch_size": 4, "hidden": 8}))
+        out = tmp_path / "r"
+        assert main([command, "--config", cfg, "--out", str(out), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and re.search(named, err), err
+        assert not out.exists()
+
     def test_value_error_while_sampling_exits_2(self, tmp_path, capsys, monkeypatch):
         from trflab import denoiser
 
@@ -422,6 +531,16 @@ class TestCli:
         cfg = self._write_config(tmp_path, gp_raw())
         assert main(["trf", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "error: ValueError: denoiser failed" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_failed_metric_exits_2_and_writes_no_trajectory(self, tmp_path, capsys):
+        # Churn noise scaled by 1e300 keeps the chains finite, but the
+        # endpoint error overflows to inf, which a metric report refuses.
+        cfg = self._write_config(tmp_path, gp_raw())
+        out = tmp_path / "r"
+        assert main(["trf", "--config", cfg, "--out", str(out), "--set", "churn.s_noise=1e300"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", [["sample"], ["trf"], ["baseline", "--kind", "interp"],
                                          ["baseline", "--kind", "inpaint"]],

@@ -279,6 +279,9 @@ class TestTraining:
             TrainConfig(n_steps=0)
         with pytest.raises(ValueError):
             TrainConfig(p_std=0.0)
+        for sizes in ({"hidden": 0}, {"n_freq": -1}, {"n_freq": 3}):
+            with pytest.raises(ValueError, match="hidden must be >= 1 and n_freq"):
+                TrainConfig(**sizes)
 
 
 class TestCheckpoint:

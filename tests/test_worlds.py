@@ -123,6 +123,8 @@ class TestTrajectoryGmmWorld:
         close[1] += 0.3
         with pytest.raises(ValueError):
             TrajectoryGmmWorld(close, tau=0.1)
+        with pytest.raises(ValueError, match="K >= 1"):
+            TrajectoryGmmWorld.arcs(bulges=[])
 
     def test_posterior_weights_select_forward_routes(self):
         world = TrajectoryGmmWorld.arcs(tau=0.1, weights=(0.5, 0.3, 0.2))
@@ -267,6 +269,9 @@ class TestMovingBlobWorld:
             MovingBlobWorld(traj, grid_size=1)
         with pytest.raises(ValueError):
             MovingBlobWorld(traj, bump_std=0.0)
+        for origin in ([], [1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="2-D origin"):
+                MovingBlobWorld(traj, origin=origin)
         with pytest.raises(ValueError):
             blob_position(np.zeros((3, 4)), 1.5)
         with pytest.raises(ValueError):
