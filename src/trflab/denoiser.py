@@ -168,23 +168,28 @@ class GmmWorldDenoiser:
         return (r[..., None, :] @ comp_means).reshape(x.shape)
 
 
-def precondition_apply(net, x: np.ndarray, sigma: float, cond: Conditions, sigma_data: float) -> np.ndarray:
-    """Wrap a raw network in noise-level-dependent input/output scalings.
-
-    Returns c_skip * x + c_out * net(c_in * x, c_noise, cond) with
+def edm_scalings(sigma, sigma_data: float):
+    """EDM preconditioning (Karras et al. 2022) at one sigma or an array of them:
     c_skip = sd^2 / (sigma^2 + sd^2), c_out = sigma sd / sqrt(sigma^2 + sd^2),
-    c_in = 1 / sqrt(sigma^2 + sd^2), c_noise = ln(sigma) / 4. At low sigma
-    the skip path dominates (the input is nearly clean); at high sigma the
-    network output, bounded by c_out -> sd, carries the prediction.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    c_in = 1 / sqrt(sigma^2 + sd^2) and c_noise = ln(sigma) / 4, in that order."""
     sd2 = sigma_data * sigma_data
     s2 = sigma * sigma
     c_skip = sd2 / (s2 + sd2)
     c_out = sigma * sigma_data / np.sqrt(s2 + sd2)
     c_in = 1.0 / np.sqrt(s2 + sd2)
-    c_noise = np.log(sigma) / 4.0
+    return c_skip, c_out, c_in, np.log(sigma) / 4.0
+
+
+def precondition_apply(net, x: np.ndarray, sigma: float, cond: Conditions, sigma_data: float) -> np.ndarray:
+    """Wrap a raw network in noise-level-dependent input/output scalings:
+    c_skip * x + c_out * net(c_in * x, c_noise, cond), coefficients from
+    :func:`edm_scalings`. At low sigma the skip path dominates (the input is
+    nearly clean); at high sigma the network output, bounded by c_out -> sd,
+    carries the prediction.
+    """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    c_skip, c_out, c_in, c_noise = edm_scalings(sigma, sigma_data)
     return c_skip * x + c_out * net(c_in * x, c_noise, cond)
 
 

@@ -30,7 +30,7 @@ from .denoiser import AnalyticGaussianBackend, AnalyticGmmBackend, Condition, RO
 from .metrics import MetricReport, endpoint_error, roughness
 from .sampler import sample
 from .schedule import ChurnParams, build_karras
-from .train import MlpBackend, TrainConfig, load_checkpoint
+from .train import CheckpointError, MlpBackend, TrainConfig, load_checkpoint
 from .trf import (KIND_EXPONENTIAL, KIND_LINEAR, TrfConfig, alpha_weights, baseline_condition_interp,
                   baseline_inpaint, trf_sample)
 from .worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWorld
@@ -246,7 +246,10 @@ class ExperimentConfig:
             if isinstance(world, TrajectoryGmmWorld):
                 return AnalyticGmmBackend(world)
             raise ConfigError("the blob world has no analytic denoiser; use a checkpoint backend")
-        params = load_checkpoint(spec["path"])
+        try:
+            params = load_checkpoint(spec["path"])
+        except (OSError, CheckpointError, ValueError) as exc:  # ValueError: non-finite weights
+            raise ConfigError(f"invalid 'backend.path' config: {exc}") from exc
         backend = MlpBackend(params)
         if backend.seq_shape != world.seq_shape:
             raise ConfigError(

@@ -48,9 +48,11 @@ def energy_distance(a, b) -> float:
     b = _as_sample_matrix(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("sample sets have mismatched shapes")
-    cross = _pairwise_mean(a, b)
-    within_a = _pairwise_mean_distinct(a)
-    within_b = _pairwise_mean_distinct(b)
+    m, n = a.shape[0], b.shape[0]
+    cross = _pairwise_sum(a, b) / (m * n)
+    # Distinct pairs only; a lone sample has none and a zero sum.
+    within_a = _pairwise_sum(a, a) / max(m * (m - 1), 1)
+    within_b = _pairwise_sum(b, b) / max(n * (n - 1), 1)
     return float(2.0 * cross - within_a - within_b)
 
 
@@ -66,23 +68,13 @@ def _as_sample_matrix(samples) -> np.ndarray:
 _CHUNK = 256  # rows per block, bounds the pairwise work arrays
 
 
-def _pairwise_mean(a: np.ndarray, b: np.ndarray) -> float:
+def _pairwise_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of ||a_i - b_j|| over all pairs (i, j), in row blocks of a."""
     total = 0.0
     for lo in range(0, a.shape[0], _CHUNK):
         diff = a[lo:lo + _CHUNK, None, :] - b[None, :, :]
         total += np.sqrt((diff ** 2).sum(axis=2)).sum()
-    return float(total / (a.shape[0] * b.shape[0]))
-
-
-def _pairwise_mean_distinct(a: np.ndarray) -> float:
-    m = a.shape[0]
-    if m < 2:
-        return 0.0
-    total = 0.0
-    for lo in range(0, m, _CHUNK):
-        diff = a[lo:lo + _CHUNK, None, :] - a[None, :, :]
-        total += np.sqrt((diff ** 2).sum(axis=2)).sum()
-    return float(total / (m * (m - 1)))
+    return total
 
 
 @dataclass

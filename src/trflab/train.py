@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, _atomic_write_bytes, as_sequence
-from .denoiser import Condition, Conditions, DenoiserBackend, _on_condition_axis, precondition_apply
+from .core import RngStream, _atomic_write_bytes
+from .denoiser import Condition, Conditions, DenoiserBackend, _on_condition_axis, edm_scalings, precondition_apply
 
 CHECKPOINT_MAGIC = b"TRFW"
 CHECKPOINT_VERSION = 1
@@ -123,11 +123,12 @@ def init_params(arch: ArchDescriptor, rng: RngStream) -> MlpParams:
     return MlpParams(arch, **blocks)
 
 
-def fourier_features(c_noise: float, n_freq: int) -> np.ndarray:
-    """sin/cos features of the noise embedding at octave frequencies 1, 2, 4, ..."""
+def fourier_features(c_noise, n_freq: int) -> np.ndarray:
+    """sin/cos features of the noise embedding at octave frequencies 1, 2, 4, ...;
+    (n_freq,) for one c_noise, (..., n_freq) for an array of them."""
     freqs = 2.0 ** np.arange(n_freq // 2)
-    angles = 2.0 * np.pi * freqs * c_noise
-    return np.concatenate([np.sin(angles), np.cos(angles)])
+    angles = 2.0 * np.pi * freqs * np.asarray(c_noise)[..., None]
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
 def _silu(z):
@@ -240,25 +241,27 @@ def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarr
     n_items = len(batch)
     if n_items == 0:
         raise ValueError("batch must be non-empty")
-    sigmas = np.asarray(sigmas, dtype=np.float64).reshape(n_items)
-    sd = arch.sigma_data
-    sd2 = sd * sd
-    s2 = sigmas * sigmas
-    c_skip = sd2 / (s2 + sd2)
-    c_out = sigmas * sd / np.sqrt(s2 + sd2)
-    c_in = 1.0 / np.sqrt(s2 + sd2)
+    y = np.array([seq for seq, _ in batch], dtype=np.float64)
+    if y.shape != (n_items, arch.n_frames, arch.frame_dim):
+        raise ValueError(f"batch sequences have shape {y.shape[1:]}, expected {(arch.n_frames, arch.frame_dim)}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("sequence has non-finite entries")
+    y = y.reshape(n_items, arch.seq_dim)
+    sigmas = np.asarray(sigmas, dtype=np.float64).reshape(n_items, 1)
+    c_skip, c_out, c_in, c_noise = edm_scalings(sigmas, arch.sigma_data)
 
+    # Row i is [c_in x_noisy, fourier(c_noise), condition frame], filled by column
+    # slices. The targets reuse x_noisy's buffer: page-faulting in a fresh
+    # (n, N d) temporary per operation costs more than the arithmetic on it.
     inputs = np.empty((n_items, arch.input_dim))
-    targets = np.empty((n_items, arch.seq_dim))
-    for i, (seq, cond) in enumerate(batch):
-        y = as_sequence(seq, n_frames=arch.n_frames, dim=arch.frame_dim).reshape(-1)
-        x_noisy = y + sigmas[i] * noise[i].reshape(-1)
-        inputs[i] = np.concatenate([
-            c_in[i] * x_noisy,
-            fourier_features(np.log(sigmas[i]) / 4.0, arch.n_freq),
-            cond.frame,
-        ])
-        targets[i] = (y - c_skip[i] * x_noisy) / c_out[i]
+    cond_at = arch.seq_dim + arch.n_freq
+    x_noisy = y + sigmas * noise.reshape(n_items, arch.seq_dim)
+    np.multiply(c_in, x_noisy, out=inputs[:, :arch.seq_dim])
+    inputs[:, arch.seq_dim:cond_at] = fourier_features(c_noise[:, 0], arch.n_freq)
+    inputs[:, cond_at:] = [cond.frame for _, cond in batch]
+    targets = np.multiply(c_skip, x_noisy, out=x_noisy)
+    np.subtract(y, targets, out=targets)
+    targets /= c_out
 
     out, cache = forward(params, inputs)
     resid = out - targets
@@ -272,8 +275,6 @@ def edm_loss(params: MlpParams, batch, rng: RngStream, p_mean: float = -1.2,
     """Draw log-normal noise levels and fresh noise, then evaluate the loss."""
     arch = params.arch
     n_items = len(batch)
-    if n_items == 0:
-        raise ValueError("batch must be non-empty")
     sigmas = np.exp(p_mean + p_std * rng.normal((n_items,)))
     noise = rng.normal((n_items, arch.n_frames, arch.frame_dim))
     return edm_loss_terms(params, batch, sigmas, noise)
@@ -311,9 +312,9 @@ def train(world, cfg: TrainConfig):
     and initialization all come from substreams of cfg.seed.
     """
     n_frames, frame_dim = world.seq_shape
-    probe_seq, probe_cond = world.training_pair(RngStream(cfg.seed, stream=1))
+    # Every world conditions on one clean frame.
     arch = ArchDescriptor(n_frames=n_frames, frame_dim=frame_dim,
-                          cond_dim=probe_cond.frame.size, hidden=cfg.hidden,
+                          cond_dim=frame_dim, hidden=cfg.hidden,
                           n_freq=cfg.n_freq, sigma_data=cfg.sigma_data)
     root = RngStream(cfg.seed)
     params = init_params(arch, root.split(0))

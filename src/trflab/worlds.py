@@ -269,13 +269,8 @@ class MovingBlobWorld:
     def render_positions(self, positions: np.ndarray) -> tuple[np.ndarray, list[bool]]:
         """Render world-coordinate positions; returns (N, G^2) frames + clamp flags."""
         positions = as_sequence(positions, dim=2)
-        frames = np.empty((positions.shape[0], self.dim))
-        flags = []
-        for n, pos in enumerate(positions):
-            grid, clamped = render_blob(self, self.to_pixel(pos))
-            frames[n] = grid.reshape(-1)
-            flags.append(clamped)
-        return frames, flags
+        grids, flags = render_blob(self, self.to_pixel(positions))
+        return grids.reshape(positions.shape[0], self.dim), flags.tolist()
 
     def sample_sequence(self, cond: Condition, rng: RngStream) -> np.ndarray:
         """Conditional rollout of the underlying world, rendered to pixels."""
@@ -304,22 +299,23 @@ def conditional_gmm(world: TrajectoryGmmWorld, cond: Condition) -> GmmWorldDenoi
     return world.conditional_gmm(cond)
 
 
-def render_blob(world: MovingBlobWorld, pos) -> tuple[np.ndarray, bool]:
+def render_blob(world: MovingBlobWorld, pos) -> tuple[np.ndarray, bool | np.ndarray]:
     """Unit-peak Gaussian bump at pixel position ``pos`` (row, col).
 
-    Out-of-bounds positions are clamped to the grid and flagged in the
-    second return value.
+    ``pos`` is one (2,) position, giving a (G, G) grid, or a (..., 2) stack
+    of them, giving a (..., G, G) stack of grids. Out-of-bounds positions
+    are clamped to the grid and flagged in the second return value: one
+    bool, or a (...,) bool array for a stack.
     """
     pos = np.asarray(pos, dtype=np.float64)
-    if pos.shape != (2,):
-        raise ValueError("pos must be a 2-D point in pixel coordinates")
+    if pos.ndim < 1 or pos.shape[-1] != 2:
+        raise ValueError("pos must be a 2-D point, or a stack of them, in pixel coordinates")
     g = world.grid_size
     clamped_pos = np.clip(pos, 0.0, g - 1.0)
-    clamped = bool(np.any(clamped_pos != pos))
-    rows = np.arange(g)[:, None]
-    cols = np.arange(g)[None, :]
-    quad = (rows - clamped_pos[0]) ** 2 + (cols - clamped_pos[1]) ** 2
-    return np.exp(-quad / (2.0 * world.bump_std ** 2)), clamped
+    clamped = np.any(clamped_pos != pos, axis=-1)
+    grid = np.arange(g)
+    quad = (grid[:, None] - clamped_pos[..., 0, None, None]) ** 2 + (grid - clamped_pos[..., 1, None, None]) ** 2
+    return np.exp(-quad / (2.0 * world.bump_std ** 2)), clamped if pos.ndim > 1 else bool(clamped)
 
 
 def blob_position(frame: np.ndarray, bump_std: float, refine: bool = True) -> np.ndarray:

@@ -19,6 +19,7 @@ from trflab.denoiser import (
     GaussianWorldDenoiser,
     GmmWorldDenoiser,
     PerFrameConditionBackend,
+    edm_scalings,
     precondition_apply,
 )
 from trflab.worlds import PinnedGaussianProcessWorld, TrajectoryGmmWorld
@@ -210,6 +211,14 @@ class TestPrecondition:
         np.testing.assert_allclose(seen["x_in"], x / np.sqrt(1.25), atol=1e-15)
         assert seen["c_noise"] == 0.0
         np.testing.assert_allclose(out, 0.2 * x + 0.5 / np.sqrt(1.25), atol=1e-15)
+
+    def test_scalings_over_an_array_match_scalar_calls(self):
+        # Training takes the coefficients of a whole batch in one call and
+        # sampling one sigma at a time; both must agree bit for bit.
+        sigmas = np.array([0.002, 0.1, 1.0, 80.0])
+        stacked = edm_scalings(sigmas, 0.1)
+        for i, sigma in enumerate(sigmas.tolist()):
+            assert [c[i] for c in stacked] == list(edm_scalings(sigma, 0.1))
 
     def test_skip_is_half_at_sigma_data(self):
         def net_zero(x_in, c_noise, cond):

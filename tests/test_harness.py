@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from trflab.cli import main
+from trflab.core import RngStream
 from trflab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -25,7 +26,7 @@ from trflab.harness import (
     sha256_file,
 )
 from trflab.schedule import ChurnParams
-from trflab.train import TrainConfig
+from trflab.train import ArchDescriptor, TrainConfig, init_params, save_checkpoint
 from trflab.worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWorld
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -519,6 +520,22 @@ class TestCli:
         assert main([command, "--config", cfg, "--out", str(out), "--set", override]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and re.search(named, err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("checkpoint", ["missing", "config", "truncated", "directory", "nan"])
+    def test_unloadable_checkpoint_exits_1_naming_backend_path(self, tmp_path, capsys, checkpoint):
+        cfg = self._write_config(tmp_path, gp_raw())
+        paths = {"missing": tmp_path / "nope.trfw", "config": cfg, "directory": tmp_path,
+                 "truncated": tmp_path / "short.trfw", "nan": tmp_path / "nan.trfw"}
+        (tmp_path / "short.trfw").write_bytes(b"TRFW\x01")
+        arch = ArchDescriptor(n_frames=4, frame_dim=1, cond_dim=1, hidden=2, n_freq=2)
+        save_checkpoint(init_params(arch, RngStream(0)), paths["nan"])
+        paths["nan"].write_bytes(paths["nan"].read_bytes()[:-8] + np.float64(np.nan).tobytes())
+        out = tmp_path / "r"
+        backend = json.dumps({"kind": "checkpoint", "path": str(paths[checkpoint])})
+        assert main(["trf", "--config", cfg, "--out", str(out), "--set", f"backend={backend}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid 'backend.path' config: "), err
         assert not out.exists()
 
     def test_value_error_while_sampling_exits_2(self, tmp_path, capsys, monkeypatch):

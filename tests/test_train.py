@@ -1,6 +1,7 @@
 """Trainable backend: gradients vs finite differences, loss identities,
 checkpoint format, and optimizer behavior."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -29,7 +30,7 @@ from trflab.train import (
     save_checkpoint,
     train,
 )
-from trflab.worlds import PinnedGaussianProcessWorld
+from trflab.worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWorld
 
 _BLOCKS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -150,6 +151,13 @@ class TestLoss:
         params = init_params(arch, RngStream(0))
         with pytest.raises(ValueError):
             edm_loss_terms(params, [], np.empty(0), np.empty((0, 2, 2)))
+        batch, sigmas, noise = tiny_batch(arch, RngStream(1))
+        wrong_shape = [(np.zeros((3, 2)), cond) for _, cond in batch]
+        with pytest.raises(ValueError, match="shape"):
+            edm_loss_terms(params, wrong_shape, sigmas, noise)
+        batch[1] = (np.full((2, 2), np.nan), batch[1][1])
+        with pytest.raises(ValueError, match="non-finite"):
+            edm_loss_terms(params, batch, sigmas, noise)
 
 
 class TestNetwork:
@@ -159,6 +167,12 @@ class TestNetwork:
         np.testing.assert_allclose(f, [1.0, 0.0, 0.0, -1.0], atol=1e-12)
         assert fourier_features(0.0, 8).shape == (8,)
         np.testing.assert_allclose(fourier_features(0.0, 8)[4:], 1.0, atol=1e-15)
+        # An array of levels gives one row per level, each as if computed alone.
+        levels = np.array([[0.25, -0.4], [0.0, 1.7]])
+        rows = fourier_features(levels, 8)
+        assert rows.shape == (2, 2, 8)
+        for idx in np.ndindex(levels.shape):
+            np.testing.assert_array_equal(rows[idx], fourier_features(levels[idx], 8))
 
     def test_init_scale(self):
         arch = tiny_arch(hidden=64)
@@ -240,7 +254,6 @@ class TestTraining:
         cfg = TrainConfig(lr=0.0, n_steps=5, batch_size=4, hidden=16, seed=11)
         params, curve = train(self._world(), cfg)
         assert curve.shape == (5,)
-        probe_seq, probe_cond = self._world().training_pair(RngStream(11, stream=1))
         arch = ArchDescriptor(n_frames=3, frame_dim=2, cond_dim=2, hidden=16,
                               n_freq=cfg.n_freq, sigma_data=cfg.sigma_data)
         expected = init_params(arch, RngStream(11).split(0))
@@ -271,6 +284,22 @@ class TestTraining:
         monkeypatch.setattr(train_mod, "edm_loss", flaky_loss)
         with pytest.raises(TrainingDivergedError, match="step 2"):
             train(self._world(), TrainConfig(n_steps=5, batch_size=2, hidden=8))
+
+    def test_blob_training_bytes_are_pinned(self, tmp_path):
+        # Four steps on a small blob world, one frame of it off the grid: the
+        # SHA-256 of the loss curve and of the checkpoint bytes is pinned, so
+        # any change to rendering, the loss inputs or the draw order shows.
+        traj = TrajectoryGmmWorld.arcs(n_frames=4, tau=0.1)
+        world = MovingBlobWorld(traj, grid_size=8, bump_std=1.0, pixels_per_unit=3.0)
+        cfg = TrainConfig(n_steps=4, batch_size=8, hidden=16, n_freq=4, sigma_data=0.1,
+                          p_mean=-1.6, p_std=1.4, seed=7)
+        params, curve = train(world, cfg)
+        path = tmp_path / "net.trfw"
+        save_checkpoint(params, path)
+        assert hashlib.sha256(curve.astype("<f8").tobytes()).hexdigest() == \
+            "5fa4d0f1f3f0c21411f846403bb4dae59205f4dadcef094abe37067fbd2694e4"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "fa6bf8abb4d946ba5f5ba7f8d7d6a495716b226d30a7941c61e4591a1ac2590b"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

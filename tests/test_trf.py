@@ -5,6 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trflab import (
     AlphaSchedule,
@@ -141,16 +142,23 @@ class TestFusionObjective:
         expect = (1.0 - 0.0) ** 2 + (2.0 - 5.0) ** 2
         npt.assert_allclose(fusion_objective(x, x_fwd, x_bwd, alpha), expect, rtol=1e-14)
 
-    def test_fuse_is_argmin(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            x_fwd, x_bwd = rng.normal(size=(2, 6, 2))
-            alpha = AlphaSchedule.from_weights(rng.uniform(size=6))
-            fused = fuse(x_fwd, x_bwd, alpha)
-            base = fusion_objective(fused, x_fwd, x_bwd, alpha)
-            for _ in range(1000):
-                delta = rng.normal(scale=rng.uniform(1e-4, 1.0), size=(6, 2))
-                assert fusion_objective(fused + delta, x_fwd, x_bwd, alpha) >= base - 1e-12
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n_frames=st.integers(2, 8), dim=st.integers(1, 3), data=st.data(),
+           scale=st.floats(1e-4, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_fuse_is_argmin(self, n_frames, dim, data, scale, seed):
+        # Any weights in [0, 1]^N: moving the fused sequence by delta raises
+        # the objective by exactly ||delta||^2, since each frame's two
+        # weights sum to 1, so fuse() is its argmin.
+        alpha = AlphaSchedule.from_weights(
+            data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_frames, max_size=n_frames)))
+        rng = np.random.default_rng(seed)
+        x_fwd, x_bwd = rng.normal(size=(2, n_frames, dim))
+        fused = fuse(x_fwd, x_bwd, alpha)
+        base = fusion_objective(fused, x_fwd, x_bwd, alpha)
+        for delta in rng.normal(scale=scale, size=(10, n_frames, dim)):
+            moved = fusion_objective(fused + delta, x_fwd, x_bwd, alpha)
+            assert moved >= base - 1e-12
+            npt.assert_allclose(moved - base, np.sum(delta ** 2), rtol=1e-6, atol=1e-10)
 
 
 def alg1_reference(backend, sigmas, c_s, c_e, m_reinject, t0, s_churn, seed):

@@ -222,6 +222,19 @@ class TestMovingBlobWorld:
         grid, clamped = render_blob(world, np.array([-3.0, 5.0]))
         assert clamped
         assert np.unravel_index(np.argmax(grid), grid.shape) == (0, 5)
+        # A (..., 2) stack renders and flags each position exactly as a call
+        # on it alone.
+        stack = np.array([[8.0, 5.0], [-3.0, 5.0], [6.3, 16.2], [15.0, 0.0], [7.5, -0.01]])
+        grids, flags = render_blob(world, stack)
+        assert grids.shape == (5, 16, 16)
+        assert flags.tolist() == [False, True, True, False, True]
+        for pos, grid, flag in zip(stack, grids, flags):
+            single, single_flag = render_blob(world, pos)
+            np.testing.assert_array_equal(grid, single)
+            assert flag == single_flag
+        nested, nested_flags = render_blob(world, stack[:4].reshape(2, 2, 2))
+        np.testing.assert_array_equal(nested, grids[:4].reshape(2, 2, 16, 16))
+        np.testing.assert_array_equal(nested_flags, flags[:4].reshape(2, 2))
 
     def test_blob_position_exact_recovery(self):
         world = self._world()
@@ -274,5 +287,6 @@ class TestMovingBlobWorld:
                 MovingBlobWorld(traj, origin=origin)
         with pytest.raises(ValueError):
             blob_position(np.zeros((3, 4)), 1.5)
-        with pytest.raises(ValueError):
-            render_blob(self._world(), np.zeros(3))
+        for pos in (np.zeros(3), np.zeros((4, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                render_blob(self._world(), pos)
