@@ -20,7 +20,7 @@ import os
 import numpy as np
 
 from trflab.core import RngStream
-from trflab.denoiser import Condition, ROLE_END
+from trflab.denoiser import Condition
 from trflab.harness import export_frames_pgm
 from trflab.schedule import build_karras
 from trflab.train import MlpBackend, TrainConfig, load_checkpoint, save_checkpoint, train
@@ -62,7 +62,7 @@ def main():
     start_pos = np.array([-1.0, 0.0])
     end_pos = np.array([1.0, 0.0])
     c_s = Condition(world.render_positions(start_pos[None, :])[0][0])
-    c_e = Condition(world.render_positions(end_pos[None, :])[0][0], role=ROLE_END)
+    c_e = Condition(world.render_positions(end_pos[None, :])[0][0])
     sched = build_karras(25, 0.002, 10.0)
     trf_cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, world.n_frames))
     target_pix = world.to_pixel(end_pos)

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from trflab.core import RngStream
-from trflab.denoiser import AnalyticGaussianBackend, Condition, ROLE_END
+from trflab.denoiser import AnalyticGaussianBackend, Condition
 from trflab.harness import export_trajectory_csv
 from trflab.metrics import endpoint_error
 from trflab.sampler import sample
@@ -40,7 +40,7 @@ def main():
     start = np.array([-1.0, 0.0])
     end = np.array([1.0, 0.0])
     c_s = Condition(start)
-    c_e = Condition(end, role=ROLE_END)
+    c_e = Condition(end)
     cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, args.n_frames))
 
     print(f"random-walk world, {args.n_frames} frames; start {start}, end {end}")

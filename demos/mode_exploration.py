@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from trflab.core import RngStream
-from trflab.denoiser import AnalyticGmmBackend, Condition, ROLE_END
+from trflab.denoiser import AnalyticGmmBackend, Condition
 from trflab.harness import export_trajectory_csv
 from trflab.metrics import energy_distance, mode_coverage
 from trflab.schedule import build_karras
@@ -38,7 +38,7 @@ def main():
     backend = AnalyticGmmBackend(world)
     sched = build_karras(25, 0.002, 80.0)
     c_s = Condition(start)
-    c_e = Condition(end, role=ROLE_END)
+    c_e = Condition(end)
     cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, world.n_frames))
 
     print(f"arc world: {world.n_modes} routes, {world.n_frames} frames, tau {world.tau}")

@@ -32,11 +32,8 @@ from .denoiser import (
     AnalyticGmmBackend,
     Condition,
     DenoiserBackend,
-    GaussianWorldDenoiser,
     GmmWorldDenoiser,
     PerFrameConditionBackend,
-    ROLE_END,
-    ROLE_START,
     precondition_apply,
 )
 from .worlds import (
@@ -68,7 +65,6 @@ from .train import (
     ArchDescriptor,
     CheckpointCorruptError,
     CheckpointError,
-    CheckpointShapeError,
     CheckpointVersionError,
     MlpBackend,
     MlpParams,

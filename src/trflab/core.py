@@ -68,7 +68,6 @@ class RngStream:
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.stream = int(stream) & 0xFFFFFFFFFFFFFFFF
         self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
-        self.n_draws = 0
 
     def split(self, label: int) -> "RngStream":
         """Return an independent stream derived from this one, same seed."""
@@ -77,17 +76,14 @@ class RngStream:
 
     def normal(self, shape) -> np.ndarray:
         """Draw standard-normal float64 values and advance the stream."""
-        self.n_draws += 1
         return self._gen.standard_normal(size=shape, dtype=np.float64)
 
     def uniform(self, shape=None) -> np.ndarray:
         """Draw uniform [0, 1) float64 values and advance the stream."""
-        self.n_draws += 1
         return self._gen.random(size=shape, dtype=np.float64)
 
     def choice(self, n: int, p=None) -> int:
         """Draw an index in [0, n) with optional probabilities."""
-        self.n_draws += 1
         return int(self._gen.choice(n, p=p))
 
     def __repr__(self):

@@ -9,36 +9,28 @@ with a small network wrapped in input/output scalings so one set of weights
 covers all noise levels.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_frame, as_sequence, spd_solve
-
-#: Start-of-sequence conditioning role.
-ROLE_START = "start"
-#: End-of-sequence conditioning role.
-ROLE_END = "end"
+from .core import as_frame, spd_solve
 
 
 @dataclass(frozen=True, eq=False)
 class Condition:
-    """A clean bounding frame plus its role (start or end of the sequence)."""
+    """A clean bounding frame; a start frame and an end frame condition alike."""
 
     frame: np.ndarray
-    role: str = ROLE_START
 
     def __post_init__(self):
         object.__setattr__(self, "frame", as_frame(self.frame))
-        if self.role not in (ROLE_START, ROLE_END):
-            raise ValueError(f"role must be '{ROLE_START}' or '{ROLE_END}', got {self.role!r}")
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
 
     def key(self) -> bytes:
-        """Byte key identifying the conditioning value (role excluded)."""
+        """Byte key identifying the conditioning value."""
         return np.ascontiguousarray(self.frame, dtype="<f8").tobytes()
 
 
@@ -75,40 +67,6 @@ class DenoiserBackend:
     @property
     def seq_shape(self) -> tuple[int, int]:
         raise NotImplementedError
-
-
-class GaussianWorldDenoiser:
-    """Exact posterior mean under one conditioned Gaussian world.
-
-    Holds the conditional mean (length N*d) and SPD covariance (N*d x N*d)
-    of the stacked clean sequence; ``posterior_x0`` returns
-    mean + cov (cov + sigma^2 I)^(-1) (x - mean), the Bayes-optimal
-    denoiser for this world.
-    """
-
-    def __init__(self, mean: np.ndarray, cov: np.ndarray):
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.cov = np.asarray(cov, dtype=np.float64)
-        n = self.mean.size
-        if self.cov.shape != (n, n):
-            raise ValueError(f"covariance shape {self.cov.shape} does not match mean size {n}")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        self._eye = np.eye(n)
-
-    def posterior_x0(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        x = as_sequence(x)
-        n_frames, dim = x.shape
-        if n_frames * dim != self.mean.size:
-            raise ValueError(f"sequence size {n_frames * dim} does not match world size {self.mean.size}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        if sigma == 0.0:
-            # cov (cov + 0)^-1 is the identity; the observation is already clean.
-            return x.copy()
-        resid = x.reshape(-1) - self.mean
-        sol = spd_solve(self.cov + sigma * sigma * self._eye, resid)
-        return (self.mean + self.cov @ sol).reshape(n_frames, dim)
 
 
 class GmmWorldDenoiser:

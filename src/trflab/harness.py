@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import RngBatch, _atomic_write_bytes, as_sequence
-from .denoiser import AnalyticGaussianBackend, AnalyticGmmBackend, Condition, ROLE_END, ROLE_START
+from .denoiser import AnalyticGaussianBackend, AnalyticGmmBackend, Condition
 from .metrics import MetricReport, endpoint_error, roughness
 from .sampler import sample
 from .schedule import ChurnParams, build_karras
@@ -280,8 +280,8 @@ class ExperimentConfig:
         spec = self.data["conditions"]
         if spec is None:
             raise ConfigError("missing required config key 'conditions'")
-        c_s = _frame_condition(world, spec["start"], ROLE_START)
-        c_e = None if spec["end"] is None else _frame_condition(world, spec["end"], ROLE_END)
+        c_s = _frame_condition(world, spec["start"], "start")
+        c_e = None if spec["end"] is None else _frame_condition(world, spec["end"], "end")
         return c_s, c_e
 
     @_builds("train")
@@ -333,15 +333,15 @@ def _build_world(spec: dict):
     return MovingBlobWorld(_build_world(kwargs.pop("trajectory")), **kwargs)
 
 
-def _frame_condition(world, values: list, role: str) -> Condition:
+def _frame_condition(world, values: list, key: str) -> Condition:
     frame = np.asarray(values, dtype=np.float64)
     # Blob-world conditions may be given as 2-D positions; render them.
     if isinstance(world, MovingBlobWorld) and frame.shape == (2,):
         frame = world.render_positions(frame[None, :])[0][0]
     if frame.shape != (world.seq_shape[1],):
         raise ConfigError(
-            f"conditions.{role} has dimension {frame.shape}, world frames have dimension {world.seq_shape[1]}")
-    return Condition(frame, role=role)
+            f"conditions.{key} has dimension {frame.shape}, world frames have dimension {world.seq_shape[1]}")
+    return Condition(frame)
 
 
 def apply_overrides(raw: dict, assignments: list[str]) -> dict:
@@ -464,9 +464,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
 
 
 def evaluate_run(run_dir) -> MetricReport:
-    """Recompute metrics for a completed run, verifying output integrity."""
+    """Recompute metrics for a completed run, verifying output integrity.
+
+    Raises RuntimeError naming any entry of ``run_dir`` other than the
+    manifest and its outputs, such as a leftover ``*.tmp``."""
     manifest_path = os.path.join(run_dir, MANIFEST_NAME)
     manifest = ExperimentManifest.load(manifest_path)
+    unexpected = sorted(set(os.listdir(run_dir)) - {MANIFEST_NAME, *manifest.outputs})
+    if unexpected:
+        raise RuntimeError(f"{os.path.join(run_dir, unexpected[0])}: not an output "
+                           f"of the run recorded in {manifest_path}")
     try:
         cfg = ExperimentConfig.from_dict(manifest.config)
     except ConfigError as exc:

@@ -36,12 +36,9 @@ class ChurnParams:
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Descending noise levels with the parameters that generated them."""
+    """Non-increasing positive noise levels, sigma_max first; built by :func:`build_karras`."""
 
     sigmas: np.ndarray
-    sigma_min: float
-    sigma_max: float
-    rho: float
 
     def __post_init__(self):
         sig = np.asarray(self.sigmas, dtype=np.float64)
@@ -55,8 +52,10 @@ class NoiseSchedule:
             raise ValueError("sigmas must be non-increasing")
         if sig[-1] <= 0:
             raise ValueError("sigma_min must be positive")
-        if sig[0] != self.sigma_max or sig[-1] != self.sigma_min:
-            raise ValueError("sigma_max/sigma_min fields must match the endpoint levels")
+
+    @property
+    def sigma_max(self) -> float:
+        return float(self.sigmas[0])
 
     @property
     def n_steps(self) -> int:
@@ -88,7 +87,7 @@ def build_karras(n_steps: int, sigma_min: float, sigma_max: float, rho: float = 
     # Pin the endpoints exactly; the power round trip can be off by an ulp.
     sigmas[0] = sigma_max
     sigmas[-1] = sigma_min
-    return NoiseSchedule(sigmas=sigmas, sigma_min=sigma_min, sigma_max=sigma_max, rho=rho)
+    return NoiseSchedule(sigmas)
 
 
 def injection_std(schedule: NoiseSchedule, t: int) -> float:

@@ -27,20 +27,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RngBatch, RngStream, as_frame, as_sequence, normal_rows, reverse, row_hashes
-from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend, ROLE_START
+from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend
 from .sampler import STREAM_REINJECT, StepRecord, StepTrace, _euler_from_denoised, _walk, sample
 from .schedule import ChurnParams, NoiseSchedule, injection_std
 
 KIND_LINEAR = "linear"
 KIND_EXPONENTIAL = "exponential"
-KIND_CUSTOM = "custom"
 
 
 @dataclass(frozen=True, eq=False)
 class AlphaSchedule:
-    """Per-frame fusion weights: 1 keeps the forward path, 0 the backward path."""
+    """Per-frame fusion weights: 1 keeps the forward path, 0 the backward path.
 
-    kind: str
+    Any weights in [0, 1] are accepted (all ones reduce fusion to the
+    forward path); :func:`alpha_weights` builds the pinned schedules.
+    """
+
     weights: np.ndarray
 
     def __post_init__(self):
@@ -54,17 +56,6 @@ class AlphaSchedule:
     @property
     def n_frames(self) -> int:
         return self.weights.size
-
-    @classmethod
-    def from_weights(cls, weights, kind: str = KIND_CUSTOM) -> "AlphaSchedule":
-        """Diagnostic constructor: accepts any [0,1] weights, e.g. all-ones
-        to reduce fusion to the pure forward path. Endpoint pinning is not
-        enforced here."""
-        return cls(kind, np.asarray(weights, dtype=np.float64))
-
-    @classmethod
-    def constant(cls, value: float, n_frames: int) -> "AlphaSchedule":
-        return cls.from_weights(np.full(n_frames, float(value)))
 
 
 def alpha_weights(kind: str, n_frames: int, lam: float | None = None) -> AlphaSchedule:
@@ -86,7 +77,7 @@ def alpha_weights(kind: str, n_frames: int, lam: float | None = None) -> AlphaSc
         w = (np.exp(-lam * u) - np.exp(-lam)) / (1.0 - np.exp(-lam))
     else:
         raise ValueError(f"unknown alpha kind {kind!r}")
-    sched = AlphaSchedule(kind, w)
+    sched = AlphaSchedule(w)
     assert sched.weights[0] == 1.0 and sched.weights[-1] == 0.0
     assert np.all(np.diff(sched.weights) <= 0)
     return sched
@@ -238,7 +229,7 @@ def baseline_condition_interp(backend: DenoiserBackend, schedule: NoiseSchedule,
     if churn is None:
         churn = ChurnParams()
     u = np.linspace(0.0, 1.0, backend.seq_shape[0])
-    conds = [Condition((1.0 - un) * c_s.frame + un * c_e.frame, role=ROLE_START) for un in u]
+    conds = [Condition((1.0 - un) * c_s.frame + un * c_e.frame) for un in u]
     per_frame = PerFrameConditionBackend(backend, conds)
     x, _ = sample(per_frame, schedule, c_s, churn, rng)
     return x

@@ -58,7 +58,6 @@ class PinnedGaussianProcessWorld:
         lower[:, 0] = powers * np.sqrt(EPS_PIN)
         for j in range(1, n):
             lower[j:, j] = powers[: n - j] * self.q
-        self._frame_chol = lower
         #: Per-dimension N x N frame covariance F; the conditional covariance
         #: of the stacked sequence is kron(F, I_d) whatever the condition.
         self.frame_cov = lower @ lower.T
@@ -126,7 +125,6 @@ class TrajectoryGmmWorld:
         self.templates = templates
         self.weights = weights
         self.tau = float(tau)
-        self.time_symmetric = bool(time_symmetric)
         if time_symmetric:
             self.components = np.concatenate([templates, templates[:, ::-1, :]], axis=0)
             self.component_weights = np.concatenate([weights, weights]) / 2.0
@@ -318,7 +316,7 @@ def render_blob(world: MovingBlobWorld, pos) -> tuple[np.ndarray, bool | np.ndar
     return np.exp(-quad / (2.0 * world.bump_std ** 2)), clamped if pos.ndim > 1 else bool(clamped)
 
 
-def blob_position(frame: np.ndarray, bump_std: float, refine: bool = True) -> np.ndarray:
+def blob_position(frame: np.ndarray, bump_std: float) -> np.ndarray:
     """Recover the bump's pixel position (row, col) from a rendered frame.
 
     The argmax pixel is refined with one log-ratio step per axis, which is
@@ -331,8 +329,6 @@ def blob_position(frame: np.ndarray, bump_std: float, refine: bool = True) -> np
         raise ValueError("frame must be a square grid")
     g = frame.shape[0]
     r_hat, c_hat = np.unravel_index(np.argmax(frame), frame.shape)
-    if not refine:
-        return np.array([float(r_hat), float(c_hat)])
     log_f = np.log(np.clip(frame, 1e-300, None))
     s2 = bump_std * bump_std
 

@@ -21,7 +21,6 @@ from trflab.denoiser import (
     AnalyticGaussianBackend,
     AnalyticGmmBackend,
     Condition,
-    ROLE_END,
 )
 from trflab.harness import ExperimentConfig, run_experiment
 from trflab.metrics import endpoint_error, mode_coverage, roughness
@@ -85,7 +84,7 @@ def test_criterion_01_fusion_minimizes_two_path_objective():
     worst = np.inf
     for _ in range(100):
         x_fwd, x_bwd = rng.normal(size=(2, 6, 2))
-        alpha = AlphaSchedule.from_weights(rng.uniform(size=6))
+        alpha = AlphaSchedule(rng.uniform(size=6))
         fused = fuse(x_fwd, x_bwd, alpha)
         base = fusion_objective(fused, x_fwd, x_bwd, alpha)
         for _ in range(1000):
@@ -101,10 +100,10 @@ def test_criterion_02_degenerate_weights_reduce_to_single_path():
     backend = AnalyticGaussianBackend(world)
     sched = build_karras(12, 0.01, 20.0)
     c_s = Condition(np.array([0.5, -0.5]))
-    c_e = Condition(np.array([1.0, 0.5]), role=ROLE_END)
+    c_e = Condition(np.array([1.0, 0.5]))
     churn = ChurnParams()
-    cfg_fwd = TrfConfig(alpha=AlphaSchedule.constant(1.0, 6), m_reinject=0)
-    cfg_bwd = TrfConfig(alpha=AlphaSchedule.constant(0.0, 6), m_reinject=0)
+    cfg_fwd = TrfConfig(alpha=AlphaSchedule(np.ones(6)), m_reinject=0)
+    cfg_bwd = TrfConfig(alpha=AlphaSchedule(np.zeros(6)), m_reinject=0)
     fwd_same = bwd_same = 0
     for seed in range(20):
         x1, _ = trf_sample(backend, sched, c_s, c_e, cfg_fwd, RngStream(seed))
@@ -123,7 +122,7 @@ def test_criterion_03_endpoint_adherence_vs_interpolated_guidance():
     backend = AnalyticGaussianBackend(world)
     sched = build_karras(50, 0.002, 80.0)
     c_s = Condition(np.array([-1.0, 0.0]))
-    c_e = Condition(np.array([1.0, 0.0]), role=ROLE_END)
+    c_e = Condition(np.array([1.0, 0.0]))
     cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, 16))
     trf_err, interp_err = [], []
     for seed in range(200):
@@ -145,7 +144,7 @@ def test_criterion_04_smoother_than_inpainting_baseline():
     sched = build_karras(50, 0.002, 80.0)
     c_s = Condition(np.array([0.0, 0.0]))
     end = np.array([3.0, 3.0])
-    c_e = Condition(end, role=ROLE_END)
+    c_e = Condition(end)
     cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, 16))
     wins = 0
     for seed in range(100):
@@ -182,7 +181,7 @@ def test_criterion_06_reinjection_lowers_roughness():
     sched = build_karras(25, 0.002, 80.0)
     c_s = Condition(np.array([0.0, 0.0]))
     end = np.array([3.0, 3.0])
-    c_e = Condition(end, role=ROLE_END)
+    c_e = Condition(end)
     alpha = alpha_weights(KIND_LINEAR, 16)
     cfg_on = TrfConfig(alpha=alpha, m_reinject=2)   # cutoff defaults to T/2
     cfg_off = TrfConfig(alpha=alpha, m_reinject=0)
@@ -211,7 +210,7 @@ def test_criterion_07_explores_distinct_routes():
     backend = AnalyticGmmBackend(world)
     sched = build_karras(25, 0.002, 80.0)
     c_s = Condition(np.array([-1.0, 0.0]))
-    c_e = Condition(np.array([1.0, 0.0]), role=ROLE_END)
+    c_e = Condition(np.array([1.0, 0.0]))
     cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, 16))
     samples = np.stack(
         [trf_sample(backend, sched, c_s, c_e, cfg, RngStream(seed))[0] for seed in range(200)])
@@ -239,7 +238,7 @@ def test_criterion_08_trained_pixel_backend_learns_and_steers():
     start_frame = world.render_positions(np.array([[-1.0, 0.0]]))[0][0]
     end_frame = world.render_positions(np.array([[1.0, 0.0]]))[0][0]
     c_s = Condition(start_frame)
-    c_e = Condition(end_frame, role=ROLE_END)
+    c_e = Condition(end_frame)
     trf_cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, 8))
     target = world.to_pixel([1.0, 0.0])
     errs = []

@@ -21,7 +21,6 @@ from trflab import (
     Condition,
     MlpBackend,
     PinnedGaussianProcessWorld,
-    ROLE_END,
     RngBatch,
     RngStream,
     TrajectoryGmmWorld,
@@ -64,7 +63,7 @@ def _run(kind, backend, start, end, rng):
     """Output and trace, with its diagnostics (None for the baselines), of one sampler kind."""
     sched = build_karras(12, 0.01, 20.0)
     c_s = Condition(start)
-    c_e = Condition(end, role=ROLE_END)
+    c_e = Condition(end)
     if kind == "sample":
         return sample(backend, sched, c_s, ChurnParams(), rng, diagnostics=True)
     if kind == "trf":

@@ -1,5 +1,8 @@
 """Denoiser backends against independent oracles.
 
+``GaussianWorldDenoiser`` below is the reference (N*d)-dimensional
+posterior solve that the frame-map Gaussian backend is checked against.
+
 The Gaussian-world posterior mean is checked against a self-normalized
 importance-sampling estimate (prior draws reweighted by the observation
 likelihood) and the mixture posterior against 1-D numerical quadrature,
@@ -9,14 +12,11 @@ so neither test shares linear algebra with the implementation.
 import numpy as np
 import pytest
 
-from trflab.core import RngStream
+from trflab.core import RngStream, as_sequence, spd_solve
 from trflab.denoiser import (
-    ROLE_END,
-    ROLE_START,
     AnalyticGaussianBackend,
     AnalyticGmmBackend,
     Condition,
-    GaussianWorldDenoiser,
     GmmWorldDenoiser,
     PerFrameConditionBackend,
     edm_scalings,
@@ -25,20 +25,46 @@ from trflab.denoiser import (
 from trflab.worlds import PinnedGaussianProcessWorld, TrajectoryGmmWorld
 
 
-class TestCondition:
-    def test_roles(self):
-        c = Condition(np.array([1.0, 2.0]))
-        assert c.role == ROLE_START
-        assert Condition(np.array([0.0]), role=ROLE_END).role == ROLE_END
-        with pytest.raises(ValueError):
-            Condition(np.array([0.0]), role="middle")
+class GaussianWorldDenoiser:
+    """Exact posterior mean under one conditioned Gaussian world.
 
+    Holds the conditional mean (length N*d) and SPD covariance (N*d x N*d)
+    of the stacked clean sequence; ``posterior_x0`` returns
+    mean + cov (cov + sigma^2 I)^(-1) (x - mean), the Bayes-optimal
+    denoiser for this world.
+    """
+
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
+        self.mean = np.asarray(mean, dtype=np.float64)
+        self.cov = np.asarray(cov, dtype=np.float64)
+        n = self.mean.size
+        if self.cov.shape != (n, n):
+            raise ValueError(f"covariance shape {self.cov.shape} does not match mean size {n}")
+        if not np.allclose(self.cov, self.cov.T, atol=1e-12):
+            raise ValueError("covariance must be symmetric")
+        self._eye = np.eye(n)
+
+    def posterior_x0(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        x = as_sequence(x)
+        n_frames, dim = x.shape
+        if n_frames * dim != self.mean.size:
+            raise ValueError(f"sequence size {n_frames * dim} does not match world size {self.mean.size}")
+        if sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {sigma}")
+        if sigma == 0.0:
+            # cov (cov + 0)^-1 is the identity; the observation is already clean.
+            return x.copy()
+        resid = x.reshape(-1) - self.mean
+        sol = spd_solve(self.cov + sigma * sigma * self._eye, resid)
+        return (self.mean + self.cov @ sol).reshape(n_frames, dim)
+
+
+class TestCondition:
     def test_dim_and_key(self):
         c = Condition(np.array([1.0, 2.0, 3.0]))
         assert c.dim == 3
-        same = Condition(np.array([1.0, 2.0, 3.0]), role=ROLE_END)
+        same = Condition(np.array([1.0, 2.0, 3.0]))
         other = Condition(np.array([1.0, 2.0, 3.5]))
-        # key identifies the value only; role is carried separately.
         assert c.key() == same.key()
         assert c.key() != other.key()
 
@@ -329,7 +355,7 @@ def _condition_axis_cases():
     per_frame = PerFrameConditionBackend(
         gp, [Condition(np.array([v, -v])) for v in np.linspace(-1.0, 1.0, 5)])
     frames = ([-1.0, 0.0], [0.0, 0.0], [0.5, -0.25])
-    conds = tuple(Condition(np.array(f), role=role) for f, role in zip(frames, (ROLE_START, ROLE_END, ROLE_START)))
+    conds = tuple(Condition(np.array(f)) for f in frames)
     return {"gp": (gp, conds), "gmm": (gmm, conds[:2]), "mlp": (mlp, conds),
             "perframe": (per_frame, conds)}
 

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from trflab.cli import main
 from trflab.core import RngStream
@@ -245,12 +247,22 @@ class TestApplyOverrides:
             apply_overrides({"sampler": "forward"}, ["sampler.kind=trf"])
 
 
+#: Any finite (N, d) float64 sequence: subnormals, -0.0 and the extremes included.
+sequences = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),
+                   elements=st.floats(allow_nan=False, allow_infinity=False))
+#: One file path per test, rewritten by every example.
+roundtrip_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestTensorFormat:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        x = np.random.default_rng(0).standard_normal((7, 3))
+    @roundtrip_settings
+    @given(x=sequences)
+    def test_roundtrip_bit_exact(self, tmp_path, x):
         path = tmp_path / "x.trft"
         assert export_tensor(x, path) == sha256_file(path)
-        np.testing.assert_array_equal(load_tensor(path), x)
+        loaded = load_tensor(path)
+        assert loaded.shape == x.shape and loaded.tobytes() == x.tobytes()
 
     def test_file_size(self, tmp_path):
         x = np.zeros((5, 4))
@@ -302,11 +314,14 @@ class TestTensorFormat:
 
 
 class TestCsvFormat:
-    def test_roundtrip_exact(self, tmp_path):
-        x = np.random.default_rng(1).standard_normal((6, 2)) * 1e3
+    @roundtrip_settings
+    @given(x=sequences)
+    def test_roundtrip_exact(self, tmp_path, x):
+        # 17 significant digits name every float64 exactly.
         path = tmp_path / "x.csv"
         export_trajectory_csv(x, path)
-        np.testing.assert_array_equal(load_trajectory_csv(path), x)
+        loaded = load_trajectory_csv(path)
+        assert loaded.shape == x.shape and loaded.tobytes() == x.tobytes()
 
     def test_header(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -388,6 +403,19 @@ class TestRunExperiment:
         victim.write_bytes(bytes(data))
         with pytest.raises(RuntimeError, match="hash"):
             evaluate_run(tmp_path / "run")
+
+    @pytest.mark.parametrize("name", ["notes.txt", "seed_0000.trft.0123456789abcdef.tmp"],
+                             ids=["stray", "leftover-tmp"])
+    def test_evaluate_run_rejects_unexpected_entries(self, tmp_path, capsys, name):
+        # A run directory holds the manifest and its outputs, nothing else;
+        # a leftover temporary file or a stray one is named, and eval exits 2.
+        run_dir = tmp_path / "run"
+        run_experiment(ExperimentConfig.from_dict(gp_raw(seeds=[0, 1], out_dir=str(run_dir))))
+        (run_dir / name).write_bytes(b"")
+        with pytest.raises(RuntimeError, match=re.escape(str(run_dir / name))):
+            evaluate_run(run_dir)
+        assert main(["eval", "--out", str(run_dir)]) == 2
+        assert name in capsys.readouterr().err
 
     def test_all_sampler_kinds_run(self, tmp_path):
         for kind in ("forward", "trf", "baseline-interp", "baseline-inpaint"):

@@ -102,8 +102,7 @@ class TestSample:
     def test_two_step_structure(self):
         # T=2 without churn: one Euler step sigma_max -> sigma_min from pure
         # noise, then a refinement step to 0; the trace has two records.
-        sched = NoiseSchedule(np.array([10.0, 1e-8]), sigma_min=1e-8,
-                              sigma_max=10.0, rho=7.0)
+        sched = NoiseSchedule(np.array([10.0, 1e-8]))
         x, trace = sample(self.backend, sched, self.cond,
                           ChurnParams(s_churn=0.0), RngStream(5))
         assert len(trace) == 2

@@ -13,7 +13,6 @@ from trflab.train import (
     AdamState,
     ArchDescriptor,
     CheckpointCorruptError,
-    CheckpointShapeError,
     CheckpointVersionError,
     MlpBackend,
     MlpParams,
@@ -410,10 +409,3 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
-
-    def test_shape_mismatch_names_layer(self, tmp_path):
-        params = self._params()
-        path = tmp_path / "net.trfw"
-        save_checkpoint(params, path)
-        with pytest.raises(CheckpointShapeError, match="w1"):
-            load_checkpoint(path, expect_arch=tiny_arch(hidden=16))

@@ -15,7 +15,6 @@ from trflab import (
     ChurnParams,
     Condition,
     PinnedGaussianProcessWorld,
-    ROLE_END,
     RngStream,
     TrajectoryGmmWorld,
     TrfConfig,
@@ -84,7 +83,7 @@ class TestAlphaWeights:
 
     def test_out_of_range_weights_rejected(self):
         with pytest.raises(ValueError):
-            AlphaSchedule.from_weights([1.0, 1.5, 0.0])
+            AlphaSchedule([1.0, 1.5, 0.0])
 
 
 class TestFuse:
@@ -96,7 +95,7 @@ class TestFuse:
         npt.assert_array_equal(out, [[1.0], [10.0]])
 
     def test_midpoint_average(self):
-        alpha = AlphaSchedule.from_weights([1.0, 0.5, 0.0])
+        alpha = AlphaSchedule([1.0, 0.5, 0.0])
         x_fwd = np.array([[0.0], [2.0], [0.0]])
         x_bwd = np.array([[0.0], [4.0], [0.0]])
         assert fuse(x_fwd, x_bwd, alpha)[1, 0] == 3.0
@@ -106,7 +105,7 @@ class TestFuse:
         x = rng.normal(size=(6, 2))
         for alpha in (alpha_weights("linear", 6),
                       alpha_weights("exponential", 6, lam=3.0),
-                      AlphaSchedule.from_weights(rng.uniform(size=6))):
+                      AlphaSchedule(rng.uniform(size=6))):
             npt.assert_allclose(fuse(x, reverse(x), alpha), x, atol=1e-15)
 
     def test_endpoint_pinning_random(self):
@@ -149,7 +148,7 @@ class TestFusionObjective:
         # Any weights in [0, 1]^N: moving the fused sequence by delta raises
         # the objective by exactly ||delta||^2, since each frame's two
         # weights sum to 1, so fuse() is its argmin.
-        alpha = AlphaSchedule.from_weights(
+        alpha = AlphaSchedule(
             data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_frames, max_size=n_frames)))
         rng = np.random.default_rng(seed)
         x_fwd, x_bwd = rng.normal(size=(2, n_frames, dim))
@@ -277,7 +276,7 @@ class TestTrfSample:
         self.world = PinnedGaussianProcessWorld(a=1.0, q=0.3, dim=2, n_frames=8)
         self.backend = AnalyticGaussianBackend(self.world)
         self.c_s = Condition(np.zeros(2))
-        self.c_e = Condition(np.array([1.0, 1.0]), role=ROLE_END)
+        self.c_e = Condition(np.array([1.0, 1.0]))
         self.alpha = alpha_weights("linear", 8)
 
     def test_matches_alg1_transliteration(self):
@@ -285,7 +284,7 @@ class TestTrfSample:
         backend = AnalyticGaussianBackend(world)
         sched = build_karras(3, 0.05, 5.0)
         c_s = Condition(np.array([0.3]))
-        c_e = Condition(np.array([-0.2]), role=ROLE_END)
+        c_e = Condition(np.array([-0.2]))
         cfg = TrfConfig(alpha=alpha_weights("linear", 2), m_reinject=1, t0=1,
                         churn=ChurnParams(s_churn=0.5))
         for seed in range(5):
@@ -300,7 +299,7 @@ class TestTrfSample:
 
     def test_all_forward_alpha_matches_sample(self):
         sched = build_karras(12, 0.01, 20.0)
-        cfg = TrfConfig(alpha=AlphaSchedule.constant(1.0, 8), m_reinject=0)
+        cfg = TrfConfig(alpha=AlphaSchedule(np.ones(8)), m_reinject=0)
         for seed in (0, 7):
             x_trf, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg,
                                   RngStream(seed))
@@ -312,7 +311,7 @@ class TestTrfSample:
         # alpha = 0 everywhere collapses to the backward path alone, which
         # equals a plain run from c_e driven by frame-reversed noise.
         sched = build_karras(12, 0.01, 20.0)
-        cfg = TrfConfig(alpha=AlphaSchedule.constant(0.0, 8), m_reinject=0)
+        cfg = TrfConfig(alpha=AlphaSchedule(np.zeros(8)), m_reinject=0)
         for seed in (1, 9):
             x_trf, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg,
                                   RngStream(seed))
@@ -355,7 +354,7 @@ class TestTrfSample:
             x_fwd, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg,
                                   RngStream(seed))
             c_s_sw = Condition(self.c_e.frame)
-            c_e_sw = Condition(self.c_s.frame, role=ROLE_END)
+            c_e_sw = Condition(self.c_s.frame)
             x_sw, _ = trf_sample(self.backend, sched, c_s_sw, c_e_sw, cfg,
                                  FrameReversedRng(RngStream(seed)))
             npt.assert_allclose(x_sw, reverse(x_fwd), atol=1e-10)
@@ -381,7 +380,7 @@ class TestTrfSample:
         cfg = TrfConfig(alpha=alpha_weights("linear", 3), m_reinject=1, t0=1,
                         churn=ChurnParams(s_churn=0.5))
         c_s = Condition(np.array([0.4]))
-        c_e = Condition(np.array([-0.3]), role=ROLE_END)
+        c_e = Condition(np.array([-0.3]))
         trf_sample(Recording(), sched, c_s, c_e, cfg, RngBatch.from_seeds(range(30_000)))
         # One recorded stack of the forward and the reversed view of the same
         # (30000, 3, 1) states on the condition axis; keep the forward one.
@@ -410,7 +409,7 @@ class TestNoiseTables:
         world = PinnedGaussianProcessWorld(a=1.0, q=0.3, dim=2, n_frames=8)
         self.backend = AnalyticGaussianBackend(world)
         self.c_s = Condition(np.zeros(2))
-        self.c_e = Condition(np.array([1.0, 1.0]), role=ROLE_END)
+        self.c_e = Condition(np.array([1.0, 1.0]))
         self.alpha = alpha_weights("linear", 8)
 
     @pytest.mark.parametrize("world", ["gp", "gmm"])
@@ -421,7 +420,7 @@ class TestNoiseTables:
         else:
             backend = AnalyticGmmBackend(TrajectoryGmmWorld.arcs(n_frames=8, tau=0.1))
             c_s = Condition(np.array([-1.0, 0.0]))
-            c_e = Condition(np.array([1.0, 0.0]), role=ROLE_END)
+            c_e = Condition(np.array([1.0, 0.0]))
         # sigma_max above s_tmax and sigma_min below s_tmin: the churn window
         # excludes steps at both ends of the ladder.
         sched = build_karras(14, 0.002, 80.0)
@@ -479,7 +478,7 @@ class TestBaselineConditionInterp:
     def test_equal_conditions_degenerate_to_sample(self):
         sched = build_karras(10, 0.01, 20.0)
         c = Condition(np.array([0.5, 0.5]))
-        c_end = Condition(np.array([0.5, 0.5]), role=ROLE_END)
+        c_end = Condition(np.array([0.5, 0.5]))
         x_interp = baseline_condition_interp(self.backend, sched, c, c_end,
                                              RngStream(4))
         x_plain, _ = sample(self.backend, sched, c, ChurnParams(), RngStream(4))
@@ -488,7 +487,7 @@ class TestBaselineConditionInterp:
     def test_one_base_call_per_step(self):
         counting = Counting(self.backend)
         c_s = Condition(np.array([-0.5, 0.0]))
-        c_e = Condition(np.array([0.5, 1.0]), role=ROLE_END)
+        c_e = Condition(np.array([0.5, 1.0]))
         baseline_condition_interp(counting, build_karras(7, 0.01, 20.0), c_s, c_e,
                                   RngBatch.from_seeds(range(4)))
         assert len(counting.calls) == 7

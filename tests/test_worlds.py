@@ -242,11 +242,6 @@ class TestMovingBlobWorld:
             grid, _ = render_blob(world, np.array(pos))
             np.testing.assert_allclose(blob_position(grid, 1.5), pos, atol=1e-9)
 
-    def test_blob_position_without_refinement(self):
-        world = self._world()
-        grid, _ = render_blob(world, np.array([6.3, 9.7]))
-        np.testing.assert_array_equal(blob_position(grid, 1.5, refine=False), [6.0, 10.0])
-
     def test_blob_position_noisy_frame_stays_near_argmax(self):
         world = self._world()
         grid, _ = render_blob(world, np.array([6.0, 9.0]))
