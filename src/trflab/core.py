@@ -131,11 +131,13 @@ def normal_rows(rng: RngStream | RngBatch, n: int, shape) -> np.ndarray:
 
     ``rng.normal((n, *shape))`` fills its values in draw order, so row j
     equals the j-th of n successive ``normal(shape)`` draws, bit for bit.
-    From an :class:`RngBatch` row j is the (B, *shape) stack of every
-    stream's j-th draw (a view into the (B, n, *shape) draw).
+    A draw with one more leading axis than asked for comes from a batch of
+    streams (an :class:`RngBatch`, or any RNG that wraps one); row j is
+    then the (B, *shape) stack of every stream's j-th draw (a view into the
+    (B, n, *shape) draw).
     """
     table = rng.normal((n,) + tuple(shape))
-    return np.moveaxis(table, 1, 0) if isinstance(rng, RngBatch) else table
+    return np.moveaxis(table, 1, 0) if table.ndim > len(shape) + 1 else table
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,24 +167,18 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def sequence_hash(x: np.ndarray) -> str:
-    """SHA-256 hex digest of a float64 array's canonical little-endian bytes."""
+def sequence_hash(x: np.ndarray) -> str | list[str]:
+    """SHA-256 hex digest of an (N, d) sequence, or the list of one per row of a (B, N, d) batch.
+
+    A sequence's digest covers its shape as two little-endian int64 and
+    then its canonical little-endian float64 bytes, so a batch row hashes
+    exactly as the same sequence on its own.
+    """
     arr = np.ascontiguousarray(x, dtype="<f8")
-    h = hashlib.sha256()
-    h.update(np.asarray(arr.shape, dtype="<i8").tobytes())
-    h.update(arr.tobytes())
-    return h.hexdigest()
-
-
-def row_hashes(x: np.ndarray) -> str | list[str]:
-    """:func:`sequence_hash` of a sequence, or the list of it over a batch's rows."""
-    if x.ndim == 2:
-        return sequence_hash(x)
-    head = np.asarray(x.shape[-2:], dtype="<i8").tobytes()
-    data = np.ascontiguousarray(x, dtype="<f8").tobytes()
-    size = 8 * x.shape[-2] * x.shape[-1]
-    return [hashlib.sha256(head + data[i:i + size]).hexdigest()
-            for i in range(0, len(data), size)]
+    head = np.asarray(arr.shape[-2:], dtype="<i8").tobytes()
+    rows = arr.reshape((int(np.prod(arr.shape[:-2])),) + arr.shape[-2:])
+    digests = [hashlib.sha256(head + row.tobytes()).hexdigest() for row in rows]
+    return digests if arr.ndim > 2 else digests[0]
 
 
 def _atomic_write_bytes(path, data: bytes):

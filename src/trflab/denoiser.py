@@ -1,12 +1,13 @@
 """Clean-sequence prediction: the denoiser contract and its backends.
 
 A denoiser backend answers one question: given a sequence observed at noise
-level sigma and a conditioning frame, what is the clean sequence? The
-analytic backends answer it exactly (posterior means of Gaussian or
-Gaussian-mixture worlds) and serve as ground-truth oracles for every
-sampler in this package; the preconditioned trainable backend answers it
-with a small network wrapped in input/output scalings so one set of weights
-covers all noise levels.
+level sigma and a conditioning frame, what is the clean sequence? It
+answers for a stack of sequences at once, each slice of the stack under its
+own condition. The analytic backends answer it exactly (posterior means of
+Gaussian or Gaussian-mixture worlds) and serve as ground-truth oracles for
+every sampler in this package; the preconditioned trainable backend answers
+it with a small network wrapped in input/output scalings so one set of
+weights covers all noise levels.
 """
 
 from dataclasses import dataclass
@@ -34,10 +35,6 @@ class Condition:
         return np.ascontiguousarray(self.frame, dtype="<f8").tobytes()
 
 
-#: What ``predict_x0`` conditions on: one condition, or one per slice of a condition axis.
-Conditions = Condition | tuple[Condition, ...]
-
-
 def _on_condition_axis(stack: np.ndarray, ndim: int) -> np.ndarray:
     """Lay a (C, ...) stack of per-condition values out against an input of
     ``ndim`` axes whose axis 0 is the condition axis: one singleton axis is
@@ -48,20 +45,20 @@ def _on_condition_axis(stack: np.ndarray, ndim: int) -> np.ndarray:
 class DenoiserBackend:
     """Contract: deterministic clean-sequence prediction.
 
-    ``predict_x0(x, sigma, cond)`` maps an (N, d) sequence at noise level
-    sigma to an (N, d) estimate of the clean sequence, and a (B, N, d)
-    batch of sequences row by row to a (B, N, d) batch of estimates.
-    ``cond`` is one :class:`Condition` for the whole input, or a tuple of C
-    conditions for an input of shape (C, ..., N, d) with a leading
-    condition axis: slice c is then denoised under ``cond[c]``, exactly as
-    a call on that slice alone would denoise it. The fused sampler uses
-    this to denoise its forward and backward paths in one call.
-    Implementations must be deterministic, preserve shape, and report the
-    (N, d) shape via ``seq_shape`` so sampling loops know what latent to
-    draw. Inputs come from the sampling loops and are not re-validated.
+    ``predict_x0(x, sigma, conds)`` takes a tuple of C conditions and an
+    input of shape (C, ..., N, d) whose leading axis is the condition axis,
+    and maps it to an estimate of the clean sequences of the same shape:
+    every (N, d) sequence in slice c, the sequence of one chain or each
+    row of a (B, N, d) batch, is denoised under ``conds[c]`` at noise level
+    sigma. A single-path sampler calls it with one condition on a
+    length-1 axis; the fused sampler denoises its forward and backward
+    paths in one call with two. Implementations must be deterministic,
+    preserve shape, and report the (N, d) shape via ``seq_shape`` so
+    sampling loops know what latent to draw. Inputs come from the sampling
+    loops and are not re-validated.
     """
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
+    def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -138,9 +135,9 @@ def edm_scalings(sigma, sigma_data: float):
     return c_skip, c_out, c_in, np.log(sigma) / 4.0
 
 
-def precondition_apply(net, x: np.ndarray, sigma: float, cond: Conditions, sigma_data: float) -> np.ndarray:
+def precondition_apply(net, x: np.ndarray, sigma: float, conds: tuple[Condition, ...], sigma_data: float) -> np.ndarray:
     """Wrap a raw network in noise-level-dependent input/output scalings:
-    c_skip * x + c_out * net(c_in * x, c_noise, cond), coefficients from
+    c_skip * x + c_out * net(c_in * x, c_noise, conds), coefficients from
     :func:`edm_scalings`. At low sigma the skip path dominates (the input is
     nearly clean); at high sigma the network output, bounded by c_out -> sd,
     carries the prediction.
@@ -148,7 +145,7 @@ def precondition_apply(net, x: np.ndarray, sigma: float, cond: Conditions, sigma
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     c_skip, c_out, c_in, c_noise = edm_scalings(sigma, sigma_data)
-    return c_skip * x + c_out * net(c_in * x, c_noise, cond)
+    return c_skip * x + c_out * net(c_in * x, c_noise, conds)
 
 
 class AnalyticGaussianBackend(DenoiserBackend):
@@ -161,32 +158,27 @@ class AnalyticGaussianBackend(DenoiserBackend):
     M_sigma = F (F + sigma^2 I)^(-1) applied along the frame axis. Frame maps
     are cached by sigma alone and shared by every condition, since samplers
     revisit the same ladder of sigma values on both paths; the per-condition
-    mean comes from ``world.conditional_moments`` and is cached too. A
-    condition-axis call applies the frame map once to the whole stack, with
-    the stacked means cached per tuple of conditions.
+    mean comes from ``world.conditional_moments``. A call applies the frame
+    map once to the whole stack, with the stacked means cached per tuple of
+    conditions.
     """
 
     def __init__(self, world):
         self.world = world
-        self._means: dict[bytes | tuple[bytes, ...], np.ndarray] = {}
+        self._means: dict[tuple[bytes, ...], np.ndarray] = {}
         self._factors: dict[float, np.ndarray] = {}
 
     @property
     def seq_shape(self) -> tuple[int, int]:
         return self.world.seq_shape
 
-    def mean_for(self, cond: Conditions) -> np.ndarray:
-        """The (N, d) conditional mean of the world under ``cond``, or the
-        (C, N, d) stack of them for a tuple of C conditions."""
-        single = isinstance(cond, Condition)
-        key = cond.key() if single else tuple(c.key() for c in cond)
+    def mean_for(self, conds: tuple[Condition, ...]) -> np.ndarray:
+        """The (C, N, d) stack of the world's conditional means under C conditions."""
+        key = tuple(c.key() for c in conds)
         mean = self._means.get(key)
         if mean is None:
-            if single:
-                mean, _ = self.world.conditional_moments(cond)
-                mean = np.asarray(mean, dtype=np.float64).reshape(self.seq_shape)
-            else:
-                mean = np.stack([self.mean_for(c) for c in cond])
+            means = [self.world.conditional_moments(c)[0] for c in conds]
+            mean = np.asarray(means, dtype=np.float64).reshape((len(conds),) + self.seq_shape)
             self._means[key] = mean
         return mean
 
@@ -201,21 +193,19 @@ class AnalyticGaussianBackend(DenoiserBackend):
             self._factors[key] = m
         return m
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
+    def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
         if sigma == 0.0:
             return np.array(x, dtype=np.float64)
-        mean = self.mean_for(cond)
-        if mean.ndim > 2:
-            mean = _on_condition_axis(mean, x.ndim)
+        mean = _on_condition_axis(self.mean_for(conds), x.ndim)
         return mean + self.frame_map(sigma) @ (x - mean)
 
 
 class AnalyticGmmBackend(DenoiserBackend):
     """Denoiser contract over a trajectory-mixture world, any conditioning frame.
 
-    A condition-axis call denoises slice by slice into one output: conditioning
-    drops the components whose weight underflows, so the conditions' mixtures
-    need not have the same number of components.
+    A call denoises slice by slice of the condition axis into one output:
+    conditioning drops the components whose weight underflows, so the
+    conditions' mixtures need not have the same number of components.
     """
 
     def __init__(self, world):
@@ -232,11 +222,9 @@ class AnalyticGmmBackend(DenoiserBackend):
             self._denoisers[key] = self.world.conditional_gmm(cond)
         return self._denoisers[key]
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
-        if isinstance(cond, Condition):
-            return self.denoiser_for(cond).posterior_x0(x, sigma)
+    def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
         out = np.empty(x.shape)
-        for c, cond_c in enumerate(cond):
+        for c, cond_c in enumerate(conds):
             out[c] = self.denoiser_for(cond_c).posterior_x0(x[c], sigma)
         return out
 
@@ -245,10 +233,11 @@ class PerFrameConditionBackend(DenoiserBackend):
     """Compose a base backend under a different conditioning frame per output frame.
 
     Frame n of the prediction is frame n of the base backend's prediction
-    under conditions[n]. One condition-axis call to the base backend
-    predicts the whole input under all N conditions at once, and frame n is
-    taken from slice n. The ``cond`` argument is ignored, so every leading
-    axis of the input, a condition axis included, is a batch axis here.
+    under conditions[n]. One call to the base backend predicts the whole
+    input under all N conditions at once, on a new leading condition axis,
+    and frame n is taken from slice n. The ``conds`` argument is ignored,
+    so every leading axis of the input, the caller's condition axis
+    included, is a batch axis here.
     Used by the condition-interpolation baseline, where each frame is
     steered by its own blend of the two bounding frames.
     """
@@ -261,7 +250,7 @@ class PerFrameConditionBackend(DenoiserBackend):
     def seq_shape(self) -> tuple[int, int]:
         return self.base.seq_shape
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
+    def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
         n_frames = len(self.conditions)
         if x.shape[-2] != n_frames:
             raise ValueError(f"sequence has {x.shape[-2]} frames, expected {n_frames}")

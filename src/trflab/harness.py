@@ -389,13 +389,14 @@ class ExperimentManifest:
     def fingerprint(self) -> str:
         """Hash over everything a rerun must reproduce.
 
-        Wall clock and the output directory are excluded: the same config
-        and seeds rerun anywhere must yield the same fingerprint.
+        Wall clock, the output directory and a checkpoint backend's path are
+        excluded: the same config and seeds rerun anywhere must yield the
+        same fingerprint, and the output digests already pin what the
+        checkpoint produced.
         """
-        stable = {
-            "config": {k: v for k, v in self.config.items() if k != "out_dir"},
-            "outputs": self.outputs,
-        }
+        config = {k: v for k, v in self.config.items() if k != "out_dir"}
+        config["backend"] = {k: v for k, v in config["backend"].items() if k != "path"}
+        stable = {"config": config, "outputs": self.outputs}
         return hashlib.sha256(canonical_json(stable).encode()).hexdigest()
 
     def save(self, path):

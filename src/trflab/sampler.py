@@ -19,7 +19,11 @@ Every sampler runs a single chain on an (N, d) latent driven by an
 :class:`~trflab.core.RngStream`, or B chains at once on a (B, N, d) latent
 driven by an :class:`~trflab.core.RngBatch` (one stream per seed); the
 batch shape comes from the initial draw and the same code serves both.
-Row i of a batched run is the run of seed i alone.
+Row i of a batched run is the run of seed i alone. Any object with
+``split`` and ``normal`` may stand in for either, a wrapper around a
+stream or a batch included: the samplers read the batch from the shape of
+what it draws, not from its type. A single-path hook denoises under its one
+condition with ``predict_x0(x_hat[None], sigma_hat, (cond,))[0]``.
 
 Each noise substream is drawn once per run: the walk takes one unit-normal
 row per churned step from a single ``(n_churn, *shape)`` draw (see
@@ -37,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import RngBatch, RngStream, _atomic_write_bytes, gaussian_noise, normal_rows, row_hashes
+from .core import RngBatch, RngStream, _atomic_write_bytes, gaussian_noise, normal_rows, sequence_hash
 from .denoiser import Condition, DenoiserBackend
 from .schedule import ChurnParams, NoiseSchedule, churn_gamma
 
@@ -117,16 +121,18 @@ def churn_perturb(x: np.ndarray, sigma: float, gamma: float, s_noise: float,
 
 def check_finite(x: np.ndarray, sampler: str, t: int, sigma: float, rng: RngStream | RngBatch):
     """Raise RuntimeError naming the sampler, step, level and seed if ``x``
-    has a non-finite entry; ``rng`` is the run's root stream or batch."""
+    has a non-finite entry; ``rng`` is the run's root stream or batch. An
+    RNG that does not expose its seeds (a wrapper) is named by the index of
+    the first bad chain instead."""
     if np.isfinite(x).all():
         return
-    if x.ndim == 2:
-        seed = getattr(rng, "seed", None)
-    else:
-        bad = ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
-        seed = rng.streams[int(np.argmax(bad))].seed
+    chains = x.reshape(-1, x.shape[-2] * x.shape[-1])
+    bad = int(np.argmax(~np.isfinite(chains).all(axis=1)))
+    streams = getattr(rng, "streams", None)
+    seed = streams[bad].seed if streams is not None else getattr(rng, "seed", None)
+    who = f"seed {seed}" if seed is not None else f"chain {bad}"
     raise RuntimeError(f"{sampler}: non-finite latent after step t={t} "
-                       f"(sigma={sigma:.6g}) for seed {seed}")
+                       f"(sigma={sigma:.6g}) for {who}")
 
 
 def _euler_from_denoised(x_hat: np.ndarray, sigma_hat: float, sigma_next: float,
@@ -177,11 +183,11 @@ def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
     which carry the latent and denoised hashes when ``diagnostics`` is set.
     """
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
-        denoised = backend.predict_x0(x_hat, sigma_hat, cond)
+        denoised = backend.predict_x0(x_hat[None], sigma_hat, (cond,))[0]
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
         diag = {}
         if diagnostics:
-            diag = dict(latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(denoised))
+            diag = dict(latent_hash=sequence_hash(x_hat), denoised_hash=sequence_hash(denoised))
         return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat), **diag)
 
     return _walk("sample", backend.seq_shape, schedule, churn, rng, step)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import RngStream, _atomic_write_bytes
-from .denoiser import Condition, Conditions, DenoiserBackend, _on_condition_axis, edm_scalings, precondition_apply
+from .denoiser import Condition, DenoiserBackend, _on_condition_axis, edm_scalings, precondition_apply
 
 CHECKPOINT_MAGIC = b"TRFW"
 CHECKPOINT_VERSION = 1
@@ -164,8 +164,7 @@ class MlpBackend(DenoiserBackend):
 
     Every sequence of the input is one row of a single forward pass, and
     each row carries the frame of the condition it is denoised under, so a
-    condition-axis call costs one pass over the weights, not one per
-    condition.
+    call costs one pass over the weights, not one per condition.
     """
 
     def __init__(self, params: MlpParams):
@@ -176,13 +175,10 @@ class MlpBackend(DenoiserBackend):
     def seq_shape(self) -> tuple[int, int]:
         return (self.arch.n_frames, self.arch.frame_dim)
 
-    def _net(self, x_scaled: np.ndarray, c_noise: float, cond: Conditions) -> np.ndarray:
+    def _net(self, x_scaled: np.ndarray, c_noise: float, conds: tuple[Condition, ...]) -> np.ndarray:
         # One input row per sequence of the input, all in one forward pass.
         lead = x_scaled.shape[:-2]
-        if isinstance(cond, Condition):
-            frames = cond.frame
-        else:
-            frames = _on_condition_axis(np.stack([c.frame for c in cond]), len(lead) + 1)
+        frames = _on_condition_axis(np.stack([c.frame for c in conds]), len(lead) + 1)
         rows = np.concatenate([
             x_scaled.reshape(lead + (-1,)),
             np.broadcast_to(fourier_features(c_noise, self.arch.n_freq), lead + (self.arch.n_freq,)),
@@ -191,14 +187,14 @@ class MlpBackend(DenoiserBackend):
         out, _ = forward(self.params, rows.reshape(-1, self.arch.input_dim))
         return out.reshape(x_scaled.shape)
 
-    def predict_x0(self, x: np.ndarray, sigma: float, cond: Conditions) -> np.ndarray:
+    def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-2:] != self.seq_shape:
             raise ValueError(f"sequence shape {x.shape} does not match network {self.seq_shape}")
-        for c in (cond,) if isinstance(cond, Condition) else cond:
+        for c in conds:
             if c.frame.shape != (self.arch.cond_dim,):
                 raise ValueError(f"condition dim {c.frame.shape[0]} does not match network ({self.arch.cond_dim})")
-        return precondition_apply(self._net, x, sigma, cond, self.arch.sigma_data)
+        return precondition_apply(self._net, x, sigma, conds, self.arch.sigma_data)
 
 
 @dataclass(frozen=True)

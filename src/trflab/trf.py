@@ -4,11 +4,13 @@ One latent is denoised along two conditional paths at once: a forward path
 conditioned on the start frame, and a backward path that sees the
 frame-reversed latent conditioned on the end frame. Both paths go to the
 denoiser as one call, stacked on the contract's condition axis, and take
-one Euler step together. After every step the
-two predictions are fused frame-by-frame with weights that hand the start
-of the sequence to the forward path and the end to the backward path; the
-fused result is the closed-form minimizer of a weighted least-squares
-objective over both paths. Above a cutoff step, noise re-injection repeats
+one Euler step together. After every step :func:`fuse` combines the two
+predictions frame-by-frame with weights that hand the start of the
+sequence to the forward path and the end to the backward path; the fused
+result is the closed-form minimizer of :func:`fusion_objective`, a
+weighted least-squares objective over both paths. Both act on a sequence
+or on a batch of them, and check only shapes: the schedule walk already
+rejects non-finite latents. Above a cutoff step, noise re-injection repeats
 the denoise-and-fuse cycle M times per step while stochasticity is still
 high, RePaint-style: each round re-noises the fused state and denoises it
 again along both paths. Where the paths disagree this smooths the expected
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngBatch, RngStream, as_frame, as_sequence, normal_rows, reverse, row_hashes
+from .core import RngBatch, RngStream, as_frame, normal_rows, reverse, sequence_hash
 from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend
 from .sampler import STREAM_REINJECT, StepRecord, StepTrace, _euler_from_denoised, _walk, sample
 from .schedule import ChurnParams, NoiseSchedule, injection_std
@@ -117,38 +119,30 @@ class TrfConfig:
 def fuse(x_fwd: np.ndarray, x_bwd: np.ndarray, alpha: AlphaSchedule) -> np.ndarray:
     """Frame-wise weighted average of the forward path and the reversed backward path.
 
-    Output frame n is alpha_n * x_fwd[n] + (1 - alpha_n) * x_bwd[N-1-n].
+    Output frame n is alpha_n * x_fwd[n] + (1 - alpha_n) * x_bwd[N-1-n],
+    frames on axis -2 of an (N, d) sequence or of a (..., N, d) batch.
     With pinned endpoint weights this hands frame 0 to the forward path and
     frame N-1 to the backward path exactly.
     """
-    x_fwd = as_sequence(x_fwd)
-    x_bwd = as_sequence(x_bwd, n_frames=x_fwd.shape[0], dim=x_fwd.shape[1])
-    if alpha.n_frames != x_fwd.shape[0]:
-        raise ValueError(f"alpha has {alpha.n_frames} weights for {x_fwd.shape[0]} frames")
-    return _fuse(x_fwd, x_bwd, alpha)
-
-
-def _fuse(x_fwd: np.ndarray, x_bwd: np.ndarray, alpha: AlphaSchedule) -> np.ndarray:
-    # Unvalidated fuse on axis -2, for sequences and batches alike.
+    if x_bwd.shape != x_fwd.shape or x_fwd.shape[-2:-1] != (alpha.n_frames,):
+        raise ValueError(f"cannot fuse paths of shapes {x_fwd.shape} and {x_bwd.shape} "
+                         f"with {alpha.n_frames} weights")
     w = alpha.weights[:, None]
     return w * x_fwd + (1.0 - w) * x_bwd[..., ::-1, :]
 
 
 def fusion_objective(x: np.ndarray, x_fwd: np.ndarray, x_bwd: np.ndarray,
-                     alpha: AlphaSchedule) -> float:
+                     alpha: AlphaSchedule) -> np.ndarray:
     """Weighted least-squares disagreement of x with both paths.
 
-    sum_n [ alpha_n ||x[n] - x_fwd[n]||^2 + (1-alpha_n) ||x[n] - x_bwd[N-1-n]||^2 ].
-    Because the two weights sum to 1 per frame, fuse() is the exact argmin.
+    sum_n [ alpha_n ||x[n] - x_fwd[n]||^2 + (1-alpha_n) ||x[n] - x_bwd[N-1-n]||^2 ]
+    over the trailing (N, d) axes: a scalar for a sequence, one value per
+    chain for a batch. Because the two weights sum to 1 per frame, fuse()
+    is the exact argmin.
     """
-    x = as_sequence(x)
-    x_fwd = as_sequence(x_fwd, n_frames=x.shape[0], dim=x.shape[1])
-    x_bwd = as_sequence(x_bwd, n_frames=x.shape[0], dim=x.shape[1])
-    return float(_fusion_objective(x, x_fwd, x_bwd, alpha))
-
-
-def _fusion_objective(x, x_fwd, x_bwd, alpha: AlphaSchedule) -> np.ndarray:
-    # Unvalidated objective over the trailing (N, d) axes; one value per chain.
+    if not x.shape == x_fwd.shape == x_bwd.shape or x.shape[-2:-1] != (alpha.n_frames,):
+        raise ValueError(f"cannot score paths of shapes {x.shape}, {x_fwd.shape} and "
+                         f"{x_bwd.shape} against {alpha.n_frames} weights")
     w = alpha.weights
     fwd_term = ((x - x_fwd) ** 2).sum(axis=-1)
     bwd_term = ((x - x_bwd[..., ::-1, :]) ** 2).sum(axis=-1)
@@ -194,7 +188,7 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
         both[1] = x_in[..., ::-1, :]
         fwd, bwd = _euler_from_denoised(both, sigma_in, sigma_next,
                                         backend.predict_x0(both, sigma_in, conds))
-        return fwd, bwd, _fuse(fwd, bwd, cfg.alpha)
+        return fwd, bwd, fuse(fwd, bwd, cfg.alpha)
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         fwd, bwd, x = fused(x_hat, sigma_hat, sigma_next)
@@ -210,8 +204,8 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
         diag = {}
         if diagnostics:
             gap = (fwd - reverse(bwd)).reshape(fwd.shape[:-2] + (-1,))
-            diag = dict(latent_hash=row_hashes(x_hat), denoised_hash=row_hashes(x),
-                        objective=_fusion_objective(x, fwd, bwd, cfg.alpha).tolist(),
+            diag = dict(latent_hash=sequence_hash(x_hat), denoised_hash=sequence_hash(x),
+                        objective=fusion_objective(x, fwd, bwd, cfg.alpha).tolist(),
                         disagreement=np.linalg.norm(gap, axis=-1).tolist())
         return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
                              fusions=fusions, **diag)
@@ -254,7 +248,7 @@ def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Con
     over_rows = iter(normal_rows(rng.split(STREAM_REINJECT), schedule.n_steps, (dim,)))
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
-        denoised = backend.predict_x0(x_hat, sigma_hat, c_s)
+        denoised = backend.predict_x0(x_hat[None], sigma_hat, (c_s,))[0]
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
         x[..., -1, :] = end + sigma_next * next(over_rows)
         return x, None

@@ -46,6 +46,8 @@ from trflab.worlds import (
     conditional_moments,
 )
 
+from helpers import FrameReversedRng
+
 
 class ZeroNoiseRng:
     """RngStream stand-in whose every draw is zero: on an affine denoiser
@@ -56,22 +58,6 @@ class ZeroNoiseRng:
 
     def normal(self, shape):
         return np.zeros(shape)
-
-
-class FrameReversedRng:
-    """RngStream adapter that frame-reverses every sequence-shaped draw,
-    an (N, d) draw or an (n, N, d) table of them, along its frame axis -2;
-    the noise half of time-reversal symmetry."""
-
-    def __init__(self, base):
-        self._base = base
-
-    def split(self, label):
-        return FrameReversedRng(self._base.split(label))
-
-    def normal(self, shape):
-        draw = self._base.normal(shape)
-        return draw[..., ::-1, :].copy() if draw.ndim >= 2 else draw
 
 
 def _report(num, name, ok, detail):

@@ -37,6 +37,8 @@ from trflab.core import normal_rows
 from trflab.sampler import churn_perturb
 from trflab.train import init_params
 
+from helpers import FrameReversedRng
+
 SEEDS = list(range(100, 116))
 
 
@@ -145,9 +147,9 @@ def test_output_bytes_do_not_depend_on_the_seed_list(tmp_path, world, command):
 
 
 class NanBelow:
-    """Wraps a backend; puts a NaN into row ``row`` of its prediction
-    (the only sequence when unbatched) at every level up to ``sigma_bad``,
-    in every slice of a condition-axis call."""
+    """Wraps a backend; puts a NaN into row ``row`` (axis -3) of its
+    prediction (the only sequence when unbatched) at every level up to
+    ``sigma_bad``, in every slice of the condition axis."""
 
     def __init__(self, base, sigma_bad, row=0):
         self.base = base
@@ -155,11 +157,11 @@ class NanBelow:
         self.row = row
         self.seq_shape = base.seq_shape
 
-    def predict_x0(self, x, sigma, cond):
-        out = self.base.predict_x0(x, sigma, cond)
+    def predict_x0(self, x, sigma, conds):
+        out = self.base.predict_x0(x, sigma, conds)
         if sigma <= self.sigma_bad:
-            for pred in (out,) if isinstance(cond, Condition) else out:
-                (pred[self.row] if pred.ndim == 3 else pred)[0, 0] = np.nan
+            for pred in out:
+                pred[(..., self.row, 0, 0) if pred.ndim > 2 else (0, 0)] = np.nan
         return out
 
 
@@ -181,6 +183,15 @@ def test_non_finite_latent_names_sampler_step_and_seed(kind):
 
     with pytest.raises(RuntimeError, match=f"t={t_bad} .*seed 42$"):
         _run(kind, NanBelow(backend, sigma_bad), start, end, RngStream(42))
+
+
+def test_non_finite_latent_in_a_wrapped_batch_names_the_chain():
+    # A wrapper around an RngBatch has no per-seed streams to name.
+    backend, start, end = _gp()
+    sigma_bad = 1.2 * build_karras(12, 0.01, 20.0).sigma_at(7)
+    with pytest.raises(RuntimeError, match=r"t=7 .*for chain 5$"):
+        _run("trf", NanBelow(backend, sigma_bad, row=5), start, end,
+             FrameReversedRng(RngBatch.from_seeds(SEEDS)))
 
 
 def test_cli_exits_2_on_a_non_finite_latent(tmp_path, monkeypatch, capsys):

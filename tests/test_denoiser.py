@@ -233,7 +233,7 @@ class TestPrecondition:
             return np.ones_like(x_in)
 
         x = np.array([[1.0, -2.0]])
-        out = precondition_apply(net, x, 1.0, Condition(np.zeros(2)), sigma_data=0.5)
+        out = precondition_apply(net, x, 1.0, (Condition(np.zeros(2)),), sigma_data=0.5)
         np.testing.assert_allclose(seen["x_in"], x / np.sqrt(1.25), atol=1e-15)
         assert seen["c_noise"] == 0.0
         np.testing.assert_allclose(out, 0.2 * x + 0.5 / np.sqrt(1.25), atol=1e-15)
@@ -251,7 +251,7 @@ class TestPrecondition:
             return np.zeros_like(x_in)
 
         x = np.array([[3.0, -1.0]])
-        out = precondition_apply(net_zero, x, 0.5, Condition(np.zeros(2)), sigma_data=0.5)
+        out = precondition_apply(net_zero, x, 0.5, (Condition(np.zeros(2)),), sigma_data=0.5)
         np.testing.assert_allclose(out, 0.5 * x, atol=1e-15)
 
     def test_zero_network_gives_skip_path(self):
@@ -262,7 +262,7 @@ class TestPrecondition:
         for sigma in (0.1, 1.0, 7.0):
             c_skip = 0.25 / (sigma ** 2 + 0.25)
             np.testing.assert_allclose(
-                precondition_apply(net_zero, x, sigma, Condition(np.zeros(1)), 0.5),
+                precondition_apply(net_zero, x, sigma, (Condition(np.zeros(1)),), 0.5),
                 c_skip * x,
                 atol=1e-15,
             )
@@ -274,12 +274,12 @@ class TestPrecondition:
             seen["c_noise"] = c_noise
             return np.zeros_like(x_in)
 
-        precondition_apply(net, np.zeros((1, 1)), 3.0, Condition(np.zeros(1)), 0.5)
+        precondition_apply(net, np.zeros((1, 1)), 3.0, (Condition(np.zeros(1)),), 0.5)
         np.testing.assert_allclose(seen["c_noise"], np.log(3.0) / 4.0, atol=1e-15)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
-            precondition_apply(lambda x, s, c: x, np.zeros((1, 1)), 0.0, Condition(np.zeros(1)), 0.5)
+            precondition_apply(lambda x, s, c: x, np.zeros((1, 1)), 0.0, (Condition(np.zeros(1)),), 0.5)
 
 
 class TestAnalyticBackends:
@@ -293,7 +293,7 @@ class TestAnalyticBackends:
         x = rng.normal((5, 2))
         for sigma in (0.3, 1.0, 4.0):
             np.testing.assert_allclose(
-                backend.predict_x0(x, sigma, cond), direct.posterior_x0(x, sigma), atol=1e-10
+                backend.predict_x0(x[None], sigma, (cond,))[0], direct.posterior_x0(x, sigma), atol=1e-10
             )
         assert backend.seq_shape == (5, 2)
 
@@ -302,17 +302,17 @@ class TestAnalyticBackends:
         backend = AnalyticGaussianBackend(world)
         c1 = Condition(np.array([1.0]))
         c2 = Condition(np.array([1.0]))
-        assert backend.mean_for(c1) is backend.mean_for(c2)
+        assert backend.mean_for((c1,)) is backend.mean_for((c2,))
         x = RngStream(9).normal((4, 1))
-        first = backend.predict_x0(x, 0.8, c1)
-        second = backend.predict_x0(x, 0.8, c2)
+        first = backend.predict_x0(x[None], 0.8, (c1,))[0]
+        second = backend.predict_x0(x[None], 0.8, (c2,))[0]
         np.testing.assert_array_equal(first, second)
 
     def test_gaussian_backend_sigma_zero(self):
         world = PinnedGaussianProcessWorld(a=0.7, q=0.4, dim=1, n_frames=4)
         backend = AnalyticGaussianBackend(world)
         x = RngStream(2).normal((4, 1))
-        np.testing.assert_array_equal(backend.predict_x0(x, 0.0, Condition(np.array([0.3]))), x)
+        np.testing.assert_array_equal(backend.predict_x0(x[None], 0.0, (Condition(np.array([0.3])),))[0], x)
 
     def test_gmm_backend_matches_conditional_mixture(self):
         world = TrajectoryGmmWorld.arcs(n_frames=6, tau=0.1)
@@ -322,7 +322,7 @@ class TestAnalyticBackends:
         x = RngStream(4).normal((6, 2))
         for sigma in (0.5, 2.0):
             np.testing.assert_allclose(
-                backend.predict_x0(x, sigma, cond), direct.posterior_x0(x, sigma), atol=1e-12
+                backend.predict_x0(x[None], sigma, (cond,))[0], direct.posterior_x0(x, sigma), atol=1e-12
             )
         assert backend.seq_shape == (6, 2)
 
@@ -334,9 +334,9 @@ class TestPerFrameConditionBackend:
         conds = [Condition(np.array([v])) for v in (0.0, 0.5, 1.0)]
         composed = PerFrameConditionBackend(base, conds)
         x = RngStream(7).normal((3, 1))
-        out = composed.predict_x0(x, 0.7, conds[0])
+        out = composed.predict_x0(x[None], 0.7, (conds[0],))[0]
         for n in range(3):
-            np.testing.assert_array_equal(out[n], base.predict_x0(x, 0.7, conds[n])[n])
+            np.testing.assert_array_equal(out[n], base.predict_x0(x[None], 0.7, (conds[n],))[0][n])
         assert composed.seq_shape == (3, 1)
 
 
@@ -361,7 +361,7 @@ def _condition_axis_cases():
 
 
 class TestConditionAxis:
-    """Slice c of a condition-axis call is the single-condition call on slice c.
+    """Slice c of a C-condition call is the one-condition call on slice c.
 
     Bit for bit, with one exception: an unbatched MLP call on one (N, d)
     slice is a one-row forward pass, which numpy hands to BLAS's
@@ -378,7 +378,7 @@ class TestConditionAxis:
             out = backend.predict_x0(x, sigma, conds)
             assert out.shape == x.shape
             for c, cond in enumerate(conds):
-                single = backend.predict_x0(x[c], sigma, cond)
+                single = backend.predict_x0(x[c][None], sigma, (cond,))[0]
                 if name == "mlp" and not lead:
                     np.testing.assert_allclose(out[c], single, rtol=0, atol=1e-12)
                 else:
@@ -390,4 +390,4 @@ class TestConditionAxis:
         assert stacked.shape == (3, 5, 2)
         assert backend.mean_for(tuple(Condition(c.frame.copy()) for c in conds)) is stacked
         for c, cond in enumerate(conds):
-            np.testing.assert_array_equal(stacked[c], backend.mean_for(cond))
+            np.testing.assert_array_equal(stacked[c], backend.mean_for((cond,))[0])

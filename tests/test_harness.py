@@ -17,7 +17,6 @@ from trflab.harness import (
     ExperimentConfig,
     ExperimentManifest,
     apply_overrides,
-    canonical_json,
     evaluate_run,
     export_frames_pgm,
     export_tensor,
@@ -29,7 +28,7 @@ from trflab.harness import (
 )
 from trflab.schedule import ChurnParams
 from trflab.train import ArchDescriptor, TrainConfig, init_params, save_checkpoint
-from trflab.worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWorld
+from trflab.worlds import MovingBlobWorld, PinnedGaussianProcessWorld
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -381,6 +380,23 @@ class TestRunExperiment:
         assert m1.outputs == m2.outputs
         assert m1.fingerprint() == m2.fingerprint()
 
+    def test_fingerprint_ignores_where_the_checkpoint_lives(self, tmp_path):
+        # The output digests pin what the checkpoint produced, so one
+        # checkpoint copied into two directories gives one fingerprint.
+        arch = ArchDescriptor(n_frames=4, frame_dim=1, cond_dim=1, hidden=2, n_freq=2)
+        first = tmp_path / "a" / "net.trfw"
+        first.parent.mkdir()
+        save_checkpoint(init_params(arch, RngStream(0)), first)
+        second = tmp_path / "b" / "net.trfw"
+        second.parent.mkdir()
+        second.write_bytes(first.read_bytes())
+        m1, m2 = (run_experiment(ExperimentConfig.from_dict(gp_raw(
+            sampler="trf", seeds=[0, 1], backend={"kind": "checkpoint", "path": str(path)},
+            out_dir=str(path.parent / "run")))) for path in (first, second))
+        assert m1.config["backend"] != m2.config["backend"]
+        assert m1.outputs == m2.outputs
+        assert m1.fingerprint() == m2.fingerprint()
+
     def test_bounded_sampler_needs_end_condition(self, tmp_path):
         raw = gp_raw(sampler="trf", out_dir=str(tmp_path / "run"))
         raw["conditions"]["end"] = None
@@ -593,10 +609,10 @@ class TestCli:
     def test_commands_hash_no_trace(self, tmp_path, monkeypatch, command):
         # Runs discard their step traces, so they must not pay for hashes.
         def fail(x):
-            raise AssertionError("row_hashes called")
+            raise AssertionError("sequence_hash called")
 
-        monkeypatch.setattr("trflab.sampler.row_hashes", fail)
-        monkeypatch.setattr("trflab.trf.row_hashes", fail)
+        monkeypatch.setattr("trflab.sampler.sequence_hash", fail)
+        monkeypatch.setattr("trflab.trf.sequence_hash", fail)
         cfg = self._write_config(tmp_path, gp_raw(seeds=[0, 1]))
         assert main(command + ["--config", cfg, "--out", str(tmp_path / "r")]) == 0
 

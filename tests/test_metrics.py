@@ -6,7 +6,6 @@ import pytest
 from trflab.core import RngStream
 from trflab.metrics import (
     MetricReport,
-    ModeCoverage,
     endpoint_error,
     energy_distance,
     mode_coverage,

@@ -68,7 +68,7 @@ class TestEdmEulerStep:
     """The Euler step every sampler takes, fed the unit-Gaussian prediction."""
 
     def _step(self, x, sigma_hat, sigma_next):
-        denoised = UnitGaussianBackend().predict_x0(x, sigma_hat, Condition(np.zeros(1)))
+        denoised = UnitGaussianBackend().predict_x0(x[None], sigma_hat, (Condition(np.zeros(1)),))[0]
         return _euler_from_denoised(x, sigma_hat, sigma_next, denoised)
 
     def test_hand_computed_unit_gaussian(self):
@@ -111,7 +111,7 @@ class TestSample:
 
         rng = RngStream(5).split(0)
         x_t = 10.0 * rng.normal((5, 2))
-        pred = self.backend.predict_x0(x_t, 10.0, self.cond)
+        pred = self.backend.predict_x0(x_t[None], 10.0, (self.cond,))[0]
         # After stepping to sigma ~ 0 the state is the prediction, and the
         # final step at sigma ~ 0 cannot move it measurably.
         npt.assert_allclose(x, pred, atol=1e-6)

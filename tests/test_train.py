@@ -130,7 +130,7 @@ class TestLoss:
         per_item = []
         for i, (seq, cond) in enumerate(batch):
             x_noisy = seq + sigmas[i] * noise[i]
-            d = backend.predict_x0(x_noisy, float(sigmas[i]), cond)
+            d = backend.predict_x0(x_noisy[None], float(sigmas[i]), (cond,))[0]
             lam = (sigmas[i] ** 2 + sd2) / (sigmas[i] * arch.sigma_data) ** 2
             per_item.append(lam * np.sum((d - seq) ** 2) / seq.size)
         np.testing.assert_allclose(loss, np.mean(per_item), rtol=1e-10)
@@ -197,11 +197,11 @@ class TestNetwork:
         assert backend.seq_shape == (2, 2)
         x = RngStream(7).normal((2, 2))
         cond = Condition(np.array([0.5, -0.5]))
-        out = backend.predict_x0(x, 0.7, cond)
+        out = backend.predict_x0(x[None], 0.7, (cond,))[0]
         assert out.shape == (2, 2)
-        np.testing.assert_array_equal(out, backend.predict_x0(x, 0.7, cond))
+        np.testing.assert_array_equal(out, backend.predict_x0(x[None], 0.7, (cond,))[0])
         with pytest.raises(ValueError):
-            backend.predict_x0(x, 0.7, Condition(np.zeros(3)))
+            backend.predict_x0(x[None], 0.7, (Condition(np.zeros(3)),))
 
     def test_arch_validation(self):
         with pytest.raises(ValueError):
@@ -344,8 +344,8 @@ class TestCheckpoint:
         x = RngStream(1).normal((2, 2))
         cond = Condition(np.zeros(2))
         np.testing.assert_array_equal(
-            MlpBackend(params).predict_x0(x, 0.5, cond),
-            MlpBackend(load_checkpoint(path)).predict_x0(x, 0.5, cond),
+            MlpBackend(params).predict_x0(x[None], 0.5, (cond,))[0],
+            MlpBackend(load_checkpoint(path)).predict_x0(x[None], 0.5, (cond,))[0],
         )
 
     def test_expected_size(self, tmp_path):

@@ -32,24 +32,7 @@ from trflab import (
 )
 from trflab.sampler import STREAM_CHURN, STREAM_INIT, STREAM_REINJECT
 
-
-class FrameReversedRng:
-    """RngStream adapter that frame-reverses every sequence-shaped draw.
-
-    Wrapping the root stream of a run with this is the noise half of the
-    time-reversal symmetry: same draws, opposite frame order. Frames are
-    axis -2 of an (N, d) draw and of an (n, N, d) table of n such draws.
-    """
-
-    def __init__(self, base):
-        self._base = base
-
-    def split(self, label):
-        return FrameReversedRng(self._base.split(label))
-
-    def normal(self, shape):
-        draw = self._base.normal(shape)
-        return draw[..., ::-1, :].copy() if draw.ndim >= 2 else draw
+from helpers import FrameReversedRng
 
 
 class TestAlphaWeights:
@@ -176,7 +159,7 @@ def alg1_reference(backend, sigmas, c_s, c_e, m_reinject, t0, s_churn, seed):
         return sigmas[n_steps - 1 - t] if t >= 0 else 0.0
 
     def euler(x, sig, sig_next, cond):
-        d = (x - backend.predict_x0(x, sig, cond)) / sig
+        d = (x - backend.predict_x0(x[None], sig, (cond,))[0]) / sig
         return x + (sig_next - sig) * d
 
     x = sigmas[0] * rng_init.normal((2, 1))
@@ -401,6 +384,41 @@ class TestTrfSample:
             assert shape == (2,) + lead + (8, 2)
             assert cond[0] is self.c_s and cond[1] is self.c_e and len(cond) == 2
 
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["stream", "batch"])
+    @pytest.mark.parametrize("sampler", ["sample", "inpaint"])
+    def test_single_path_calls_carry_a_condition_axis(self, sampler, lead):
+        # The single-path samplers use the one contract form too: a tuple
+        # of conditions, one per slice of the input's leading axis.
+        counting = Counting(self.backend)
+        sched = build_karras(10, 0.01, 20.0)
+        rng = RngBatch.from_seeds(range(lead[0])) if lead else RngStream(0)
+        if sampler == "sample":
+            sample(counting, sched, self.c_s, ChurnParams(), rng)
+        else:
+            baseline_inpaint(counting, sched, self.c_s, self.c_e.frame, rng)
+        assert len(counting.calls) == 10
+        for shape, cond in counting.calls:
+            assert shape == (1,) + lead + (8, 2)
+            assert type(cond) is tuple and len(cond) == shape[0] and cond[0] is self.c_s
+
+    @pytest.mark.parametrize("sampler", ["sample", "trf"])
+    def test_wrapped_batch_matches_wrapped_streams(self, sampler):
+        # An RNG that wraps a batch exposes only split and normal, so the
+        # samplers must take the batch from the draws' shape. Eight churned
+        # steps and eight seeds: a table read the wrong way still broadcasts.
+        sched = build_karras(10, 0.01, 20.0)
+        cfg = TrfConfig(alpha=self.alpha, m_reinject=2)
+        seeds = range(8)
+
+        def run(rng):
+            if sampler == "sample":
+                return sample(self.backend, sched, self.c_s, ChurnParams(), rng)[0]
+            return trf_sample(self.backend, sched, self.c_s, self.c_e, cfg, rng)[0]
+
+        batch = run(FrameReversedRng(RngBatch.from_seeds(seeds)))
+        for i, seed in enumerate(seeds):
+            npt.assert_array_equal(batch[i], run(FrameReversedRng(RngStream(seed))))
+
 
 class TestNoiseTables:
     """The fused sampler draws each substream once per run and uses it row by row."""
@@ -492,7 +510,7 @@ class TestBaselineConditionInterp:
                                   RngBatch.from_seeds(range(4)))
         assert len(counting.calls) == 7
         for shape, cond in counting.calls:
-            assert shape == (6, 4, 6, 2) and len(cond) == 6
+            assert shape == (6, 1, 4, 6, 2) and len(cond) == 6
             npt.assert_allclose([c.frame for c in cond], np.linspace(c_s.frame, c_e.frame, 6), atol=1e-15)
 
 def inpaint_reference(backend, sigmas, c_s, end, s_churn, seed):
@@ -520,7 +538,7 @@ def inpaint_reference(backend, sigmas, c_s, end, s_churn, seed):
             x_hat = x + math.sqrt(sig_hat**2 - sig**2) * rng_churn.normal((3, 1))
         else:
             sig_hat, x_hat = sig, x
-        d = (x_hat - backend.predict_x0(x_hat, sig_hat, c_s)) / sig_hat
+        d = (x_hat - backend.predict_x0(x_hat[None], sig_hat, (c_s,))[0]) / sig_hat
         x = x_hat + (sig_next - sig_hat) * d
         x[2] = end + sig_next * rng_over.normal((1,))
     return x
