@@ -9,7 +9,6 @@ machinery on learned weights.
 """
 
 from .core import (
-    NotSpdError,
     RngBatch,
     RngStream,
     as_frame,
@@ -18,7 +17,6 @@ from .core import (
     normal_rows,
     reverse,
     sequence_hash,
-    spd_solve,
 )
 from .schedule import (
     ChurnParams,

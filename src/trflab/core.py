@@ -1,4 +1,4 @@
-"""Sequence numerics, deterministic RNG streams, and small dense linear algebra.
+"""Sequence numerics and deterministic RNG streams.
 
 A *sequence* is an (N, d) float64 array: N frames of dimension d. A *frame*
 is a (d,) float64 array. The sampling loops also run on a *batch* of
@@ -10,11 +10,6 @@ import hashlib
 import os
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-
-
-class NotSpdError(ValueError):
-    """Raised when a matrix handed to :func:`spd_solve` is not symmetric positive definite."""
 
 
 def as_frame(x, dim: int | None = None) -> np.ndarray:
@@ -138,33 +133,6 @@ def normal_rows(rng: RngStream | RngBatch, n: int, shape) -> np.ndarray:
     """
     table = rng.normal((n,) + tuple(shape))
     return np.moveaxis(table, 1, 0) if table.ndim > len(shape) + 1 else table
-
-
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for symmetric positive-definite A via Cholesky.
-
-    Calls LAPACK's ``dpotrf``/``dpotrs`` directly, the routines behind
-    ``scipy.linalg.cho_factor``/``cho_solve``, with the same arguments.
-    Raises :class:`NotSpdError` when A is not square or the factorization
-    fails.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSpdError(f"matrix is not symmetric positive definite: expected a square "
-                          f"2-D matrix, got shape {a.shape}")
-    if b.shape[:1] != a.shape[:1]:
-        raise ValueError(f"right-hand side of shape {b.shape} does not match matrix {a.shape}")
-    factor, info = dpotrf(a, lower=1, clean=0)
-    if info > 0:
-        raise NotSpdError(f"matrix is not symmetric positive definite: "
-                          f"leading minor {info} is not positive definite")
-    if info < 0:
-        raise ValueError(f"dpotrf rejected argument {-info}")
-    x, info = dpotrs(factor, b, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs rejected argument {-info}")
-    return x
 
 
 def sequence_hash(x: np.ndarray) -> str | list[str]:

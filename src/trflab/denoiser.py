@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_frame, spd_solve
+from .core import as_frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,18 +155,20 @@ class AnalyticGaussianBackend(DenoiserBackend):
     covariance is kron(F, I_d) for the world's N x N frame covariance F,
     whatever the condition; only the mean depends on it. The posterior mean
     at level sigma is therefore mean + M_sigma (x - mean) with the frame map
-    M_sigma = F (F + sigma^2 I)^(-1) applied along the frame axis. Frame maps
-    are cached by sigma alone and shared by every condition, since samplers
-    revisit the same ladder of sigma values on both paths; the per-condition
-    mean comes from ``world.conditional_moments``. A call applies the frame
-    map once to the whole stack, with the stacked means cached per tuple of
-    conditions.
+    M_sigma = F (F + sigma^2 I)^(-1) applied along the frame axis. With
+    F = U diag(lam) U^T, eigendecomposed once per backend, every frame map
+    is M_sigma = U diag(lam / (lam + sigma^2)) U^T. Frame maps are cached by
+    sigma alone and shared by every condition, since samplers revisit the
+    same ladder of sigma values on both paths; the per-condition mean comes
+    from ``world.conditional_moments``. A call applies the frame map once to
+    the whole stack, with the stacked means cached per tuple of conditions.
     """
 
     def __init__(self, world):
         self.world = world
         self._means: dict[tuple[bytes, ...], np.ndarray] = {}
         self._factors: dict[float, np.ndarray] = {}
+        self._eigh: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def seq_shape(self) -> tuple[int, int]:
@@ -187,9 +189,10 @@ class AnalyticGaussianBackend(DenoiserBackend):
         key = float(sigma)
         m = self._factors.get(key)
         if m is None:
-            f = self.world.frame_cov
-            # (F + s^2 I)^(-1) F is M^T because F and F + s^2 I are symmetric.
-            m = spd_solve(f + key * key * np.eye(f.shape[0]), f).T
+            if self._eigh is None:
+                self._eigh = np.linalg.eigh(self.world.frame_cov)
+            lam, u = self._eigh
+            m = (u * (lam / (lam + key * key))) @ u.T
             self._factors[key] = m
         return m
 

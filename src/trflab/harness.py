@@ -73,11 +73,18 @@ def _dataclass_schema(cls) -> dict:
     return {f.name: (kinds[f.type], f.default) for f in fields(cls)}
 
 
-#: Every config section: key -> (kind, default[, choices]). A default of
-#: None makes the key optional, and an explicit null then means the same as
-#: leaving it out. A "section" value is checked against the entry named
-#: after its key; a world or backend section has a "kind" key, which picks
-#: the entry for its other keys.
+#: Every config section: key -> (kind, default[, limit]), where a string's
+#: limit is the tuple of its allowed values and a number's its upper bound.
+#: A default of None makes the key optional, and an explicit null then means
+#: the same as leaving it out. A "section" value is checked against the
+#: entry named after its key; a world or backend section has a "kind" key,
+#: which picks the entry for its other keys.
+#:
+#: The upper bounds keep every value a run computes far from float
+#: overflow, so a huge finite setting is a config error, not a failure
+#: after sampling: the initial latent has scale schedule.sigma_max, a GP
+#: world's frames scale with q, and churn multiplies its noise by s_noise.
+#: EDM (Karras et al. 2022) uses sigma_max = 80 and s_noise of 1 to 1.007.
 _SCHEMA = {
     "": {  # the config root
         "world": ("section", _REQUIRED),
@@ -95,7 +102,7 @@ _SCHEMA = {
     "world": {"kind": ("str", _REQUIRED, ("gp", "gmm", "blob"))},
     "trajectory": {"kind": ("str", _REQUIRED, ("gp", "gmm"))},
     "backend": {"kind": ("str", _REQUIRED, ("analytic", "checkpoint"))},
-    "gp": {"a": ("number", 1.0), "q": ("number", 0.3), "dim": ("int", 2), "n_frames": ("int", 16)},
+    "gp": {"a": ("number", 1.0), "q": ("number", 0.3, 1e3), "dim": ("int", 2), "n_frames": ("int", 16)},
     "gmm": {
         "n_frames": ("int", 16),
         "start": ("numbers", [-1.0, 0.0]),
@@ -116,10 +123,10 @@ _SCHEMA = {
     "schedule": {
         "n_steps": ("int", 25),
         "sigma_min": ("number", 0.002),
-        "sigma_max": ("number", 80.0),
+        "sigma_max": ("number", 80.0, 1e4),
         "rho": ("number", 7.0),
     },
-    "churn": _dataclass_schema(ChurnParams),
+    "churn": {**_dataclass_schema(ChurnParams), "s_noise": ("number", ChurnParams.s_noise, 10.0)},
     "trf": {
         "m_reinject": ("int", 2),
         "t0": ("int", None),
@@ -135,9 +142,9 @@ def _full_key(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _value(v, kind: str, key: str, choices=None):
-    """Config value ``v`` of key ``key`` checked against ``kind``; numbers
-    come back as finite floats."""
+def _value(v, kind: str, key: str, limit=None):
+    """Config value ``v`` of key ``key`` checked against ``kind`` and its
+    schema limit; numbers come back as finite floats."""
     if kind == "numbers":
         if not isinstance(v, list):
             raise ConfigError(f"config key '{key}' must be a list of numbers, got {type(v).__name__}")
@@ -150,8 +157,10 @@ def _value(v, kind: str, key: str, choices=None):
         if not abs(v) <= sys.float_info.max:
             raise ConfigError(f"config key '{key}' must be a finite number, got {v}")
         v = float(v)
-    if choices is not None and v not in choices:
-        raise ConfigError(f"config key '{key}' must be one of {list(choices)}, got {v!r}")
+        if limit is not None and v > limit:
+            raise ConfigError(f"config key '{key}' must be at most {limit:g}, got {v:g}")
+    elif limit is not None and v not in limit:
+        raise ConfigError(f"config key '{key}' must be one of {list(limit)}, got {v!r}")
     return v
 
 
@@ -169,7 +178,7 @@ def _section(d, path: str, schema: dict) -> dict:
 
 
 def _field(d: dict, key: str, spec: tuple, path: str):
-    kind, default, *choices = spec
+    kind, default, *limit = spec
     full = _full_key(path, key)
     v = d.get(key, default)
     if v is _REQUIRED:
@@ -182,7 +191,7 @@ def _field(d: dict, key: str, spec: tuple, path: str):
         return _seeds(v)
     if kind == "sweep":
         return _sweep(v)
-    return _value(v, kind, full, *choices)
+    return _value(v, kind, full, *limit)
 
 
 def _seeds(seeds) -> list:
@@ -211,10 +220,10 @@ def _sweep(sweep) -> dict:
     for axis, values in sweep.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"config key 'sweep.{axis}' must be a non-empty list")
-        kind, default, *choices = _SCHEMA[SWEEP_AXES[axis]][axis]
+        kind, default, *limit = _SCHEMA[SWEEP_AXES[axis]][axis]
         for i, v in enumerate(values):
             if v is not None or default is not None:
-                _value(v, kind, f"sweep.{axis}[{i}]", *choices)
+                _value(v, kind, f"sweep.{axis}[{i}]", *limit)
     return sweep
 
 

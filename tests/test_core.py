@@ -1,4 +1,4 @@
-"""Sequence numerics, RNG streams, and dense linear algebra."""
+"""Sequence numerics and RNG streams."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from trflab import (
-    NotSpdError,
     RngBatch,
     RngStream,
     as_frame,
@@ -16,7 +15,6 @@ from trflab import (
     normal_rows,
     reverse,
     sequence_hash,
-    spd_solve,
 )
 
 
@@ -153,67 +151,6 @@ class TestNormalRows:
         rng = RngStream(2)
         assert normal_rows(rng, 0, (4, 2)).shape == (0, 4, 2)
         npt.assert_array_equal(rng.normal((3,)), RngStream(2).normal((3,)))
-
-
-class TestSpdSolve:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        npt.assert_allclose(spd_solve(np.eye(2), b), b, atol=1e-14)
-
-    def test_scaled_identity(self):
-        b = np.array([2.0, -4.0])
-        npt.assert_allclose(spd_solve(2.0 * np.eye(2), b), b / 2.0, atol=1e-14)
-
-    def test_matches_2x2_adjugate_inverse(self):
-        # Closed-form 2x2 inverse: inv([[a,b],[b,c]]) = [[c,-b],[-b,a]]/(ac-b^2).
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            m = rng.normal(size=(2, 2))
-            a_mat = m @ m.T + 0.5 * np.eye(2)
-            rhs = rng.normal(size=2)
-            det = a_mat[0, 0] * a_mat[1, 1] - a_mat[0, 1] * a_mat[1, 0]
-            inv = (
-                np.array(
-                    [[a_mat[1, 1], -a_mat[0, 1]], [-a_mat[1, 0], a_mat[0, 0]]]
-                )
-                / det
-            )
-            npt.assert_allclose(spd_solve(a_mat, rhs), inv @ rhs, atol=1e-12)
-
-    def test_residual_up_to_dim_128(self):
-        rng = np.random.default_rng(3)
-        for dim in (4, 32, 128):
-            m = rng.normal(size=(dim, dim))
-            a_mat = m @ m.T + dim * np.eye(dim)
-            b = rng.normal(size=(dim, 3))
-            x = spd_solve(a_mat, b)
-            resid = np.linalg.norm(a_mat @ x - b) / np.linalg.norm(b)
-            assert resid < 1e-10
-
-    def test_non_spd_rejected(self):
-        with pytest.raises(NotSpdError):
-            spd_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
-
-    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
-    def test_non_square_rejected(self, shape):
-        with pytest.raises(NotSpdError, match="square 2-D"):
-            spd_solve(np.ones(shape), np.ones(2))
-
-    def test_mismatched_rhs_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            spd_solve(np.eye(2), np.ones(3))
-
-    def test_bit_identical_to_scipy_cho_solve(self):
-        import scipy.linalg
-
-        rng = np.random.default_rng(4)
-        for dim in (2, 16, 50):
-            m = rng.normal(size=(dim, dim))
-            a_mat = m @ m.T + 0.1 * np.eye(dim)
-            for b in (rng.normal(size=dim), rng.normal(size=(dim, 3)), a_mat):
-                factor = scipy.linalg.cho_factor(a_mat, lower=True, check_finite=False)
-                ref = scipy.linalg.cho_solve(factor, b, check_finite=False)
-                npt.assert_array_equal(spd_solve(a_mat, b), ref)
 
 
 class TestValidation:

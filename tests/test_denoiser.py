@@ -12,7 +12,7 @@ so neither test shares linear algebra with the implementation.
 import numpy as np
 import pytest
 
-from trflab.core import RngStream, as_sequence, spd_solve
+from trflab.core import RngStream, as_sequence
 from trflab.denoiser import (
     AnalyticGaussianBackend,
     AnalyticGmmBackend,
@@ -22,6 +22,7 @@ from trflab.denoiser import (
     edm_scalings,
     precondition_apply,
 )
+from trflab.schedule import build_karras
 from trflab.worlds import PinnedGaussianProcessWorld, TrajectoryGmmWorld
 
 
@@ -55,7 +56,7 @@ class GaussianWorldDenoiser:
             # cov (cov + 0)^-1 is the identity; the observation is already clean.
             return x.copy()
         resid = x.reshape(-1) - self.mean
-        sol = spd_solve(self.cov + sigma * sigma * self._eye, resid)
+        sol = np.linalg.solve(self.cov + sigma * sigma * self._eye, resid)
         return (self.mean + self.cov @ sol).reshape(n_frames, dim)
 
 
@@ -307,6 +308,26 @@ class TestAnalyticBackends:
         first = backend.predict_x0(x[None], 0.8, (c1,))[0]
         second = backend.predict_x0(x[None], 0.8, (c2,))[0]
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("a", [1.0, 0.8, 0.3])
+    def test_gaussian_frame_map_matches_a_direct_solve(self, a):
+        backend = AnalyticGaussianBackend(PinnedGaussianProcessWorld(a=a, q=0.3, dim=2, n_frames=16))
+        f = backend.world.frame_cov
+        for sigma in [*build_karras(100, 0.002, 80.0).sigmas, 1e-4]:
+            ref = np.linalg.solve(f + sigma * sigma * np.eye(16), f).T
+            np.testing.assert_allclose(backend.frame_map(sigma), ref, rtol=0, atol=1e-12)
+
+    def test_gaussian_frame_maps_share_one_eigendecomposition(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        backend = AnalyticGaussianBackend(PinnedGaussianProcessWorld(a=0.9, q=0.3, dim=2, n_frames=6))
+        for k, sigma in enumerate((2.0, 0.5, 0.1), start=1):
+            backend.frame_map(sigma)
+            assert len(backend._factors) == k
+            backend.frame_map(sigma)
+            assert len(backend._factors) == k
+        assert len(calls) == 1
 
     def test_gaussian_backend_sigma_zero(self):
         world = PinnedGaussianProcessWorld(a=0.7, q=0.4, dim=1, n_frames=4)

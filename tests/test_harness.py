@@ -547,6 +547,9 @@ class TestCli:
         ("trf", "churn.s_noise=Infinity", r"'churn.s_noise' must be a finite number, got inf"),
         ("trf", "churn.s_tmax=Infinity", r"'churn.s_tmax' must be a finite number, got inf"),
         ("trf", "schedule.sigma_max=1e400", r"'schedule.sigma_max' must be a finite number"),
+        ("trf", "churn.s_noise=1e300", r"'churn.s_noise' must be at most 10, got 1e\+300"),
+        ("trf", "schedule.sigma_max=1e5", r"'schedule.sigma_max' must be at most 10000, got 100000"),
+        ("train", "world.q=1e4", r"'world.q' must be at most 1000, got 10000"),
         ("trf", "schedule.rho=1e-300", r"invalid 'schedule' config: "),
         ("train", "train.lr=-1", r"invalid 'train' config: lr must be >= 0"),
         ("train", "train.batch_size=0", r"invalid 'train' config: .*batch_size >= 1"),
@@ -593,13 +596,13 @@ class TestCli:
         assert main(["trf", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "error: ValueError: denoiser failed" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_failed_metric_exits_2_and_writes_no_trajectory(self, tmp_path, capsys):
-        # Churn noise scaled by 1e300 keeps the chains finite, but the
-        # endpoint error overflows to inf, which a metric report refuses.
+    def test_failed_metric_exits_2_and_writes_no_trajectory(self, tmp_path, capsys, monkeypatch):
+        # Sampling succeeds, but the endpoint error comes out as inf (as a
+        # huge finite end frame makes it), which a metric report refuses.
+        monkeypatch.setattr("trflab.harness.endpoint_error", lambda x, frame: np.inf)
         cfg = self._write_config(tmp_path, gp_raw())
         out = tmp_path / "r"
-        assert main(["trf", "--config", cfg, "--out", str(out), "--set", "churn.s_noise=1e300"]) == 2
+        assert main(["trf", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(out.iterdir()) == []
 

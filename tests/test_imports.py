@@ -1,12 +1,17 @@
-"""No module of the package or its tests imports a name it never uses.
+"""Imports: no unused names, and no scipy behind any command.
 
 The toolchain ships no linter, so this walks each module's syntax tree: a
 name bound by an import must appear as a name somewhere in the module.
 Package ``__init__.py`` files are skipped, since they import to re-export.
+The package depends on numpy alone; scipy's import would be most of a
+command's start-up time.
 """
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -41,3 +46,22 @@ def test_no_unused_imports_in_src_or_tests():
                     if unused:
                         found[os.path.relpath(path, ROOT)] = unused
     assert found == {}
+
+
+def test_a_trf_command_imports_no_scipy(tmp_path):
+    config = tmp_path / "gp.json"
+    config.write_text(json.dumps({
+        "world": {"kind": "gp", "a": 0.5, "q": 0.3, "dim": 1, "n_frames": 4},
+        "schedule": {"n_steps": 5}, "conditions": {"start": [1.0], "end": [0.5]},
+    }))
+    script = (
+        "import sys, trflab.cli\n"
+        f"rc = trflab.cli.main(['trf', '--config', {str(config)!r}, '--out', {str(tmp_path / 'run')!r}])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
