@@ -34,7 +34,7 @@ def _add_common(p: argparse.ArgumentParser, need_config=True):
     p.add_argument("--seeds", help="run an inclusive seed range A..B")
     p.add_argument("--out", help="output directory (overrides config out_dir)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="dotted-path config override, value parsed as JSON")
+                   metavar="KEY=VALUE", help="dotted-path config override, value read as the key's type")
 
 
 def _load_raw(args) -> dict:

@@ -66,6 +66,36 @@ class DenoiserBackend:
         raise NotImplementedError
 
 
+def _mixture_posterior(x, sigma, log_weights, means, sq_norms, variances):
+    """Responsibilities and posterior means under C isotropic Gaussian
+    mixtures at once, mixture c for the R observations of slice c of x.
+
+    ``x`` is (C, R, D) and ``means`` is (C, K, D); ``log_weights``, the
+    squared norms |mu_k|^2 in ``sq_norms`` and ``variances`` are (C, K). A
+    log-weight of -inf, a weight of 0, gives responsibility exactly 0.
+    With s_k = tau_k^2 / (tau_k^2 + sigma^2), the posterior mean
+    sum_k r_k (mu_k + s_k (x - mu_k)) is taken in expanded form,
+    sum_k r_k (1 - s_k) mu_k + (sum_k r_k s_k) x, and so is the squared
+    distance, |x|^2 - 2 x.mu_k + |mu_k|^2, so no (R, K, D) array is built.
+    Every product is one row's, (1, D) @ (D, K) or (1, K) @ (K, D): a
+    product over many rows would take BLAS's matrix-matrix kernel, which
+    rounds differently, and a row's result would depend on the batch.
+    Returns the (C, R, K) responsibilities and the (C, R, D) means.
+    """
+    rows = x[:, :, None, :]  # (C, R, 1, D)
+    total_var = variances + sigma * sigma  # (C, K)
+    quad = rows @ x[..., None] - 2.0 * (rows @ np.swapaxes(means, 1, 2)[:, None]) + sq_norms[:, None, None]
+    log_norm = log_weights - 0.5 * x.shape[-1] * np.log(2.0 * np.pi * total_var)
+    log_lik = log_norm[:, None, None] - 0.5 * quad / total_var[:, None, None]  # (C, R, 1, K)
+    log_lik -= log_lik.max(axis=-1, keepdims=True)
+    r = np.exp(log_lik)
+    r /= r.sum(axis=-1, keepdims=True)
+    shrink = variances / total_var
+    mean = (r * (1.0 - shrink)[:, None, None]) @ means[:, None]
+    mean += (r @ shrink[:, None, :, None]) * rows
+    return r[:, :, 0], mean[:, :, 0]
+
+
 class GmmWorldDenoiser:
     """Exact posterior mean under an isotropic Gaussian-mixture world.
 
@@ -74,7 +104,8 @@ class GmmWorldDenoiser:
     sum_k r_k(x) m_k(x) with responsibilities
     r_k proportional to w_k N(x; mu_k, (tau_k^2 + sigma^2) I), evaluated in
     log space, and per-component shrinkage
-    m_k = mu_k + tau_k^2 / (tau_k^2 + sigma^2) (x - mu_k).
+    m_k = mu_k + tau_k^2 / (tau_k^2 + sigma^2) (x - mu_k). A component of
+    weight 0 takes no part: its responsibility is exactly 0.
     """
 
     def __init__(self, weights, means, variances):
@@ -85,27 +116,30 @@ class GmmWorldDenoiser:
             raise ValueError("means must be (K, N*d) with one row per weight")
         if self.variances.shape != self.weights.shape:
             raise ValueError("need one variance per component")
-        if np.any(self.weights <= 0) or not np.isclose(self.weights.sum(), 1.0, atol=1e-9):
-            raise ValueError("weights must be positive and sum to 1")
+        if np.any(self.weights < 0) or not np.isclose(self.weights.sum(), 1.0, atol=1e-9):
+            raise ValueError("weights must be non-negative and sum to 1")
         if np.any(self.variances <= 0):
             raise ValueError("component variances must be positive")
+        with np.errstate(divide="ignore"):
+            self.log_weights = np.log(self.weights)
+        self.sq_norms = np.einsum("kd,kd->k", self.means, self.means)
 
     @property
     def n_components(self) -> int:
         return self.weights.size
+
+    def _posterior(self, x_flat: np.ndarray, sigma: float):
+        """:func:`_mixture_posterior` on a length-1 condition axis."""
+        stack = (self.log_weights, self.means, self.sq_norms, self.variances)
+        return _mixture_posterior(x_flat.reshape(1, -1, x_flat.shape[-1]), sigma, *(a[None] for a in stack))
 
     def responsibilities(self, x_flat: np.ndarray, sigma: float) -> np.ndarray:
         """Posterior component probabilities of a noisy stacked observation.
 
         ``x_flat`` is (..., N*d); the result is (..., K).
         """
-        total_var = self.variances + sigma * sigma  # (K,)
-        quad = np.sum((x_flat[..., None, :] - self.means) ** 2, axis=-1)
-        dim = x_flat.shape[-1]
-        log_lik = np.log(self.weights) - 0.5 * quad / total_var - 0.5 * dim * np.log(2.0 * np.pi * total_var)
-        log_lik -= log_lik.max(axis=-1, keepdims=True)
-        r = np.exp(log_lik)
-        return r / r.sum(axis=-1, keepdims=True)
+        x_flat = np.asarray(x_flat, dtype=np.float64)
+        return self._posterior(x_flat, sigma)[0].reshape(x_flat.shape[:-1] + (self.n_components,))
 
     def posterior_x0(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Posterior mean of an (N, d) sequence or a (B, N, d) batch."""
@@ -117,10 +151,7 @@ class GmmWorldDenoiser:
         x_flat = x.reshape(x.shape[:-2] + (-1,))
         if x_flat.shape[-1] != self.means.shape[1]:
             raise ValueError(f"sequence size {x_flat.shape[-1]} does not match mixture size {self.means.shape[1]}")
-        r = self.responsibilities(x_flat, sigma)
-        shrink = self.variances / (self.variances + sigma * sigma)  # (K,)
-        comp_means = self.means + shrink[:, None] * (x_flat[..., None, :] - self.means)
-        return (r[..., None, :] @ comp_means).reshape(x.shape)
+        return self._posterior(x_flat, sigma)[1].reshape(x.shape)
 
 
 def edm_scalings(sigma, sigma_data: float):
@@ -206,30 +237,36 @@ class AnalyticGaussianBackend(DenoiserBackend):
 class AnalyticGmmBackend(DenoiserBackend):
     """Denoiser contract over a trajectory-mixture world, any conditioning frame.
 
-    A call denoises slice by slice of the condition axis into one output:
-    conditioning drops the components whose weight underflows, so the
-    conditions' mixtures need not have the same number of components.
+    The world's mixture under a condition keeps all K components of the
+    world, so the mixtures under C conditions stack into (C, K)
+    log-weights, squared mean norms and variances and (C, K, N*d) means,
+    cached per tuple of conditions, and a call denoises every slice of the
+    condition axis in one pass of :func:`_mixture_posterior`.
     """
 
     def __init__(self, world):
         self.world = world
-        self._denoisers: dict[bytes, GmmWorldDenoiser] = {}
+        self._mixtures: dict[tuple[bytes, ...], tuple[np.ndarray, ...]] = {}
 
     @property
     def seq_shape(self) -> tuple[int, int]:
         return self.world.seq_shape
 
-    def denoiser_for(self, cond: Condition) -> GmmWorldDenoiser:
-        key = cond.key()
-        if key not in self._denoisers:
-            self._denoisers[key] = self.world.conditional_gmm(cond)
-        return self._denoisers[key]
+    def mixture_for(self, conds: tuple[Condition, ...]) -> tuple[np.ndarray, ...]:
+        """The world's mixtures under C conditions, stacked: (log-weights,
+        means, squared mean norms, variances)."""
+        key = tuple(c.key() for c in conds)
+        stack = self._mixtures.get(key)
+        if stack is None:
+            mixes = [self.world.conditional_gmm(c) for c in conds]
+            stack = (np.stack([m.log_weights for m in mixes]), np.stack([m.means for m in mixes]),
+                     np.stack([m.sq_norms for m in mixes]), np.stack([m.variances for m in mixes]))
+            self._mixtures[key] = stack
+        return stack
 
     def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
-        out = np.empty(x.shape)
-        for c, cond_c in enumerate(conds):
-            out[c] = self.denoiser_for(cond_c).posterior_x0(x[c], sigma)
-        return out
+        x_flat = x.reshape(len(conds), -1, x.shape[-2] * x.shape[-1])
+        return _mixture_posterior(x_flat, sigma, *self.mixture_for(conds))[1].reshape(x.shape)
 
 
 class PerFrameConditionBackend(DenoiserBackend):

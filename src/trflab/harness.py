@@ -74,16 +74,18 @@ def _dataclass_schema(cls) -> dict:
 
 
 #: Every config section: key -> (kind, default[, limit]), where a string's
-#: limit is the tuple of its allowed values and a number's its upper bound.
+#: limit is the tuple of its allowed values and a number's, or each of a
+#: list of numbers', its largest magnitude.
 #: A default of None makes the key optional, and an explicit null then means
 #: the same as leaving it out. A "section" value is checked against the
 #: entry named after its key; a world or backend section has a "kind" key,
 #: which picks the entry for its other keys.
 #:
-#: The upper bounds keep every value a run computes far from float
+#: These bounds keep every value a run computes far from float
 #: overflow, so a huge finite setting is a config error, not a failure
 #: after sampling: the initial latent has scale schedule.sigma_max, a GP
-#: world's frames scale with q, and churn multiplies its noise by s_noise.
+#: world's frames scale with q, churn multiplies its noise by s_noise, and
+#: a condition is a frame, so its entries share sigma_max's bound.
 #: EDM (Karras et al. 2022) uses sigma_max = 80 and s_noise of 1 to 1.007.
 _SCHEMA = {
     "": {  # the config root
@@ -133,7 +135,7 @@ _SCHEMA = {
         "alpha_kind": ("str", KIND_LINEAR, (KIND_LINEAR, KIND_EXPONENTIAL)),
         "alpha_lam": ("number", 4.0),
     },
-    "conditions": {"start": ("numbers", _REQUIRED), "end": ("numbers", None)},
+    "conditions": {"start": ("numbers", _REQUIRED, 1e4), "end": ("numbers", None, 1e4)},
     "train": _dataclass_schema(TrainConfig),
 }
 
@@ -148,7 +150,7 @@ def _value(v, kind: str, key: str, limit=None):
     if kind == "numbers":
         if not isinstance(v, list):
             raise ConfigError(f"config key '{key}' must be a list of numbers, got {type(v).__name__}")
-        return [_value(item, "number", f"{key}[{i}]") for i, item in enumerate(v)]
+        return [_value(item, "number", f"{key}[{i}]", limit) for i, item in enumerate(v)]
     types = {"number": (int, float), "int": int, "str": str, "bool": bool}[kind]
     if not isinstance(v, types) or (isinstance(v, bool) and kind != "bool"):
         raise ConfigError(f"config key '{key}' must be {kind}, got {type(v).__name__}")
@@ -159,6 +161,8 @@ def _value(v, kind: str, key: str, limit=None):
         v = float(v)
         if limit is not None and v > limit:
             raise ConfigError(f"config key '{key}' must be at most {limit:g}, got {v:g}")
+        if limit is not None and v < -limit:
+            raise ConfigError(f"config key '{key}' must be at least {-limit:g}, got {v:g}")
     elif limit is not None and v not in limit:
         raise ConfigError(f"config key '{key}' must be one of {list(limit)}, got {v!r}")
     return v
@@ -353,18 +357,50 @@ def _frame_condition(world, values: list, key: str) -> Condition:
     return Condition(frame)
 
 
+def _schema_kind(raw: dict, keys: list[str]) -> str | None:
+    """Schema kind of the key at dotted path ``keys`` of ``raw``, with a
+    world or backend section's keys picked by its kind as it stands in
+    ``raw``; None for a path the schema does not know."""
+    schema, node = _SCHEMA[""], raw
+    for key in keys[:-1]:
+        spec = schema.get(key)
+        if spec is None or spec[0] != "section":
+            return None
+        node = node.get(key, spec[1]) if isinstance(node, dict) else None
+        schema = _SCHEMA[key]
+        if "kind" in schema and isinstance(node, dict) and node.get("kind") in schema["kind"][2]:
+            schema = {**schema, **_SCHEMA[node["kind"]]}
+    spec = schema.get(keys[-1])
+    return spec[0] if spec else None
+
+
+def _override_value(text: str, kind: str | None):
+    """The value of ``--set key=text``: the raw text for a string key, else
+    the text read as JSON, else, for a number key, as a Python float, else
+    the raw text, which the key's type check then rejects."""
+    if kind == "str":
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    if kind == "number":
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    return text
+
+
 def apply_overrides(raw: dict, assignments: list[str]) -> dict:
-    """Apply --set key.path=value pairs (values parsed as JSON, else strings)."""
+    """Apply --set key.path=value pairs, each value read as its schema key's type."""
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key_path, _, text = item.partition("=")
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError:
-            value = text
-        node = raw
         keys = key_path.split(".")
+        value = _override_value(text, _schema_kind(raw, keys))
+        node = raw
         for key in keys[:-1]:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):

@@ -199,18 +199,15 @@ class TrajectoryGmmWorld:
 
         Components are reweighted by their frame-0 likelihood and their
         frame-0 mean is replaced by cond; the isotropic tau is retained.
+        Every component is kept, one whose weight underflows with weight
+        exactly 0, so the mixtures under all conditions share one K.
         """
         frame = as_frame(cond.frame, dim=self.dim)
-        post = self.posterior_component_weights(cond)
         means = self.components.copy()
         means[:, 0, :] = frame[None, :]
-        # Components whose posterior weight underflowed to zero carry no
-        # probability mass; drop them so the mixture stays well-formed.
-        keep = post > 0
-        post = post[keep] / post[keep].sum()
-        means = means[keep]
         kc = means.shape[0]
-        return GmmWorldDenoiser(post, means.reshape(kc, -1), np.full(kc, self.tau ** 2))
+        return GmmWorldDenoiser(self.posterior_component_weights(cond), means.reshape(kc, -1),
+                                np.full(kc, self.tau ** 2))
 
     def sample_sequence(self, cond: Condition, rng: RngStream) -> np.ndarray:
         """Draw a route from the posterior weights, jitter it, pin frame 0."""

@@ -1,7 +1,10 @@
 """Denoiser backends against independent oracles.
 
 ``GaussianWorldDenoiser`` below is the reference (N*d)-dimensional
-posterior solve that the frame-map Gaussian backend is checked against.
+posterior solve that the frame-map Gaussian backend is checked against,
+and ``DifferenceFormMixture`` the reference mixture posterior, built from
+the differences x - mu_k, that the expanded-form mixture backend is
+checked against.
 
 The Gaussian-world posterior mean is checked against a self-normalized
 importance-sampling estimate (prior draws reweighted by the observation
@@ -11,6 +14,8 @@ so neither test shares linear algebra with the implementation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trflab.core import RngStream, as_sequence
 from trflab.denoiser import (
@@ -58,6 +63,44 @@ class GaussianWorldDenoiser:
         resid = x.reshape(-1) - self.mean
         sol = np.linalg.solve(self.cov + sigma * sigma * self._eye, resid)
         return (self.mean + self.cov @ sol).reshape(n_frames, dim)
+
+
+class DifferenceFormMixture:
+    """Exact posterior mean under one isotropic Gaussian mixture, in
+    difference form: the squared distances and the component means are
+    taken from the (..., K, N*d) differences x - mu_k. A component of
+    weight 0 gets responsibility 0."""
+
+    def __init__(self, weights, means, variances):
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.means = np.asarray(means, dtype=np.float64)
+        self.variances = np.asarray(variances, dtype=np.float64)
+
+    def responsibilities(self, x_flat: np.ndarray, sigma: float) -> np.ndarray:
+        total_var = self.variances + sigma * sigma  # (K,)
+        quad = np.sum((x_flat[..., None, :] - self.means) ** 2, axis=-1)
+        dim = x_flat.shape[-1]
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self.weights)
+        log_lik = log_w - 0.5 * quad / total_var - 0.5 * dim * np.log(2.0 * np.pi * total_var)
+        log_lik -= log_lik.max(axis=-1, keepdims=True)
+        r = np.exp(log_lik)
+        return r / r.sum(axis=-1, keepdims=True)
+
+    def posterior_x0(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        x_flat = x.reshape(x.shape[:-2] + (-1,))
+        r = self.responsibilities(x_flat, sigma)
+        shrink = self.variances / (self.variances + sigma * sigma)  # (K,)
+        comp_means = self.means + shrink[:, None] * (x_flat[..., None, :] - self.means)
+        return (r[..., None, :] @ comp_means).reshape(x.shape)
+
+
+def _difference_form(mix: GmmWorldDenoiser) -> DifferenceFormMixture:
+    return DifferenceFormMixture(mix.weights, mix.means, mix.variances)
+
+
+#: Every noise level of a 100-step Karras ladder, and the schema's largest sigma_max.
+LADDER = [*build_karras(100, 0.002, 80.0).sigmas, 1e4]
 
 
 class TestCondition:
@@ -208,9 +251,31 @@ class TestGmmPosterior:
         prior_mean = 0.4 * -1.0 + 0.6 * 2.0
         np.testing.assert_allclose(d.posterior_x0(np.array([[5.0]]), 1e6), [[prior_mean]], atol=1e-4)
 
+    def test_underflowed_components_get_weight_and_responsibility_zero(self):
+        # Endpoints far apart: under the start frame the reversed routes'
+        # weights underflow. They stay in the mixture with weight exactly 0
+        # and responsibility exactly 0 at every noise level, even for
+        # observations on a reversed route, and the posterior is that of
+        # the three forward routes alone.
+        world = TrajectoryGmmWorld.arcs(start=(-3.0, 0.0), end=(3.0, 0.0), tau=0.1)
+        mix = world.conditional_gmm(Condition(np.array([-3.0, 0.0])))
+        assert mix.n_components == 6
+        assert np.all(mix.weights[:3] > 0)
+        np.testing.assert_array_equal(mix.weights[3:], 0.0)
+        forward = DifferenceFormMixture(mix.weights[:3] / mix.weights[:3].sum(), mix.means[:3],
+                                        mix.variances[:3])
+        rng = RngStream(13)
+        for sigma in LADDER:
+            x = mix.means.reshape((6,) + world.seq_shape) + sigma * rng.normal((6,) + world.seq_shape)
+            np.testing.assert_array_equal(mix.responsibilities(x.reshape(6, -1), sigma)[:, 3:], 0.0)
+            np.testing.assert_allclose(mix.posterior_x0(x, sigma), forward.posterior_x0(x, sigma),
+                                       rtol=0, atol=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GmmWorldDenoiser(np.array([0.5, 0.6]), np.array([[0.0], [1.0]]), np.array([0.1, 0.1]))
+        with pytest.raises(ValueError):
+            GmmWorldDenoiser(np.array([1.5, -0.5]), np.array([[0.0], [1.0]]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError):
             GmmWorldDenoiser(np.array([1.0]), np.array([0.0, 1.0]), np.array([0.1]))
         with pytest.raises(ValueError):
@@ -347,6 +412,71 @@ class TestAnalyticBackends:
             )
         assert backend.seq_shape == (6, 2)
 
+    def test_gmm_backend_matches_the_difference_form_under_interpolated_conditions(self):
+        # The interpolation baseline's call: 16-frame arcs, one condition
+        # per frame on the chord, four chains near the routes per condition.
+        world = TrajectoryGmmWorld.arcs(n_frames=16, tau=0.1)
+        backend = AnalyticGmmBackend(world)
+        conds = tuple(Condition(np.array([2.0 * u - 1.0, 0.0])) for u in np.linspace(0.0, 1.0, 16))
+        refs = [_difference_form(world.conditional_gmm(c)) for c in conds]
+        routes = world.components[np.arange(16 * 4) % 6].reshape((16, 4) + world.seq_shape)
+        rng = RngStream(21)
+        for sigma in LADDER:
+            x = routes + sigma * rng.normal(routes.shape)
+            out = backend.predict_x0(x, sigma, conds)
+            for c, ref in enumerate(refs):
+                np.testing.assert_allclose(out[c], ref.posterior_x0(x[c], sigma), rtol=0, atol=1e-12)
+
+
+class _TableWorld:
+    """A stand-in world whose conditional mixture is looked up by condition."""
+
+    def __init__(self, mixtures: dict, seq_shape: tuple[int, int]):
+        self.mixtures = mixtures
+        self.seq_shape = seq_shape
+
+    def conditional_gmm(self, cond: Condition) -> GmmWorldDenoiser:
+        return self.mixtures[cond.key()]
+
+
+@st.composite
+def mixture_calls(draw):
+    """C random mixtures of one K (1 to 6, some weights exactly 0), a
+    (C, R, N, d) input drawn near their components, and sigma."""
+    n_conds, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    seq_shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    dim = seq_shape[0] * seq_shape[1]
+    sigma = 10.0 ** draw(st.floats(-3.0, 4.0))
+    rows = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    mixtures, x = [], []
+    for _ in range(n_conds):
+        weights = draw(arrays(np.float64, k, elements=st.floats(0.01, 1.0)))
+        weights[draw(arrays(np.bool_, k)) & (np.arange(k) != draw(st.integers(0, k - 1)))] = 0.0
+        means = 2.0 * draw(arrays(np.float64, (k, dim), elements=unit))
+        variances = draw(arrays(np.float64, k, elements=st.floats(0.01, 1.0)))
+        mixtures.append(GmmWorldDenoiser(weights / weights.sum(), means, variances))
+        near = means[draw(arrays(np.int64, rows, elements=st.integers(0, k - 1)))]
+        x.append(near + sigma * 3.0 * draw(arrays(np.float64, (rows, dim), elements=unit)))
+    x = np.reshape(x, (n_conds, rows) + seq_shape)
+    return mixtures, x, sigma
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mixture_calls())
+def test_gmm_backend_matches_the_difference_form_on_random_mixtures(call):
+    mixtures, x, sigma = call
+    conds = tuple(Condition(np.array([float(c)])) for c in range(len(mixtures)))
+    backend = AnalyticGmmBackend(_TableWorld({c.key(): m for c, m in zip(conds, mixtures)}, x.shape[-2:]))
+    out = backend.predict_x0(x, sigma, conds)
+    for c, mix in enumerate(mixtures):
+        ref = _difference_form(mix)
+        np.testing.assert_allclose(out[c], ref.posterior_x0(x[c], sigma), rtol=0, atol=1e-12)
+        x_flat = x[c].reshape(len(x[c]), -1)
+        r = mix.responsibilities(x_flat, sigma)
+        np.testing.assert_allclose(r, ref.responsibilities(x_flat, sigma), rtol=0, atol=1e-12)
+        assert np.all(r[:, mix.weights == 0.0] == 0.0)
+
 
 class TestPerFrameConditionBackend:
     def test_rows_come_from_per_frame_conditions(self):
@@ -366,10 +496,10 @@ def _condition_axis_cases():
     from trflab.train import ArchDescriptor, MlpBackend, init_params
 
     gp = AnalyticGaussianBackend(PinnedGaussianProcessWorld(a=0.8, q=0.3, dim=2, n_frames=5))
-    # tau = 0.02 drops the three arcs that start at (1, 0) under the first
-    # condition but keeps all six under the second.
+    # tau = 0.02 gives the three arcs that start at (1, 0) weight 0 under
+    # the first condition but all six arcs weight under the second.
     gmm = AnalyticGmmBackend(TrajectoryGmmWorld.arcs(n_frames=5, tau=0.02))
-    assert [gmm.denoiser_for(Condition(np.array(f))).n_components
+    assert [np.count_nonzero(gmm.world.conditional_gmm(Condition(np.array(f))).weights)
             for f in ([-1.0, 0.0], [0.0, 0.0])] == [3, 6]
     mlp = MlpBackend(init_params(ArchDescriptor(n_frames=5, frame_dim=2, cond_dim=2, hidden=16),
                                  RngStream(5)))
@@ -412,3 +542,19 @@ class TestConditionAxis:
         assert backend.mean_for(tuple(Condition(c.frame.copy()) for c in conds)) is stacked
         for c, cond in enumerate(conds):
             np.testing.assert_array_equal(stacked[c], backend.mean_for((cond,))[0])
+
+    def test_gmm_caches_the_stacked_mixture_per_tuple(self, monkeypatch):
+        backend, conds = _condition_axis_cases()["gmm"]
+        calls = []
+        conditional_gmm = backend.world.conditional_gmm
+        monkeypatch.setattr(backend.world, "conditional_gmm", lambda c: calls.append(c) or conditional_gmm(c))
+        stacked = backend.mixture_for(conds)
+        assert [a.shape for a in stacked] == [(2, 6), (2, 6, 10), (2, 6), (2, 6)]
+        assert backend.mixture_for(tuple(Condition(c.frame.copy()) for c in conds)) is stacked
+        assert calls == list(conds)
+        for c, cond in enumerate(conds):
+            for whole, single in zip(stacked, backend.mixture_for((cond,))):
+                np.testing.assert_array_equal(whole[c], single[0])
+        # Both slices keep all six components; under the first condition
+        # the three reversed routes have weight 0, log-weight -inf.
+        np.testing.assert_array_equal(np.isneginf(stacked[0]).sum(axis=1), [3, 0])

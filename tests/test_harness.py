@@ -239,6 +239,30 @@ class TestApplyOverrides:
         apply_overrides(raw, ["trf.alpha_kind=exponential"])
         assert raw["trf"]["alpha_kind"] == "exponential"
 
+    def test_string_keys_keep_the_raw_text(self):
+        raw = {"backend": {"kind": "checkpoint"}}
+        apply_overrides(raw, ["out_dir=2024", "backend.path=1.5", "sampler=trf"])
+        assert raw == {"out_dir": "2024", "backend": {"kind": "checkpoint", "path": "1.5"}, "sampler": "trf"}
+        assert ExperimentConfig.from_dict({**gp_raw(), "out_dir": raw["out_dir"]}).data["out_dir"] == "2024"
+
+    def test_number_keys_read_python_floats(self):
+        raw = gp_raw()
+        apply_overrides(raw, ["churn.s_churn=.5", "world.a=-.25", "schedule.sigma_max=1_000", "world.q=2"])
+        assert (raw["churn"]["s_churn"], raw["world"]["a"], raw["schedule"]["sigma_max"]) == (0.5, -0.25, 1000.0)
+        assert raw["world"]["q"] == 2 and isinstance(raw["world"]["q"], int)
+        # A key outside the schema is read as JSON, else kept as text.
+        apply_overrides(raw, ["world.qq=.5"])
+        assert raw["world"]["qq"] == ".5"
+
+    @pytest.mark.parametrize("override, message", [
+        ("schedule.n_steps=abc", "'schedule.n_steps' must be int, got str"),
+        ("churn.s_noise=1.0.0", "'churn.s_noise' must be number, got str"),
+    ])
+    def test_text_that_is_no_number_still_fails_the_type_check(self, override, message):
+        raw = apply_overrides(gp_raw(), [override])
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(raw)
+
     def test_malformed(self):
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides({}, ["n_steps50"])
@@ -499,6 +523,17 @@ class TestCli:
         manifest = ExperimentManifest.load(os.path.join(out + "2", "manifest.json"))
         assert manifest.config["schedule"]["n_steps"] == 5
 
+    def test_set_reads_values_by_their_schema_type(self, tmp_path, capsys, monkeypatch):
+        cfg = self._write_config(tmp_path, gp_raw())
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "--config", cfg, "--set", "out_dir=2024", "--set", "churn.s_churn=.5"]) == 0
+        manifest = ExperimentManifest.load(tmp_path / "2024" / "manifest.json")
+        assert manifest.config["churn"]["s_churn"] == 0.5
+        capsys.readouterr()
+        assert main(["sample", "--config", cfg, "--set", "out_dir=bad", "--set", "schedule.n_steps=abc"]) == 1
+        assert "config key 'schedule.n_steps' must be int, got str" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_config_errors_exit_1(self, tmp_path, capsys):
         bad = self._write_config(tmp_path, gp_raw(mothion_id=1))
         assert main(["sample", "--config", bad, "--out", str(tmp_path / "r")]) == 1
@@ -559,12 +594,21 @@ class TestCli:
         ("sweep", 'sweep={"t0":[1,999]}', r"invalid 'trf' config: t0 must be in \[0, 5\], got 999"),
         ("sweep", 'sweep={"m_reinject":[0,"x"]}', r"'sweep.m_reinject\[1\]' must be int"),
         ("sweep", 'sweep={"s_churn":[0.5,-1]}', r"invalid 'churn' config: s_churn must be >= 0"),
+        ("trf", "conditions.end=[1e300]", r"'conditions.end\[0\]' must be at most 10000, got 1e\+300"),
+        ("trf", "conditions.start=[-1e300]",
+         r"'conditions.start\[0\]' must be at least -10000, got -1e\+300"),
+        pytest.param("trf", ('world={"kind":"gmm"}', 'conditions={"start":[-1,0],"end":[1e300,0]}'),
+                     r"'conditions.end\[0\]' must be at most 10000, got 1e\+300", id="gmm-end-1e300"),
+        pytest.param("trf", ('world={"kind":"gmm"}', 'conditions={"start":[-1,-1e300],"end":[1,0]}'),
+                     r"'conditions.start\[1\]' must be at least -10000, got -1e\+300",
+                     id="gmm-start-minus-1e300"),
     ])
     def test_bad_values_exit_1_before_anything_is_written(self, tmp_path, capsys, command,
                                                           override, named):
         cfg = self._write_config(tmp_path, gp_raw(train={"n_steps": 5, "batch_size": 4, "hidden": 8}))
         out = tmp_path / "r"
-        assert main([command, "--config", cfg, "--out", str(out), "--set", override]) == 1
+        sets = [arg for o in ([override] if isinstance(override, str) else override) for arg in ("--set", o)]
+        assert main([command, "--config", cfg, "--out", str(out), *sets]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and re.search(named, err), err
         assert not out.exists()
