@@ -30,7 +30,6 @@ from .denoiser import (
     AnalyticGmmBackend,
     Condition,
     DenoiserBackend,
-    GmmWorldDenoiser,
     PerFrameConditionBackend,
     precondition_apply,
 )

@@ -5,12 +5,13 @@ level sigma and a conditioning frame, what is the clean sequence? It
 answers for a stack of sequences at once, each slice of the stack under its
 own condition. The analytic backends answer it exactly (posterior means of
 Gaussian or Gaussian-mixture worlds) and serve as ground-truth oracles for
-every sampler in this package; the preconditioned trainable backend answers
-it with a small network wrapped in input/output scalings so one set of
-weights covers all noise levels.
+every sampler in this package: each world gives its conditional law as
+arrays, and its backend here is the one place that law is denoised. The
+preconditioned trainable backend answers it with a small network wrapped in
+input/output scalings so one set of weights covers all noise levels.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,17 +23,20 @@ class Condition:
     """A clean bounding frame; a start frame and an end frame condition alike."""
 
     frame: np.ndarray
+    _key: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "frame", as_frame(self.frame))
+        object.__setattr__(self, "_key", np.ascontiguousarray(self.frame, dtype="<f8").tobytes())
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
 
     def key(self) -> bytes:
-        """Byte key identifying the conditioning value."""
-        return np.ascontiguousarray(self.frame, dtype="<f8").tobytes()
+        """Byte key identifying the conditioning value, taken at construction:
+        a condition's frame is not written to after that."""
+        return self._key
 
 
 def _on_condition_axis(stack: np.ndarray, ndim: int) -> np.ndarray:
@@ -94,64 +98,6 @@ def _mixture_posterior(x, sigma, log_weights, means, sq_norms, variances):
     mean = (r * (1.0 - shrink)[:, None, None]) @ means[:, None]
     mean += (r @ shrink[:, None, :, None]) * rows
     return r[:, :, 0], mean[:, :, 0]
-
-
-class GmmWorldDenoiser:
-    """Exact posterior mean under an isotropic Gaussian-mixture world.
-
-    Component k has weight w_k, stacked mean mu_k (length N*d) and isotropic
-    variance tau_k^2. The posterior mean at noise level sigma is
-    sum_k r_k(x) m_k(x) with responsibilities
-    r_k proportional to w_k N(x; mu_k, (tau_k^2 + sigma^2) I), evaluated in
-    log space, and per-component shrinkage
-    m_k = mu_k + tau_k^2 / (tau_k^2 + sigma^2) (x - mu_k). A component of
-    weight 0 takes no part: its responsibility is exactly 0.
-    """
-
-    def __init__(self, weights, means, variances):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.means = np.asarray(means, dtype=np.float64)
-        self.variances = np.asarray(variances, dtype=np.float64)
-        if self.means.ndim != 2 or self.means.shape[0] != self.weights.size:
-            raise ValueError("means must be (K, N*d) with one row per weight")
-        if self.variances.shape != self.weights.shape:
-            raise ValueError("need one variance per component")
-        if np.any(self.weights < 0) or not np.isclose(self.weights.sum(), 1.0, atol=1e-9):
-            raise ValueError("weights must be non-negative and sum to 1")
-        if np.any(self.variances <= 0):
-            raise ValueError("component variances must be positive")
-        with np.errstate(divide="ignore"):
-            self.log_weights = np.log(self.weights)
-        self.sq_norms = np.einsum("kd,kd->k", self.means, self.means)
-
-    @property
-    def n_components(self) -> int:
-        return self.weights.size
-
-    def _posterior(self, x_flat: np.ndarray, sigma: float):
-        """:func:`_mixture_posterior` on a length-1 condition axis."""
-        stack = (self.log_weights, self.means, self.sq_norms, self.variances)
-        return _mixture_posterior(x_flat.reshape(1, -1, x_flat.shape[-1]), sigma, *(a[None] for a in stack))
-
-    def responsibilities(self, x_flat: np.ndarray, sigma: float) -> np.ndarray:
-        """Posterior component probabilities of a noisy stacked observation.
-
-        ``x_flat`` is (..., N*d); the result is (..., K).
-        """
-        x_flat = np.asarray(x_flat, dtype=np.float64)
-        return self._posterior(x_flat, sigma)[0].reshape(x_flat.shape[:-1] + (self.n_components,))
-
-    def posterior_x0(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        """Posterior mean of an (N, d) sequence or a (B, N, d) batch."""
-        x = np.asarray(x, dtype=np.float64)
-        if sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
-        if x.ndim < 2:
-            raise ValueError(f"sequence must be (N, d) or (B, N, d), got shape {x.shape}")
-        x_flat = x.reshape(x.shape[:-2] + (-1,))
-        if x_flat.shape[-1] != self.means.shape[1]:
-            raise ValueError(f"sequence size {x_flat.shape[-1]} does not match mixture size {self.means.shape[1]}")
-        return self._posterior(x_flat, sigma)[1].reshape(x.shape)
 
 
 def edm_scalings(sigma, sigma_data: float):
@@ -237,11 +183,13 @@ class AnalyticGaussianBackend(DenoiserBackend):
 class AnalyticGmmBackend(DenoiserBackend):
     """Denoiser contract over a trajectory-mixture world, any conditioning frame.
 
-    The world's mixture under a condition keeps all K components of the
-    world, so the mixtures under C conditions stack into (C, K)
-    log-weights, squared mean norms and variances and (C, K, N*d) means,
-    cached per tuple of conditions, and a call denoises every slice of the
-    condition axis in one pass of :func:`_mixture_posterior`.
+    ``world.conditional_gmm`` gives the law under a condition as arrays:
+    weights w_k, stacked means mu_k and isotropic variances tau_k^2 of K
+    components, all K of the world's under every condition. The mixtures
+    under C conditions stack into (C, K) log-weights, squared mean norms and
+    variances and (C, K, N*d) means, cached per tuple of conditions, and a
+    call denoises every slice of the condition axis in one pass of
+    :func:`_mixture_posterior`. A weight of 0 is a log-weight of -inf.
     """
 
     def __init__(self, world):
@@ -258,9 +206,9 @@ class AnalyticGmmBackend(DenoiserBackend):
         key = tuple(c.key() for c in conds)
         stack = self._mixtures.get(key)
         if stack is None:
-            mixes = [self.world.conditional_gmm(c) for c in conds]
-            stack = (np.stack([m.log_weights for m in mixes]), np.stack([m.means for m in mixes]),
-                     np.stack([m.sq_norms for m in mixes]), np.stack([m.variances for m in mixes]))
+            weights, means, variances = (np.stack(a) for a in zip(*(self.world.conditional_gmm(c) for c in conds)))
+            with np.errstate(divide="ignore"):
+                stack = (np.log(weights), means, np.einsum("ckd,ckd->ck", means, means), variances)
             self._mixtures[key] = stack
         return stack
 
@@ -292,8 +240,6 @@ class PerFrameConditionBackend(DenoiserBackend):
 
     def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
         n_frames = len(self.conditions)
-        if x.shape[-2] != n_frames:
-            raise ValueError(f"sequence has {x.shape[-2]} frames, expected {n_frames}")
         pred = self.base.predict_x0(np.broadcast_to(x, (n_frames,) + x.shape), sigma, self.conditions)
         # pred[n, ..., n, :] for every n; the indexed axis lands first.
         frames = np.arange(n_frames)

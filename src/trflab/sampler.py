@@ -135,6 +135,16 @@ def check_finite(x: np.ndarray, sampler: str, t: int, sigma: float, rng: RngStre
                        f"(sigma={sigma:.6g}) for {who}")
 
 
+def check_conditions(backend: DenoiserBackend, *conds: Condition):
+    """Raise ValueError unless every condition is a frame of the backend's
+    dimension. Every sampler calls this once, before its first draw; the
+    backends take the conditions as they come."""
+    dim = backend.seq_shape[1]
+    for c in conds:
+        if c.dim != dim:
+            raise ValueError(f"condition has dimension {c.dim}, but the backend's frames have dimension {dim}")
+
+
 def _euler_from_denoised(x_hat: np.ndarray, sigma_hat: float, sigma_next: float,
                          denoised: np.ndarray) -> np.ndarray:
     """One Euler step from sigma_hat to sigma_next toward the prediction ``denoised``."""
@@ -182,6 +192,8 @@ def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
     batch when ``rng`` is an RngBatch) and a trace with exactly T records,
     which carry the latent and denoised hashes when ``diagnostics`` is set.
     """
+    check_conditions(backend, cond)
+
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat[None], sigma_hat, (cond,))[0]
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)

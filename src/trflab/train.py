@@ -188,12 +188,6 @@ class MlpBackend(DenoiserBackend):
         return out.reshape(x_scaled.shape)
 
     def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-2:] != self.seq_shape:
-            raise ValueError(f"sequence shape {x.shape} does not match network {self.seq_shape}")
-        for c in conds:
-            if c.frame.shape != (self.arch.cond_dim,):
-                raise ValueError(f"condition dim {c.frame.shape[0]} does not match network ({self.arch.cond_dim})")
         return precondition_apply(self._net, x, sigma, conds, self.arch.sigma_data)
 
 

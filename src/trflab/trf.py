@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngBatch, RngStream, as_frame, normal_rows, reverse, sequence_hash
+from .core import RngBatch, RngStream, normal_rows, reverse, sequence_hash
 from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend
-from .sampler import STREAM_REINJECT, StepRecord, StepTrace, _euler_from_denoised, _walk, sample
+from .sampler import STREAM_REINJECT, StepRecord, StepTrace, _euler_from_denoised, _walk, check_conditions, sample
 from .schedule import ChurnParams, NoiseSchedule, injection_std
 
 KIND_LINEAR = "linear"
@@ -166,11 +166,9 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
     path-disagreement norm, per chain.
     """
     shape = backend.seq_shape
-    n_frames, dim = shape
-    if cfg.alpha.n_frames != n_frames:
-        raise ValueError(f"alpha has {cfg.alpha.n_frames} weights for {n_frames} frames")
-    if c_s.frame.shape != (dim,) or c_e.frame.shape != (dim,):
-        raise ValueError("conditioning frames do not match the backend's frame dimension")
+    if cfg.alpha.n_frames != shape[0]:
+        raise ValueError(f"alpha has {cfg.alpha.n_frames} weights for {shape[0]} frames")
+    check_conditions(backend, c_s, c_e)
     t0 = cfg.resolved_t0(schedule.n_steps)
     n_rein = cfg.m_reinject * max(schedule.n_steps - 1 - t0, 0)
     rein_rows = iter(normal_rows(rng.split(STREAM_REINJECT), n_rein, shape))
@@ -220,6 +218,7 @@ def baseline_condition_interp(backend: DenoiserBackend, schedule: NoiseSchedule,
 
     Frame n is denoised under condition (1 - n/(N-1)) c_s + n/(N-1) c_e.
     """
+    check_conditions(backend, c_s, c_e)
     if churn is None:
         churn = ChurnParams()
     u = np.linspace(0.0, 1.0, backend.seq_shape[0])
@@ -241,16 +240,16 @@ def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Con
     is what produces the characteristic late-sequence jump. The overwrite
     noise of the whole run is one (T, d) draw, one row per step.
     """
+    end = Condition(end_frame)
+    check_conditions(backend, c_s, end)
     if churn is None:
         churn = ChurnParams()
-    dim = backend.seq_shape[1]
-    end = as_frame(end_frame, dim=dim)
-    over_rows = iter(normal_rows(rng.split(STREAM_REINJECT), schedule.n_steps, (dim,)))
+    over_rows = iter(normal_rows(rng.split(STREAM_REINJECT), schedule.n_steps, (end.dim,)))
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat[None], sigma_hat, (c_s,))[0]
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
-        x[..., -1, :] = end + sigma_next * next(over_rows)
+        x[..., -1, :] = end.frame + sigma_next * next(over_rows)
         return x, None
 
     x, _ = _walk("baseline_inpaint", backend.seq_shape, schedule, churn, rng, step)

@@ -4,22 +4,24 @@ Three desk-scale data distributions stand in for a video corpus:
 
 * ``PinnedGaussianProcessWorld`` — an AR(1) chain per dimension, pinned at
   the conditioning frame. Conditional mean and covariance are available in
-  closed form, so sampler output can be checked against exact moments.
+  closed form, as arrays, so sampler output can be checked against exact
+  moments.
 * ``TrajectoryGmmWorld`` — a mixture of template trajectories (e.g. three
-  arcs joining the same two endpoints) with isotropic jitter. Its exact
-  conditional mixture drives the mixture denoiser and provides a world
-  with genuinely distinct plausible routes.
+  arcs joining the same two endpoints) with isotropic jitter, a world with
+  genuinely distinct plausible routes. Its exact conditional mixture is
+  given as arrays (weights, means, variances) for the mixture backend.
 * ``MovingBlobWorld`` — renders a trajectory world's 2-D positions as a
   Gaussian bump on a small pixel grid, for trainable-backend demos.
 
 Worlds are immutable after construction; all sampling goes through a
-caller-supplied RngStream.
+caller-supplied RngStream. A world only states its law; denoising under it
+is the job of the backends in :mod:`trflab.denoiser`.
 """
 
 import numpy as np
 
 from .core import RngStream, as_frame, as_sequence
-from .denoiser import Condition, GmmWorldDenoiser
+from .denoiser import Condition
 
 # Pinning variance for the conditioned frame. A hard constraint would make
 # conditional covariances singular; this keeps every denoiser well-defined
@@ -194,11 +196,12 @@ class TrajectoryGmmWorld:
         w = np.exp(log_post - top)
         return w / w.sum()
 
-    def conditional_gmm(self, cond: Condition) -> GmmWorldDenoiser:
-        """Mixture denoiser conditioned on frame 0 = cond.
+    def conditional_gmm(self, cond: Condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The isotropic mixture law given frame 0 = cond, as arrays:
+        weights (K,), stacked means (K, N*d) and variances (K,).
 
         Components are reweighted by their frame-0 likelihood and their
-        frame-0 mean is replaced by cond; the isotropic tau is retained.
+        frame-0 mean is replaced by cond; the isotropic tau^2 is retained.
         Every component is kept, one whose weight underflows with weight
         exactly 0, so the mixtures under all conditions share one K.
         """
@@ -206,8 +209,7 @@ class TrajectoryGmmWorld:
         means = self.components.copy()
         means[:, 0, :] = frame[None, :]
         kc = means.shape[0]
-        return GmmWorldDenoiser(self.posterior_component_weights(cond), means.reshape(kc, -1),
-                                np.full(kc, self.tau ** 2))
+        return self.posterior_component_weights(cond), means.reshape(kc, -1), np.full(kc, self.tau ** 2)
 
     def sample_sequence(self, cond: Condition, rng: RngStream) -> np.ndarray:
         """Draw a route from the posterior weights, jitter it, pin frame 0."""
@@ -288,7 +290,8 @@ def conditional_moments(world, cond: Condition) -> tuple[np.ndarray, np.ndarray]
     return world.conditional_moments(cond)
 
 
-def conditional_gmm(world: TrajectoryGmmWorld, cond: Condition) -> GmmWorldDenoiser:
+def conditional_gmm(world: TrajectoryGmmWorld, cond: Condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact conditional mixture (weights, means, variances) given frame 0; mixture worlds only."""
     if not isinstance(world, TrajectoryGmmWorld):
         raise TypeError(f"conditional_gmm needs a TrajectoryGmmWorld, not {type(world).__name__}")
     return world.conditional_gmm(cond)

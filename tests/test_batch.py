@@ -7,6 +7,7 @@ differently. The harness batches the seeds of a command, so a seed's output
 file must not depend on which other seeds ran with it.
 """
 
+import hashlib
 import json
 import os
 
@@ -96,6 +97,35 @@ def test_batch_rows_match_batch_of_one(name, kind):
                 assert rec.fusions == rec1.fusions
 
 
+#: SHA-256 over the outputs and traces of test_mixture_outputs_are_pinned.
+MIXTURE_DIGEST = "f5e26c5bbefaa31d03fdb3b5aab8e8e916b6fbfbdf67ddc7320db2197c63693a"
+
+
+def test_mixture_outputs_are_pinned():
+    # Endpoints far apart, so under each endpoint the other direction's
+    # routes have weight exactly 0, while the interpolated conditions near
+    # the middle weigh all six routes.
+    world = TrajectoryGmmWorld.arcs(n_frames=6, start=(-3.0, 0.0), end=(3.0, 0.0), tau=0.1)
+    backend = AnalyticGmmBackend(world)
+    c_s, c_e = Condition(np.array([-3.0, 0.0])), Condition(np.array([3.0, 0.0]))
+    assert [np.count_nonzero(world.posterior_component_weights(c)) for c in (c_s, c_e)] == [3, 3]
+    sched = build_karras(12, 0.01, 20.0)
+    seeds = [100, 101, 102, 103]
+    runs = [sample(backend, sched, c_s, ChurnParams(), RngBatch.from_seeds(seeds), diagnostics=True)]
+    for m in (0, 2):
+        cfg = TrfConfig(alpha=alpha_weights("linear", 6), m_reinject=m)
+        runs.append(trf_sample(backend, sched, c_s, c_e, cfg, RngBatch.from_seeds(seeds), diagnostics=True))
+    runs.append((baseline_condition_interp(backend, sched, c_s, c_e, RngBatch.from_seeds(seeds)), None))
+    runs.append((baseline_inpaint(backend, sched, c_s, c_e.frame, RngBatch.from_seeds(seeds)), None))
+    digest = hashlib.sha256()
+    for x, trace in runs:
+        assert x.shape == (4, 6, 2) and x.dtype == np.float64
+        digest.update(np.ascontiguousarray(x).tobytes())
+        if trace is not None:
+            digest.update(trace.to_json_lines().encode())
+    assert digest.hexdigest() == MIXTURE_DIGEST
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_batch_of_one_matches_single_stream(name, kind):
@@ -109,6 +139,36 @@ def test_batch_of_one_matches_single_stream(name, kind):
             assert trace_b.total_fusions == trace_s.total_fusions
             assert isinstance(trace_s.records[0].latent_hash, str)
             assert len(trace_b.records[0].latent_hash) == 1
+
+
+class DrawLog:
+    """RNG adapter that logs the shape of every draw of the run into ``draws``."""
+
+    def __init__(self, base, draws):
+        self._base = base
+        self.draws = draws
+
+    def split(self, label):
+        return DrawLog(self._base.split(label), self.draws)
+
+    def normal(self, shape):
+        self.draws.append(shape)
+        return self._base.normal(shape)
+
+
+@pytest.mark.parametrize("kind,bad", [(kind, bad) for kind in KINDS for bad in ("start", "end")
+                                      if kind != "sample" or bad == "start"])
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_a_condition_of_another_dimension_fails_before_any_draw_or_prediction(name, kind, bad):
+    backend, start, end = BACKENDS[name]()
+    predictions, draws = [], []
+    predict_x0 = backend.predict_x0
+    backend.predict_x0 = lambda *args: predictions.append(args) or predict_x0(*args)
+    frames = {"start": start, "end": end, bad: np.zeros(3)}
+    with pytest.raises(ValueError) as err:
+        _run(kind, backend, frames["start"], frames["end"], DrawLog(RngBatch.from_seeds(SEEDS[:2]), draws))
+    assert str(err.value) == "condition has dimension 3, but the backend's frames have dimension 2"
+    assert predictions == [] and draws == []
 
 
 def test_churn_with_one_stream_draws_the_whole_latent():

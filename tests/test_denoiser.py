@@ -4,7 +4,9 @@
 posterior solve that the frame-map Gaussian backend is checked against,
 and ``DifferenceFormMixture`` the reference mixture posterior, built from
 the differences x - mu_k, that the expanded-form mixture backend is
-checked against.
+checked against. Mixture laws are (weights, means, variances) arrays, as
+``TrajectoryGmmWorld.conditional_gmm`` gives them; the oracles below reach
+the mixture posterior through ``AnalyticGmmBackend`` over ``_TableWorld``.
 
 The Gaussian-world posterior mean is checked against a self-normalized
 importance-sampling estimate (prior draws reweighted by the observation
@@ -22,8 +24,8 @@ from trflab.denoiser import (
     AnalyticGaussianBackend,
     AnalyticGmmBackend,
     Condition,
-    GmmWorldDenoiser,
     PerFrameConditionBackend,
+    _mixture_posterior,
     edm_scalings,
     precondition_apply,
 )
@@ -95,8 +97,35 @@ class DifferenceFormMixture:
         return (r[..., None, :] @ comp_means).reshape(x.shape)
 
 
-def _difference_form(mix: GmmWorldDenoiser) -> DifferenceFormMixture:
-    return DifferenceFormMixture(mix.weights, mix.means, mix.variances)
+class _TableWorld:
+    """A stand-in world whose conditional mixture is looked up by condition."""
+
+    def __init__(self, mixtures: dict, seq_shape: tuple[int, int]):
+        self.mixtures = mixtures
+        self.seq_shape = seq_shape
+
+    def conditional_gmm(self, cond: Condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.mixtures[cond.key()]
+
+
+_ANY = Condition(np.zeros(1))
+
+
+def _mixture_backend(mixture, seq_shape) -> AnalyticGmmBackend:
+    """The mixture backend of a world whose law is ``mixture`` under ``_ANY``."""
+    return AnalyticGmmBackend(_TableWorld({_ANY.key(): mixture}, seq_shape))
+
+
+def _posterior_x0(mixture, x: np.ndarray, sigma: float) -> np.ndarray:
+    """Posterior mean of an (N, d) sequence or an (R, N, d) stack under one mixture."""
+    return _mixture_backend(mixture, x.shape[-2:]).predict_x0(x[None], sigma, (_ANY,))[0]
+
+
+def _responsibilities(mixture, x_flat: np.ndarray, sigma: float) -> np.ndarray:
+    """(..., K) posterior component probabilities of (..., N*d) observations."""
+    stack = _mixture_backend(mixture, (1, x_flat.shape[-1])).mixture_for((_ANY,))
+    r, _ = _mixture_posterior(x_flat.reshape(1, -1, x_flat.shape[-1]), sigma, *stack)
+    return r[0].reshape(x_flat.shape[:-1] + (-1,))
 
 
 #: Every noise level of a 100-step Karras ladder, and the schema's largest sigma_max.
@@ -111,6 +140,11 @@ class TestCondition:
         other = Condition(np.array([1.0, 2.0, 3.5]))
         assert c.key() == same.key()
         assert c.key() != other.key()
+
+    def test_key_is_taken_once(self):
+        # The backends look every condition of every call up by its key.
+        c = Condition(np.array([1.0, 2.0]))
+        assert c.key() is c.key()
 
     def test_frame_coerced(self):
         c = Condition([1, 2])
@@ -193,16 +227,11 @@ class TestGaussianPosterior:
 
 
 class TestGmmPosterior:
-    def _mixture(self):
-        return GmmWorldDenoiser(
-            weights=np.array([0.4, 0.6]),
-            means=np.array([[-1.0], [2.0]]),
-            variances=np.array([0.09, 0.25]),
-        )
+    #: (weights, means, variances) of a two-component 1-D mixture.
+    MIXTURE = (np.array([0.4, 0.6]), np.array([[-1.0], [2.0]]), np.array([0.09, 0.25]))
 
     def test_quadrature_oracle(self):
         # 1-D posterior mean by trapezoid quadrature over the clean value.
-        d = self._mixture()
         grid = np.linspace(-8.0, 10.0, 200_001)
         prior = (
             0.4 * np.exp(-0.5 * (grid + 1.0) ** 2 / 0.09) / np.sqrt(2 * np.pi * 0.09)
@@ -213,43 +242,39 @@ class TestGmmPosterior:
                 lik = np.exp(-0.5 * (x - grid) ** 2 / sigma ** 2)
                 post = prior * lik
                 expected = np.trapezoid(grid * post, grid) / np.trapezoid(post, grid)
-                got = d.posterior_x0(np.array([[x]]), sigma)
+                got = _posterior_x0(self.MIXTURE, np.array([[x]]), sigma)
                 np.testing.assert_allclose(got, [[expected]], atol=1e-6)
 
     def test_single_component_is_shrinkage(self):
-        d = GmmWorldDenoiser(np.array([1.0]), np.array([[1.5, -0.5]]), np.array([0.36]))
+        mixture = (np.array([1.0]), np.array([[1.5, -0.5]]), np.array([0.36]))
         x = np.array([[2.0, 0.0]])
         sigma = 0.8
         shrink = 0.36 / (0.36 + sigma ** 2)
         expected = np.array([1.5, -0.5]) + shrink * (x.reshape(-1) - np.array([1.5, -0.5]))
-        np.testing.assert_allclose(d.posterior_x0(x, sigma), expected.reshape(1, 2), atol=1e-14)
+        np.testing.assert_allclose(_posterior_x0(mixture, x, sigma), expected.reshape(1, 2), atol=1e-14)
 
     def test_responsibilities_normalized(self):
-        d = self._mixture()
         rng = RngStream(5)
         for _ in range(50):
             x = rng.normal((1,)) * 3.0
-            r = d.responsibilities(x, 0.7)
+            r = _responsibilities(self.MIXTURE, x, 0.7)
             assert np.all(r >= 0)
             assert abs(r.sum() - 1.0) < 1e-12
 
     def test_responsibilities_symmetric_case(self):
         # Equal weights, equal variances, observation equidistant from the
         # two means: responsibilities are exactly one half each.
-        d = GmmWorldDenoiser(
-            np.array([0.5, 0.5]), np.array([[-1.0], [1.0]]), np.array([0.04, 0.04])
-        )
-        np.testing.assert_allclose(d.responsibilities(np.array([0.0]), 0.5), [0.5, 0.5], atol=1e-12)
+        mixture = (np.array([0.5, 0.5]), np.array([[-1.0], [1.0]]), np.array([0.04, 0.04]))
+        np.testing.assert_allclose(_responsibilities(mixture, np.array([0.0]), 0.5), [0.5, 0.5], atol=1e-12)
 
     def test_small_sigma_returns_observation(self):
-        d = self._mixture()
         x = np.array([[1.7]])
-        np.testing.assert_allclose(d.posterior_x0(x, 1e-6), x, atol=1e-4)
+        np.testing.assert_allclose(_posterior_x0(self.MIXTURE, x, 1e-6), x, atol=1e-4)
 
     def test_large_sigma_returns_prior_mean(self):
-        d = self._mixture()
         prior_mean = 0.4 * -1.0 + 0.6 * 2.0
-        np.testing.assert_allclose(d.posterior_x0(np.array([[5.0]]), 1e6), [[prior_mean]], atol=1e-4)
+        np.testing.assert_allclose(_posterior_x0(self.MIXTURE, np.array([[5.0]]), 1e6), [[prior_mean]],
+                                   atol=1e-4)
 
     def test_underflowed_components_get_weight_and_responsibility_zero(self):
         # Endpoints far apart: under the start frame the reversed routes'
@@ -258,33 +283,20 @@ class TestGmmPosterior:
         # observations on a reversed route, and the posterior is that of
         # the three forward routes alone.
         world = TrajectoryGmmWorld.arcs(start=(-3.0, 0.0), end=(3.0, 0.0), tau=0.1)
-        mix = world.conditional_gmm(Condition(np.array([-3.0, 0.0])))
-        assert mix.n_components == 6
-        assert np.all(mix.weights[:3] > 0)
-        np.testing.assert_array_equal(mix.weights[3:], 0.0)
-        forward = DifferenceFormMixture(mix.weights[:3] / mix.weights[:3].sum(), mix.means[:3],
-                                        mix.variances[:3])
+        backend = AnalyticGmmBackend(world)
+        cond = Condition(np.array([-3.0, 0.0]))
+        weights, means, variances = world.conditional_gmm(cond)
+        assert weights.size == 6
+        assert np.all(weights[:3] > 0)
+        np.testing.assert_array_equal(weights[3:], 0.0)
+        forward = DifferenceFormMixture(weights[:3] / weights[:3].sum(), means[:3], variances[:3])
         rng = RngStream(13)
         for sigma in LADDER:
-            x = mix.means.reshape((6,) + world.seq_shape) + sigma * rng.normal((6,) + world.seq_shape)
-            np.testing.assert_array_equal(mix.responsibilities(x.reshape(6, -1), sigma)[:, 3:], 0.0)
-            np.testing.assert_allclose(mix.posterior_x0(x, sigma), forward.posterior_x0(x, sigma),
-                                       rtol=0, atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GmmWorldDenoiser(np.array([0.5, 0.6]), np.array([[0.0], [1.0]]), np.array([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            GmmWorldDenoiser(np.array([1.5, -0.5]), np.array([[0.0], [1.0]]), np.array([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            GmmWorldDenoiser(np.array([1.0]), np.array([0.0, 1.0]), np.array([0.1]))
-        with pytest.raises(ValueError):
-            GmmWorldDenoiser(np.array([1.0]), np.array([[0.0]]), np.array([-0.1]))
-        d = self._mixture()
-        with pytest.raises(ValueError):
-            d.posterior_x0(np.array([[0.0]]), 0.0)
-        with pytest.raises(ValueError):
-            d.posterior_x0(np.array([[0.0, 1.0]]), 1.0)
+            x = means.reshape((6,) + world.seq_shape) + sigma * rng.normal((6,) + world.seq_shape)
+            r, _ = _mixture_posterior(x.reshape(1, 6, -1), sigma, *backend.mixture_for((cond,)))
+            np.testing.assert_array_equal(r[0, :, 3:], 0.0)
+            np.testing.assert_allclose(backend.predict_x0(x[None], sigma, (cond,))[0],
+                                       forward.posterior_x0(x, sigma), rtol=0, atol=1e-12)
 
 
 class TestPrecondition:
@@ -404,7 +416,7 @@ class TestAnalyticBackends:
         world = TrajectoryGmmWorld.arcs(n_frames=6, tau=0.1)
         backend = AnalyticGmmBackend(world)
         cond = Condition(np.array([-1.0, 0.0]))
-        direct = world.conditional_gmm(cond)
+        direct = DifferenceFormMixture(*world.conditional_gmm(cond))
         x = RngStream(4).normal((6, 2))
         for sigma in (0.5, 2.0):
             np.testing.assert_allclose(
@@ -418,7 +430,7 @@ class TestAnalyticBackends:
         world = TrajectoryGmmWorld.arcs(n_frames=16, tau=0.1)
         backend = AnalyticGmmBackend(world)
         conds = tuple(Condition(np.array([2.0 * u - 1.0, 0.0])) for u in np.linspace(0.0, 1.0, 16))
-        refs = [_difference_form(world.conditional_gmm(c)) for c in conds]
+        refs = [DifferenceFormMixture(*world.conditional_gmm(c)) for c in conds]
         routes = world.components[np.arange(16 * 4) % 6].reshape((16, 4) + world.seq_shape)
         rng = RngStream(21)
         for sigma in LADDER:
@@ -426,17 +438,6 @@ class TestAnalyticBackends:
             out = backend.predict_x0(x, sigma, conds)
             for c, ref in enumerate(refs):
                 np.testing.assert_allclose(out[c], ref.posterior_x0(x[c], sigma), rtol=0, atol=1e-12)
-
-
-class _TableWorld:
-    """A stand-in world whose conditional mixture is looked up by condition."""
-
-    def __init__(self, mixtures: dict, seq_shape: tuple[int, int]):
-        self.mixtures = mixtures
-        self.seq_shape = seq_shape
-
-    def conditional_gmm(self, cond: Condition) -> GmmWorldDenoiser:
-        return self.mixtures[cond.key()]
 
 
 @st.composite
@@ -455,7 +456,7 @@ def mixture_calls(draw):
         weights[draw(arrays(np.bool_, k)) & (np.arange(k) != draw(st.integers(0, k - 1)))] = 0.0
         means = 2.0 * draw(arrays(np.float64, (k, dim), elements=unit))
         variances = draw(arrays(np.float64, k, elements=st.floats(0.01, 1.0)))
-        mixtures.append(GmmWorldDenoiser(weights / weights.sum(), means, variances))
+        mixtures.append((weights / weights.sum(), means, variances))
         near = means[draw(arrays(np.int64, rows, elements=st.integers(0, k - 1)))]
         x.append(near + sigma * 3.0 * draw(arrays(np.float64, (rows, dim), elements=unit)))
     x = np.reshape(x, (n_conds, rows) + seq_shape)
@@ -469,13 +470,13 @@ def test_gmm_backend_matches_the_difference_form_on_random_mixtures(call):
     conds = tuple(Condition(np.array([float(c)])) for c in range(len(mixtures)))
     backend = AnalyticGmmBackend(_TableWorld({c.key(): m for c, m in zip(conds, mixtures)}, x.shape[-2:]))
     out = backend.predict_x0(x, sigma, conds)
+    x_flat = x.reshape(x.shape[:2] + (-1,))
+    r, _ = _mixture_posterior(x_flat, sigma, *backend.mixture_for(conds))
     for c, mix in enumerate(mixtures):
-        ref = _difference_form(mix)
+        ref = DifferenceFormMixture(*mix)
         np.testing.assert_allclose(out[c], ref.posterior_x0(x[c], sigma), rtol=0, atol=1e-12)
-        x_flat = x[c].reshape(len(x[c]), -1)
-        r = mix.responsibilities(x_flat, sigma)
-        np.testing.assert_allclose(r, ref.responsibilities(x_flat, sigma), rtol=0, atol=1e-12)
-        assert np.all(r[:, mix.weights == 0.0] == 0.0)
+        np.testing.assert_allclose(r[c], ref.responsibilities(x_flat[c], sigma), rtol=0, atol=1e-12)
+        assert np.all(r[c][:, mix[0] == 0.0] == 0.0)
 
 
 class TestPerFrameConditionBackend:
@@ -499,7 +500,7 @@ def _condition_axis_cases():
     # tau = 0.02 gives the three arcs that start at (1, 0) weight 0 under
     # the first condition but all six arcs weight under the second.
     gmm = AnalyticGmmBackend(TrajectoryGmmWorld.arcs(n_frames=5, tau=0.02))
-    assert [np.count_nonzero(gmm.world.conditional_gmm(Condition(np.array(f))).weights)
+    assert [np.count_nonzero(gmm.world.conditional_gmm(Condition(np.array(f)))[0])
             for f in ([-1.0, 0.0], [0.0, 0.0])] == [3, 6]
     mlp = MlpBackend(init_params(ArchDescriptor(n_frames=5, frame_dim=2, cond_dim=2, hidden=16),
                                  RngStream(5)))

@@ -200,8 +200,6 @@ class TestNetwork:
         out = backend.predict_x0(x[None], 0.7, (cond,))[0]
         assert out.shape == (2, 2)
         np.testing.assert_array_equal(out, backend.predict_x0(x[None], 0.7, (cond,))[0])
-        with pytest.raises(ValueError):
-            backend.predict_x0(x[None], 0.7, (Condition(np.zeros(3)),))
 
     def test_arch_validation(self):
         with pytest.raises(ValueError):

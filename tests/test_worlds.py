@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trflab.core import RngStream
-from trflab.denoiser import Condition, GmmWorldDenoiser
+from trflab.denoiser import Condition
 from trflab.worlds import (
     EPS_PIN,
     MovingBlobWorld,
@@ -161,14 +161,17 @@ class TestTrajectoryGmmWorld:
     def test_conditional_gmm_structure(self):
         world = TrajectoryGmmWorld.arcs(tau=0.1)
         cond = Condition(np.array([-1.0, 0.0]))
-        mix = conditional_gmm(world, cond)
-        assert isinstance(mix, GmmWorldDenoiser)
-        np.testing.assert_array_equal(mix.weights, world.posterior_component_weights(cond))
-        # Frame 0 of every component mean is replaced by the condition.
-        means = mix.means.reshape(mix.n_components, world.n_frames, 2)
-        for k in range(mix.n_components):
+        weights, means, variances = conditional_gmm(world, cond)
+        assert (weights.shape, means.shape, variances.shape) == ((6,), (6, world.n_frames * 2), (6,))
+        assert weights.dtype == means.dtype == variances.dtype == np.float64
+        np.testing.assert_array_equal(weights, world.posterior_component_weights(cond))
+        # Frame 0 of every component mean is replaced by the condition; the
+        # other frames are the component's route.
+        means = means.reshape(6, world.n_frames, 2)
+        for k in range(6):
             np.testing.assert_array_equal(means[k, 0], cond.frame)
-        np.testing.assert_allclose(mix.variances, np.full(mix.n_components, 0.01), atol=1e-15)
+        np.testing.assert_array_equal(means[:, 1:], world.components[:, 1:])
+        np.testing.assert_allclose(variances, np.full(6, 0.01), atol=1e-15)
 
     def test_training_pair(self):
         world = TrajectoryGmmWorld.arcs(tau=0.1)
