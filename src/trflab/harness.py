@@ -74,8 +74,8 @@ def _dataclass_schema(cls) -> dict:
 
 
 #: Every config section: key -> (kind, default[, limit]), where a string's
-#: limit is the tuple of its allowed values and a number's, or each of a
-#: list of numbers', its largest magnitude.
+#: limit is the tuple of its allowed values, a number's, or each of a list
+#: of numbers', its largest magnitude, and an int's its largest value.
 #: A default of None makes the key optional, and an explicit null then means
 #: the same as leaving it out. A "section" value is checked against the
 #: entry named after its key; a world or backend section has a "kind" key,
@@ -87,6 +87,12 @@ def _dataclass_schema(cls) -> dict:
 #: world's frames scale with q, churn multiplies its noise by s_noise, and
 #: a condition is a frame, so its entries share sigma_max's bound.
 #: EDM (Karras et al. 2022) uses sigma_max = 80 and s_noise of 1 to 1.007.
+#:
+#: The size keys are bounded too, so that a mistyped size is a config error
+#: naming its key rather than a failed allocation or an hours-long run. The
+#: bounds sit far above the sizes this lab runs: 16 frames of dimension 2,
+#: 16 x 16 blob grids, 50 sampling steps, and 5000 training steps of a
+#: 256-wide network on batches of 64.
 _SCHEMA = {
     "": {  # the config root
         "world": ("section", _REQUIRED),
@@ -104,9 +110,10 @@ _SCHEMA = {
     "world": {"kind": ("str", _REQUIRED, ("gp", "gmm", "blob"))},
     "trajectory": {"kind": ("str", _REQUIRED, ("gp", "gmm"))},
     "backend": {"kind": ("str", _REQUIRED, ("analytic", "checkpoint"))},
-    "gp": {"a": ("number", 1.0), "q": ("number", 0.3, 1e3), "dim": ("int", 2), "n_frames": ("int", 16)},
+    "gp": {"a": ("number", 1.0), "q": ("number", 0.3, 1e3), "dim": ("int", 2, 64),
+           "n_frames": ("int", 16, 1024)},
     "gmm": {
-        "n_frames": ("int", 16),
+        "n_frames": ("int", 16, 1024),
         "start": ("numbers", [-1.0, 0.0]),
         "end": ("numbers", [1.0, 0.0]),
         "bulges": ("numbers", [0.8, 0.0, -0.8]),
@@ -114,7 +121,7 @@ _SCHEMA = {
         "time_symmetric": ("bool", True),
     },
     "blob": {
-        "grid_size": ("int", 16),
+        "grid_size": ("int", 16, 64),
         "bump_std": ("number", 1.5),
         "pixels_per_unit": ("number", 5.0),
         "origin": ("numbers", [0.0, 0.0]),
@@ -123,7 +130,7 @@ _SCHEMA = {
     "analytic": {},
     "checkpoint": {"path": ("str", _REQUIRED)},
     "schedule": {
-        "n_steps": ("int", 25),
+        "n_steps": ("int", 25, 1000),
         "sigma_min": ("number", 0.002),
         "sigma_max": ("number", 80.0, 1e4),
         "rho": ("number", 7.0),
@@ -136,7 +143,13 @@ _SCHEMA = {
         "alpha_lam": ("number", 4.0),
     },
     "conditions": {"start": ("numbers", _REQUIRED, 1e4), "end": ("numbers", None, 1e4)},
-    "train": _dataclass_schema(TrainConfig),
+    "train": {
+        **_dataclass_schema(TrainConfig),
+        "n_steps": ("int", TrainConfig.n_steps, 100_000),
+        "batch_size": ("int", TrainConfig.batch_size, 4096),
+        "hidden": ("int", TrainConfig.hidden, 2048),
+        "n_freq": ("int", TrainConfig.n_freq, 64),
+    },
 }
 
 
@@ -159,12 +172,16 @@ def _value(v, kind: str, key: str, limit=None):
         if not abs(v) <= sys.float_info.max:
             raise ConfigError(f"config key '{key}' must be a finite number, got {v}")
         v = float(v)
-        if limit is not None and v > limit:
-            raise ConfigError(f"config key '{key}' must be at most {limit:g}, got {v:g}")
-        if limit is not None and v < -limit:
+    if kind == "str":
+        if limit is not None and v not in limit:
+            raise ConfigError(f"config key '{key}' must be one of {list(limit)}, got {v!r}")
+    elif limit is not None:
+        # An int is shown exactly: one too large for a float has no :g form.
+        shown = "g" if kind == "number" else "d"
+        if v > limit:
+            raise ConfigError(f"config key '{key}' must be at most {limit:{shown}}, got {v:{shown}}")
+        if kind == "number" and v < -limit:
             raise ConfigError(f"config key '{key}' must be at least {-limit:g}, got {v:g}")
-    elif limit is not None and v not in limit:
-        raise ConfigError(f"config key '{key}' must be one of {list(limit)}, got {v!r}")
     return v
 
 

@@ -26,6 +26,10 @@ from .denoiser import Condition, DenoiserBackend, _on_condition_axis, edm_scalin
 
 CHECKPOINT_MAGIC = b"TRFW"
 CHECKPOINT_VERSION = 1
+#: After the magic: version, n_frames, frame_dim, condition dimension,
+#: hidden, n_freq (u32 each) and sigma_data (f64).
+_HEADER_FORMAT = "<6Id"
+_HEADER_SIZE = len(CHECKPOINT_MAGIC) + struct.calcsize(_HEADER_FORMAT)
 
 _BLOCK_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -52,13 +56,12 @@ class ArchDescriptor:
 
     n_frames: int
     frame_dim: int
-    cond_dim: int
     hidden: int = 256
     n_freq: int = 8
     sigma_data: float = 0.5
 
     def __post_init__(self):
-        if min(self.n_frames, self.frame_dim, self.cond_dim, self.hidden) < 1:
+        if min(self.n_frames, self.frame_dim, self.hidden) < 1:
             raise ValueError("architecture sizes must be >= 1")
         if self.n_freq < 2 or self.n_freq % 2 != 0:
             raise ValueError("n_freq must be a positive even number (sin/cos pairs)")
@@ -71,7 +74,8 @@ class ArchDescriptor:
 
     @property
     def input_dim(self) -> int:
-        return self.seq_dim + self.n_freq + self.cond_dim
+        # The condition is one clean frame.
+        return self.seq_dim + self.n_freq + self.frame_dim
 
     def block_shapes(self) -> dict[str, tuple]:
         h = self.hidden
@@ -93,9 +97,10 @@ class MlpParams:
     b3: np.ndarray
 
     def __post_init__(self):
+        # C-contiguous, so that every block has a flat view to update in place.
         shapes = self.arch.block_shapes()
         for name in _BLOCK_NAMES:
-            block = np.asarray(getattr(self, name), dtype=np.float64)
+            block = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if block.shape != shapes[name]:
                 raise ValueError(f"layer {name}: shape {block.shape} does not match descriptor {shapes[name]}")
             setattr(self, name, block)
@@ -105,6 +110,11 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         return replace(self, **{name: block.copy() for name, block in self.blocks()})
+
+    @classmethod
+    def empty(cls, arch: ArchDescriptor) -> "MlpParams":
+        """Uninitialized blocks of ``arch``'s shapes, for a gradient buffer."""
+        return cls(arch, **{name: np.empty(shape) for name, shape in arch.block_shapes().items()})
 
 
 def init_params(arch: ArchDescriptor, rng: RngStream) -> MlpParams:
@@ -142,21 +152,27 @@ def forward(params: MlpParams, inputs: np.ndarray):
     return out, (inputs, z1, s1, h1, z2, s2, h2)
 
 
-def backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpParams:
-    """Exact gradients for every block given d(loss)/d(outputs)."""
+def backward(params: MlpParams, cache, grad_out: np.ndarray, grads: MlpParams) -> MlpParams:
+    """Exact gradients for every block given d(loss)/d(outputs).
+
+    Every block of ``grads``, a buffer of ``params``' shapes that a
+    training loop allocates once, is overwritten, and ``grads`` is
+    returned. Only batch-sized temporaries are allocated: a fresh
+    weight-sized array per step would page-fault in again.
+    """
     inputs, z1, s1, h1, z2, s2, h2 = cache
     grad_out = np.atleast_2d(grad_out)
-    gw3 = h2.T @ grad_out
-    gb3 = grad_out.sum(axis=0)
+    np.matmul(h2.T, grad_out, out=grads.w3)
+    grad_out.sum(axis=0, out=grads.b3)
     gh2 = grad_out @ params.w3.T
     gz2 = gh2 * (s2 * (1.0 + z2 * (1.0 - s2)))  # d silu(z) / dz
-    gw2 = h1.T @ gz2
-    gb2 = gz2.sum(axis=0)
+    np.matmul(h1.T, gz2, out=grads.w2)
+    gz2.sum(axis=0, out=grads.b2)
     gh1 = gz2 @ params.w2.T
     gz1 = gh1 * (s1 * (1.0 + z1 * (1.0 - s1)))
-    gw1 = inputs.T @ gz1
-    gb1 = gz1.sum(axis=0)
-    return MlpParams(params.arch, w1=gw1, b1=gb1, w2=gw2, b2=gb2, w3=gw3, b3=gb3)
+    np.matmul(inputs.T, gz1, out=grads.w1)
+    gz1.sum(axis=0, out=grads.b1)
+    return grads
 
 
 class MlpBackend(DenoiserBackend):
@@ -182,7 +198,7 @@ class MlpBackend(DenoiserBackend):
         rows = np.concatenate([
             x_scaled.reshape(lead + (-1,)),
             np.broadcast_to(fourier_features(c_noise, self.arch.n_freq), lead + (self.arch.n_freq,)),
-            np.broadcast_to(frames, lead + (self.arch.cond_dim,)),
+            np.broadcast_to(frames, lead + (self.arch.frame_dim,)),
         ], axis=-1)
         out, _ = forward(self.params, rows.reshape(-1, self.arch.input_dim))
         return out.reshape(x_scaled.shape)
@@ -212,8 +228,10 @@ class TrainConfig:
             raise ValueError("hidden must be >= 1 and n_freq a positive even number")
 
 
-def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarray):
-    """Loss and exact gradients for given per-item noise levels and draws.
+def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarray,
+                   grads: MlpParams):
+    """Loss and exact gradients for given per-item noise levels and draws;
+    the gradients overwrite ``grads`` as in :func:`backward`.
 
     The lambda(sigma)-weighted denoising objective,
     mean over items of lambda ||D(y + sigma eps) - y||^2 / (N d) with
@@ -251,18 +269,26 @@ def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarr
     out, cache = forward(params, inputs)
     resid = out - targets
     loss = float(np.mean(resid * resid))
-    grads = backward(params, cache, 2.0 * resid / resid.size)
-    return loss, grads
+    return loss, backward(params, cache, 2.0 * resid / resid.size, grads)
 
 
-def edm_loss(params: MlpParams, batch, rng: RngStream, p_mean: float = -1.2,
-             p_std: float = 1.2):
+def edm_loss(params: MlpParams, batch, rng: RngStream, grads: MlpParams,
+             p_mean: float = -1.2, p_std: float = 1.2):
     """Draw log-normal noise levels and fresh noise, then evaluate the loss."""
     arch = params.arch
     n_items = len(batch)
     sigmas = np.exp(p_mean + p_std * rng.normal((n_items,)))
     noise = rng.normal((n_items, arch.n_frames, arch.frame_dim))
-    return edm_loss_terms(params, batch, sigmas, noise)
+    return edm_loss_terms(params, batch, sigmas, noise, grads)
+
+
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+#: Elements per slice of a block that :func:`adam_step` updates at once:
+#: the slice and its two scratch buffers stay in L2 cache.
+ADAM_CHUNK = 16384
 
 
 class AdamState:
@@ -270,28 +296,44 @@ class AdamState:
         self.m = {name: np.zeros_like(block) for name, block in params.blocks()}
         self.v = {name: np.zeros_like(block) for name, block in params.blocks()}
         self.t = 0
-
-
-#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
+        self.scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float):
-    """In-place Adam update with bias correction."""
+    """In-place Adam update with bias correction (Kingma & Ba 2015).
+
+    Each block is walked in flat slices of ADAM_CHUNK elements, and the
+    update's temporaries live in the state's two chunk-sized scratch
+    buffers, so a step allocates nothing. Every element gets the operations
+    of the whole-block form, in its order:
+    m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
+    block -= (lr (m / bc1)) / (sqrt(v / bc2) + eps).
+    Each operation is elementwise, so the result is bit-identical to that
+    form for any chunk size.
+    """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, block in params.blocks():
-        g = getattr(grads, name)
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        block -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        flat = (block.reshape(-1), getattr(grads, name).reshape(-1),
+                state.m[name].reshape(-1), state.v[name].reshape(-1))
+        for lo in range(0, block.size, ADAM_CHUNK):
+            p, g, m, v = (a[lo:lo + ADAM_CHUNK] for a in flat)
+            step, denom = (a[:p.size] for a in state.scratch)
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, g, out=step)
+            m += step
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=step)
+            step *= g
+            v += step
+            np.divide(m, bc1, out=step)
+            np.multiply(lr, step, out=step)
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            p -= step
 
 
 def train(world, cfg: TrainConfig):
@@ -302,20 +344,21 @@ def train(world, cfg: TrainConfig):
     and initialization all come from substreams of cfg.seed.
     """
     n_frames, frame_dim = world.seq_shape
-    # Every world conditions on one clean frame.
-    arch = ArchDescriptor(n_frames=n_frames, frame_dim=frame_dim,
-                          cond_dim=frame_dim, hidden=cfg.hidden,
+    arch = ArchDescriptor(n_frames=n_frames, frame_dim=frame_dim, hidden=cfg.hidden,
                           n_freq=cfg.n_freq, sigma_data=cfg.sigma_data)
     root = RngStream(cfg.seed)
     params = init_params(arch, root.split(0))
     rng_data = root.split(1)
     rng_noise = root.split(2)
     state = AdamState(params)
+    # Every step's gradients go into this one buffer, and Adam updates in
+    # place: after the first step, a step allocates nothing weight-sized.
+    grads = MlpParams.empty(arch)
 
     loss_curve = np.empty(cfg.n_steps)
     for step in range(cfg.n_steps):
         batch = [world.training_pair(rng_data) for _ in range(cfg.batch_size)]
-        loss, grads = edm_loss(params, batch, rng_noise, cfg.p_mean, cfg.p_std)
+        loss, grads = edm_loss(params, batch, rng_noise, grads, cfg.p_mean, cfg.p_std)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at step {step}")
         loss_curve[step] = loss
@@ -324,35 +367,46 @@ def train(world, cfg: TrainConfig):
 
 
 def save_checkpoint(params: MlpParams, path):
-    """Write weights + descriptor atomically; bit-exact roundtrip with load_checkpoint."""
+    """Write weights + descriptor atomically; bit-exact roundtrip with load_checkpoint.
+
+    The header's condition-dimension slot holds frame_dim: the network
+    conditions on one clean frame.
+    """
     arch = params.arch
-    header = CHECKPOINT_MAGIC + struct.pack(
-        "<6Id", CHECKPOINT_VERSION, arch.n_frames, arch.frame_dim,
-        arch.cond_dim, arch.hidden, arch.n_freq, arch.sigma_data,
+    data = bytearray(_HEADER_SIZE + 8 * sum(block.size for _, block in params.blocks()))
+    data[:_HEADER_SIZE] = CHECKPOINT_MAGIC + struct.pack(
+        _HEADER_FORMAT, CHECKPOINT_VERSION, arch.n_frames, arch.frame_dim,
+        arch.frame_dim, arch.hidden, arch.n_freq, arch.sigma_data,
     )
-    blocks = [np.ascontiguousarray(block, dtype="<f8").tobytes() for _, block in params.blocks()]
-    _atomic_write_bytes(path, header + b"".join(blocks))
+    # Each block is copied once, straight into the file's bytes.
+    offset = _HEADER_SIZE
+    for _, block in params.blocks():
+        np.frombuffer(data, dtype="<f8", count=block.size, offset=offset)[:] = block.reshape(-1)
+        offset += 8 * block.size
+    _atomic_write_bytes(path, data)
 
 
 def load_checkpoint(path) -> MlpParams:
     """Read a checkpoint written by :func:`save_checkpoint`; the one place
     weights arrive from outside, so the only place they are checked finite."""
-    header_size = 4 + 6 * 4 + 8
     with open(path, "rb") as fh:
-        header = fh.read(header_size)
+        header = fh.read(_HEADER_SIZE)
         # The weight blocks are read once, into one buffer that they then
         # view. Starting it after the 36-byte header keeps every block
         # 8-byte aligned, which matrix products need for their BLAS path.
-        payload = bytearray(max(os.fstat(fh.fileno()).st_size - header_size, 0))
+        payload = bytearray(max(os.fstat(fh.fileno()).st_size - _HEADER_SIZE, 0))
         payload = memoryview(payload)[:fh.readinto(payload)]
-    if len(header) < header_size or header[:4] != CHECKPOINT_MAGIC:
+    if len(header) < _HEADER_SIZE or header[:4] != CHECKPOINT_MAGIC:
         raise CheckpointCorruptError(f"{path}: not a checkpoint file (bad magic or truncated header)")
     version, n_frames, frame_dim, cond_dim, hidden, n_freq, sigma_data = struct.unpack(
-        "<6Id", header[4:])
+        _HEADER_FORMAT, header[4:])
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
+    if cond_dim != frame_dim:
+        raise CheckpointCorruptError(
+            f"{path}: invalid descriptor (condition dimension {cond_dim} is not frame_dim {frame_dim})")
     try:
-        arch = ArchDescriptor(n_frames=n_frames, frame_dim=frame_dim, cond_dim=cond_dim,
+        arch = ArchDescriptor(n_frames=n_frames, frame_dim=frame_dim,
                               hidden=hidden, n_freq=n_freq, sigma_data=sigma_data)
     except ValueError as exc:
         raise CheckpointCorruptError(f"{path}: invalid descriptor ({exc})") from exc

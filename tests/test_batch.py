@@ -54,7 +54,7 @@ def _gmm():
 
 
 def _mlp():
-    arch = ArchDescriptor(n_frames=6, frame_dim=2, cond_dim=2, hidden=32, sigma_data=0.5)
+    arch = ArchDescriptor(n_frames=6, frame_dim=2, hidden=32, sigma_data=0.5)
     return MlpBackend(init_params(arch, RngStream(0))), np.array([-1.0, 0.0]), np.array([1.0, 0.5])
 
 

@@ -502,7 +502,7 @@ def _condition_axis_cases():
     gmm = AnalyticGmmBackend(TrajectoryGmmWorld.arcs(n_frames=5, tau=0.02))
     assert [np.count_nonzero(gmm.world.conditional_gmm(Condition(np.array(f)))[0])
             for f in ([-1.0, 0.0], [0.0, 0.0])] == [3, 6]
-    mlp = MlpBackend(init_params(ArchDescriptor(n_frames=5, frame_dim=2, cond_dim=2, hidden=16),
+    mlp = MlpBackend(init_params(ArchDescriptor(n_frames=5, frame_dim=2, hidden=16),
                                  RngStream(5)))
     per_frame = PerFrameConditionBackend(
         gp, [Condition(np.array([v, -v])) for v in np.linspace(-1.0, 1.0, 5)])

@@ -407,7 +407,7 @@ class TestRunExperiment:
     def test_fingerprint_ignores_where_the_checkpoint_lives(self, tmp_path):
         # The output digests pin what the checkpoint produced, so one
         # checkpoint copied into two directories gives one fingerprint.
-        arch = ArchDescriptor(n_frames=4, frame_dim=1, cond_dim=1, hidden=2, n_freq=2)
+        arch = ArchDescriptor(n_frames=4, frame_dim=1, hidden=2, n_freq=2)
         first = tmp_path / "a" / "net.trfw"
         first.parent.mkdir()
         save_checkpoint(init_params(arch, RngStream(0)), first)
@@ -602,6 +602,23 @@ class TestCli:
         pytest.param("trf", ('world={"kind":"gmm"}', 'conditions={"start":[-1,-1e300],"end":[1,0]}'),
                      r"'conditions.start\[1\]' must be at least -10000, got -1e\+300",
                      id="gmm-start-minus-1e300"),
+        # One past each size bound: rejected by the schema, so nothing that size is built.
+        ("train", "world.n_frames=1025", r"'world.n_frames' must be at most 1024, got 1025"),
+        ("train", "world.dim=65", r"'world.dim' must be at most 64, got 65"),
+        pytest.param("trf", 'world={"kind":"gmm","n_frames":1025}',
+                     r"'world.n_frames' must be at most 1024, got 1025", id="gmm-n_frames-1025"),
+        pytest.param("train", 'world={"kind":"blob","grid_size":65,"trajectory":{"kind":"gmm"}}',
+                     r"'world.grid_size' must be at most 64, got 65", id="blob-grid_size-65"),
+        pytest.param("train", 'world={"kind":"blob","trajectory":{"kind":"gmm","n_frames":1025}}',
+                     r"'world.trajectory.n_frames' must be at most 1024, got 1025",
+                     id="blob-trajectory-n_frames-1025"),
+        ("trf", "schedule.n_steps=1001", r"'schedule.n_steps' must be at most 1000, got 1001"),
+        ("train", "train.n_steps=100001", r"'train.n_steps' must be at most 100000, got 100001"),
+        ("train", "train.batch_size=4097", r"'train.batch_size' must be at most 4096, got 4097"),
+        ("train", "train.hidden=2049", r"'train.hidden' must be at most 2048, got 2049"),
+        ("train", "train.n_freq=65", r"'train.n_freq' must be at most 64, got 65"),
+        pytest.param("train", f"train.n_steps={10 ** 400}",
+                     rf"'train.n_steps' must be at most 100000, got {10 ** 400}", id="n_steps-10**400"),
     ])
     def test_bad_values_exit_1_before_anything_is_written(self, tmp_path, capsys, command,
                                                           override, named):
@@ -619,7 +636,7 @@ class TestCli:
         paths = {"missing": tmp_path / "nope.trfw", "config": cfg, "directory": tmp_path,
                  "truncated": tmp_path / "short.trfw", "nan": tmp_path / "nan.trfw"}
         (tmp_path / "short.trfw").write_bytes(b"TRFW\x01")
-        arch = ArchDescriptor(n_frames=4, frame_dim=1, cond_dim=1, hidden=2, n_freq=2)
+        arch = ArchDescriptor(n_frames=4, frame_dim=1, hidden=2, n_freq=2)
         save_checkpoint(init_params(arch, RngStream(0)), paths["nan"])
         paths["nan"].write_bytes(paths["nan"].read_bytes()[:-8] + np.float64(np.nan).tobytes())
         out = tmp_path / "r"

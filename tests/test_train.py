@@ -3,6 +3,7 @@ checkpoint format, and optimizer behavior."""
 
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ import pytest
 from trflab.core import RngStream
 from trflab.denoiser import Condition
 from trflab.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_CHUNK,
+    ADAM_EPS,
     AdamState,
     ArchDescriptor,
     CheckpointCorruptError,
@@ -35,7 +40,7 @@ _BLOCKS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 def tiny_arch(**kw):
-    base = dict(n_frames=2, frame_dim=2, cond_dim=2, hidden=8, n_freq=4, sigma_data=0.5)
+    base = dict(n_frames=2, frame_dim=2, hidden=8, n_freq=4, sigma_data=0.5)
     base.update(kw)
     return ArchDescriptor(**base)
 
@@ -44,7 +49,7 @@ def tiny_batch(arch, rng, n_items=3):
     batch = []
     for _ in range(n_items):
         seq = rng.normal((arch.n_frames, arch.frame_dim))
-        batch.append((seq, Condition(rng.normal((arch.cond_dim,)))))
+        batch.append((seq, Condition(rng.normal((arch.frame_dim,)))))
     sigmas = np.exp(rng.normal((n_items,)) * 0.5)
     noise = rng.normal((n_items, arch.n_frames, arch.frame_dim))
     return batch, sigmas, noise
@@ -57,7 +62,8 @@ class TestGradients:
         rng = RngStream(77)
         params = init_params(arch, rng.split(0))
         batch, sigmas, noise = tiny_batch(arch, rng.split(1))
-        _, grads = edm_loss_terms(params, batch, sigmas, noise)
+        _, grads = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
+        scratch = MlpParams.empty(arch)
 
         h = 1e-6
         probe = RngStream(5)
@@ -68,9 +74,9 @@ class TestGradients:
                 idx = int(probe.choice(block.size))
                 orig = block.reshape(-1)[idx]
                 block.reshape(-1)[idx] = orig + h
-                up, _ = edm_loss_terms(params, batch, sigmas, noise)
+                up, _ = edm_loss_terms(params, batch, sigmas, noise, scratch)
                 block.reshape(-1)[idx] = orig - h
-                down, _ = edm_loss_terms(params, batch, sigmas, noise)
+                down, _ = edm_loss_terms(params, batch, sigmas, noise, scratch)
                 block.reshape(-1)[idx] = orig
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
@@ -83,12 +89,12 @@ class TestGradients:
         rng = RngStream(3)
         params = init_params(arch, rng.split(0))
         batch, sigmas, noise = tiny_batch(arch, rng.split(1))
-        loss, grads = edm_loss_terms(params, batch, sigmas, noise)
+        loss, grads = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
         # Descending along the gradient must reduce the loss to first order.
         step = 1e-4
         for name in _BLOCKS:
             getattr(params, name)[...] -= step * getattr(grads, name)
-        after, _ = edm_loss_terms(params, batch, sigmas, noise)
+        after, _ = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
         grad_sq = sum(float((getattr(grads, n) ** 2).sum()) for n in _BLOCKS)
         np.testing.assert_allclose(loss - after, step * grad_sq, rtol=1e-2)
 
@@ -103,7 +109,7 @@ class TestLoss:
         params = MlpParams(arch, **{n: np.zeros(s) for n, s in shapes.items()})
         rng = RngStream(21)
         batch, sigmas, noise = tiny_batch(arch, rng)
-        loss, _ = edm_loss_terms(params, batch, sigmas, noise)
+        loss, _ = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
 
         sd2 = arch.sigma_data ** 2
         targets = []
@@ -123,7 +129,7 @@ class TestLoss:
         rng = RngStream(9)
         params = init_params(arch, rng.split(0))
         batch, sigmas, noise = tiny_batch(arch, rng.split(1), n_items=4)
-        loss, _ = edm_loss_terms(params, batch, sigmas, noise)
+        loss, _ = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
 
         backend = MlpBackend(params)
         sd2 = arch.sigma_data ** 2
@@ -139,24 +145,26 @@ class TestLoss:
         arch = tiny_arch()
         params = init_params(arch, RngStream(0))
         batch = [(np.zeros((2, 2)), Condition(np.zeros(2)))] * 2
-        l1, _ = edm_loss(params, batch, RngStream(4), p_mean=-1.2, p_std=1.2)
-        l2, _ = edm_loss(params, batch, RngStream(4), p_mean=-1.2, p_std=1.2)
+        grads = MlpParams.empty(arch)
+        l1, _ = edm_loss(params, batch, RngStream(4), grads, p_mean=-1.2, p_std=1.2)
+        l2, _ = edm_loss(params, batch, RngStream(4), grads, p_mean=-1.2, p_std=1.2)
         assert l1 == l2  # same stream, same levels and noise
-        l3, _ = edm_loss(params, batch, RngStream(5), p_mean=-1.2, p_std=1.2)
+        l3, _ = edm_loss(params, batch, RngStream(5), grads, p_mean=-1.2, p_std=1.2)
         assert l1 != l3
 
     def test_empty_batch_rejected(self):
         arch = tiny_arch()
         params = init_params(arch, RngStream(0))
+        grads = MlpParams.empty(arch)
         with pytest.raises(ValueError):
-            edm_loss_terms(params, [], np.empty(0), np.empty((0, 2, 2)))
+            edm_loss_terms(params, [], np.empty(0), np.empty((0, 2, 2)), grads)
         batch, sigmas, noise = tiny_batch(arch, RngStream(1))
         wrong_shape = [(np.zeros((3, 2)), cond) for _, cond in batch]
         with pytest.raises(ValueError, match="shape"):
-            edm_loss_terms(params, wrong_shape, sigmas, noise)
+            edm_loss_terms(params, wrong_shape, sigmas, noise, grads)
         batch[1] = (np.full((2, 2), np.nan), batch[1][1])
         with pytest.raises(ValueError, match="non-finite"):
-            edm_loss_terms(params, batch, sigmas, noise)
+            edm_loss_terms(params, batch, sigmas, noise, grads)
 
 
 class TestNetwork:
@@ -186,9 +194,15 @@ class TestNetwork:
         x = RngStream(2).normal((5, arch.input_dim))
         out, cache = forward(params, x)
         assert out.shape == (5, arch.seq_dim)
-        grads = backward(params, cache, np.ones_like(out))
+        # Every block of the buffer is overwritten, whatever it held before.
+        stale = MlpParams(arch, **{n: np.full(s, np.nan) for n, s in arch.block_shapes().items()})
+        grads = backward(params, cache, np.ones_like(out), stale)
+        assert grads is stale
+        fresh = backward(params, cache, np.ones_like(out), MlpParams.empty(arch))
         for name in _BLOCKS:
             assert getattr(grads, name).shape == getattr(params, name).shape
+            np.testing.assert_array_equal(getattr(grads, name), getattr(fresh, name))
+            assert np.all(np.isfinite(getattr(grads, name)))
 
     def test_backend_contract(self):
         arch = tiny_arch()
@@ -212,7 +226,50 @@ class TestNetwork:
             MlpParams(tiny_arch(), **{n: np.zeros((3, 3)) for n in _BLOCKS})
 
 
+def reference_adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float):
+    """Whole-block Adam update: the form the chunked adam_step must reproduce."""
+    state.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    for name, block in params.blocks():
+        g = getattr(grads, name)
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        block -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("arch", [
+        # Blocks of 1, ADAM_CHUNK and 2 ADAM_CHUNK + 2 elements.
+        ArchDescriptor(n_frames=1, frame_dim=ADAM_CHUNK, hidden=1, n_freq=2),
+        # ADAM_CHUNK + 3 and 2 ADAM_CHUNK + 8 elements.
+        ArchDescriptor(n_frames=1, frame_dim=ADAM_CHUNK + 3, hidden=1, n_freq=2),
+        # The benchmark's network: 8 frames of 16 x 16 pixels, w1 is 2312 x 256.
+        ArchDescriptor(n_frames=8, frame_dim=256, hidden=256),
+    ], ids=["chunk", "chunk+3", "blob-8x256"])
+    def test_chunked_update_is_bit_identical_to_whole_block_form(self, arch):
+        params = init_params(arch, RngStream(40))
+        ref_params = params.copy()
+        state, ref_state = AdamState(params), AdamState(ref_params)
+        rng = RngStream(41)
+        for _ in range(20):
+            grads = MlpParams(arch, **{n: rng.normal(s) for n, s in arch.block_shapes().items()})
+            adam_step(params, grads, state, lr=1e-3)
+            reference_adam_step(ref_params, grads, ref_state, lr=1e-3)
+        assert state.t == ref_state.t == 20
+        for name in _BLOCKS:
+            np.testing.assert_array_equal(_bits(getattr(params, name)), _bits(getattr(ref_params, name)))
+            np.testing.assert_array_equal(_bits(state.m[name]), _bits(ref_state.m[name]))
+            np.testing.assert_array_equal(_bits(state.v[name]), _bits(ref_state.v[name]))
+
     def test_first_step_is_lr_sized(self):
         # With unit gradients, bias correction makes the first update
         # exactly lr / (1 + eps) in every coordinate.
@@ -251,7 +308,7 @@ class TestTraining:
         cfg = TrainConfig(lr=0.0, n_steps=5, batch_size=4, hidden=16, seed=11)
         params, curve = train(self._world(), cfg)
         assert curve.shape == (5,)
-        arch = ArchDescriptor(n_frames=3, frame_dim=2, cond_dim=2, hidden=16,
+        arch = ArchDescriptor(n_frames=3, frame_dim=2, hidden=16,
                               n_freq=cfg.n_freq, sigma_data=cfg.sigma_data)
         expected = init_params(arch, RngStream(11).split(0))
         for name in _BLOCKS:
@@ -271,8 +328,8 @@ class TestTraining:
         real_loss = train_mod.edm_loss
         calls = {"n": 0}
 
-        def flaky_loss(params, batch, rng, p_mean=-1.2, p_std=1.2):
-            loss, grads = real_loss(params, batch, rng, p_mean, p_std)
+        def flaky_loss(params, batch, rng, grads, p_mean=-1.2, p_std=1.2):
+            loss, grads = real_loss(params, batch, rng, grads, p_mean, p_std)
             if calls["n"] == 2:
                 loss = np.inf
             calls["n"] += 1
@@ -281,6 +338,24 @@ class TestTraining:
         monkeypatch.setattr(train_mod, "edm_loss", flaky_loss)
         with pytest.raises(TrainingDivergedError, match="step 2"):
             train(self._world(), TrainConfig(n_steps=5, batch_size=2, hidden=8))
+
+    def test_training_allocates_little_beyond_its_weights(self):
+        # Three steps at the benchmark's size (8 x 256 blob, hidden 256, batch
+        # 64). Weights, both Adam moments and the gradient buffer are 4 weight
+        # copies; the rest (one batch's activations, rendering and an Adam
+        # slice) fits in 12 MiB. A fresh gradient set per step or whole-block
+        # Adam temporaries would exceed it.
+        traj = TrajectoryGmmWorld.arcs(n_frames=8, tau=0.1)
+        world = MovingBlobWorld(traj, grid_size=16, bump_std=1.5, pixels_per_unit=5.0)
+        cfg = TrainConfig(n_steps=3, batch_size=64, hidden=256, seed=0)
+        tracemalloc.start()
+        try:
+            params, _ = train(world, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weight_bytes = sum(block.nbytes for _, block in params.blocks())
+        assert peak <= 4 * weight_bytes + 12 * 2 ** 20, (peak / 2 ** 20, weight_bytes / 2 ** 20)
 
     def test_blob_training_bytes_are_pinned(self, tmp_path):
         # Four steps on a small blob world, one frame of it off the grid: the
@@ -396,6 +471,18 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointCorruptError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_condition_slot_must_equal_frame_dim(self, tmp_path):
+        # The header keeps a condition-dimension slot; the network conditions
+        # on one frame, so any other value there is a corrupt header.
+        path = tmp_path / "net.trfw"
+        save_checkpoint(self._params(), path)
+        data = bytearray(path.read_bytes())
+        assert data[16:20] == data[12:16] == (2).to_bytes(4, "little")  # frame_dim, then the slot
+        data[16:20] = (3).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorruptError, match="condition dimension 3 is not frame_dim 2"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
