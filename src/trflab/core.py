@@ -6,6 +6,7 @@ sequences, a (B, N, d) array whose row i is the chain of seed i; frames are
 always axis -2, so sequence operations act on either shape.
 """
 
+import functools
 import hashlib
 import os
 
@@ -46,14 +47,42 @@ def reverse(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x[..., ::-1, :])
 
 
+@functools.cache
+def _key_sequence_type():
+    """The seed-sequence class that hands Philox its key as its whole state.
+
+    ``np.random.Philox(key=...)`` first builds a ``SeedSequence()`` from OS
+    entropy and then ignores it; a seed sequence whose state is the key
+    itself gives the same generator with no entropy read. The class is made
+    on first use, so importing this module does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, seed: int, stream: int):
+            self.key = (seed, stream)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or dtype != np.uint64:
+                raise ValueError("a Philox key is two 64-bit words")
+            # Philox(key=...) converts the key exactly so. A pair with one
+            # word at or above 2**63 and one below goes through float64,
+            # which rounds; converting alike keeps every stream's draws.
+            return np.asarray(self.key).astype(np.uint64)
+
+    return KeySequence
+
+
 class RngStream:
     """Counter-based Gaussian noise stream addressed by (seed, stream id).
 
-    Built on Philox so that the same (seed, stream) always replays the same
-    draw sequence and distinct stream ids are statistically independent.
-    Derive purpose-specific substreams with :meth:`split` (e.g. one stream
-    for latent initialisation, one for churn, one for re-injection) so that
-    adding draws to one purpose never shifts another.
+    A stream is the Philox generator with key (seed, stream id) and counter
+    0, built on the stream's first draw, so that the same (seed, stream)
+    always replays the same draw sequence and distinct stream ids are
+    statistically independent. Derive purpose-specific substreams with
+    :meth:`split` (e.g. one stream for latent initialisation, one for churn,
+    one for re-injection) so that adding draws to one purpose never shifts
+    another; a stream that is only split never builds its generator.
     """
 
     # Golden-ratio multiplier; mixes (parent stream, label) into a child id.
@@ -62,7 +91,13 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.stream = int(stream) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        self._gen = None
+
+    def _generator(self):
+        if self._gen is None:
+            key = _key_sequence_type()(self.seed, self.stream)
+            self._gen = np.random.Generator(np.random.Philox(key))
+        return self._gen
 
     def split(self, label: int) -> "RngStream":
         """Return an independent stream derived from this one, same seed."""
@@ -71,15 +106,15 @@ class RngStream:
 
     def normal(self, shape) -> np.ndarray:
         """Draw standard-normal float64 values and advance the stream."""
-        return self._gen.standard_normal(size=shape, dtype=np.float64)
+        return self._generator().standard_normal(size=shape, dtype=np.float64)
 
     def uniform(self, shape=None) -> np.ndarray:
         """Draw uniform [0, 1) float64 values and advance the stream."""
-        return self._gen.random(size=shape, dtype=np.float64)
+        return self._generator().random(size=shape, dtype=np.float64)
 
     def choice(self, n: int, p=None) -> int:
         """Draw an index in [0, n) with optional probabilities."""
-        return int(self._gen.choice(n, p=p))
+        return int(self._generator().choice(n, p=p))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream})"
@@ -107,7 +142,10 @@ class RngBatch:
         return RngBatch(s.split(label) for s in self.streams)
 
     def normal(self, shape) -> np.ndarray:
-        return np.stack([s.normal(shape) for s in self.streams])
+        out = np.empty((len(self.streams), *shape))
+        for row, s in zip(out, self.streams):
+            row[...] = s.normal(shape)
+        return out
 
 
 def gaussian_noise(shape, std: float, rng: RngStream) -> np.ndarray:

@@ -59,7 +59,8 @@ class DenoiserBackend:
     paths in one call with two. Implementations must be deterministic,
     preserve shape, and report the (N, d) shape via ``seq_shape`` so
     sampling loops know what latent to draw. Inputs come from the sampling
-    loops and are not re-validated.
+    loops and are not re-validated. The returned array belongs to the
+    caller, which may write over it: the samplers step in place on it.
     """
 
     def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:

@@ -553,19 +553,18 @@ def evaluate_run(run_dir) -> MetricReport:
         if actual != digest:
             raise RuntimeError(f"{path}: hash {actual} does not match manifest {digest}")
         trajectories.append(load_tensor(path))
-    return _summary_metrics(trajectories, c_e)
+    return _summary_metrics(np.stack(trajectories), c_e)
 
 
-def _summary_metrics(trajectories, c_e: Condition | None) -> MetricReport:
-    # The manifest's metrics; evaluate_run must reproduce them exactly.
+def _summary_metrics(trajectories: np.ndarray, c_e: Condition | None) -> MetricReport:
+    # The manifest's metrics over the (B, N, d) stack of a run's outputs,
+    # one call per metric; evaluate_run must reproduce them exactly.
     report = MetricReport()
     n = len(trajectories)
     if c_e is not None:
-        report.add("endpoint_error_median",
-                   np.median([endpoint_error(x, c_e.frame) for x in trajectories]), n)
-    roughnesses = [roughness(x) for x in trajectories if x.shape[0] >= 3]
-    if roughnesses:
-        report.add("roughness_median", np.median(roughnesses), n)
+        report.add("endpoint_error_median", np.median(endpoint_error(trajectories, c_e.frame)), n)
+    if trajectories.shape[-2] >= 3:
+        report.add("roughness_median", np.median(roughness(trajectories)), n)
     return report
 
 

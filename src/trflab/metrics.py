@@ -16,24 +16,46 @@ import numpy as np
 from .core import as_frame, as_sequence
 
 
-def endpoint_error(x: np.ndarray, target) -> float:
-    """Euclidean distance of the last frame from the target frame."""
-    x = as_sequence(x)
-    target = as_frame(target, dim=x.shape[1])
-    return float(np.linalg.norm(x[-1] - target))
+def _as_sequences(x) -> np.ndarray:
+    """Validate ``x`` as an (N, d) sequence or a (B, N, d) batch of B >= 1 of them."""
+    s = np.asarray(x, dtype=np.float64)
+    if s.ndim == 3 and s.shape[0] >= 1:
+        as_sequence(s[0])
+        if not np.all(np.isfinite(s)):
+            raise ValueError("sequence has non-finite entries")
+        return s
+    return as_sequence(s)
 
 
-def roughness(x: np.ndarray) -> float:
+def endpoint_error(x: np.ndarray, target) -> float | np.ndarray:
+    """Euclidean distance of the last frame from the target frame.
+
+    A float for an (N, d) sequence; for a (B, N, d) batch, the (B,) array
+    of every row's distance, each exactly the row's own score: the squared
+    norm is a dot product of the row with itself, as ``np.linalg.norm``
+    takes it.
+    """
+    x = _as_sequences(x)
+    target = as_frame(target, dim=x.shape[-1])
+    diff = x[..., -1, :] - target
+    dist = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    return float(dist) if x.ndim == 2 else dist
+
+
+def roughness(x: np.ndarray) -> float | np.ndarray:
     """Largest second difference: max_n ||x[n+1] - 2 x[n] + x[n-1]||.
 
     Zero for any sequence affine in the frame index; a single jump of size
-    J in an otherwise-linear sequence scores exactly J.
+    J in an otherwise-linear sequence scores exactly J. A float for an
+    (N, d) sequence, the (B,) array of every row's score for a (B, N, d)
+    batch.
     """
-    x = as_sequence(x)
-    if x.shape[0] < 3:
-        raise ValueError(f"roughness needs at least 3 frames, got {x.shape[0]}")
-    second = x[2:] - 2.0 * x[1:-1] + x[:-2]
-    return float(np.sqrt((second ** 2).sum(axis=1)).max())
+    x = _as_sequences(x)
+    if x.shape[-2] < 3:
+        raise ValueError(f"roughness needs at least 3 frames, got {x.shape[-2]}")
+    second = x[..., 2:, :] - 2.0 * x[..., 1:-1, :] + x[..., :-2, :]
+    rough = np.sqrt((second ** 2).sum(axis=-1)).max(axis=-1)
+    return float(rough) if x.ndim == 2 else rough
 
 
 def energy_distance(a, b) -> float:

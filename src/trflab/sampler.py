@@ -147,9 +147,17 @@ def check_conditions(backend: DenoiserBackend, *conds: Condition):
 
 def _euler_from_denoised(x_hat: np.ndarray, sigma_hat: float, sigma_next: float,
                          denoised: np.ndarray) -> np.ndarray:
-    """One Euler step from sigma_hat to sigma_next toward the prediction ``denoised``."""
-    d = (x_hat - denoised) / sigma_hat
-    return x_hat + (sigma_next - sigma_hat) * d
+    """One Euler step from sigma_hat to sigma_next toward the prediction ``denoised``.
+
+    The step x_hat + (sigma_next - sigma_hat) (x_hat - denoised) / sigma_hat
+    is written over ``denoised``, which the backend handed to the caller,
+    and returned; it rounds exactly as the out-of-place expression.
+    """
+    x = np.subtract(x_hat, denoised, out=denoised)
+    x /= sigma_hat
+    x *= sigma_next - sigma_hat
+    x += x_hat
+    return x
 
 
 def _walk(name: str, shape: tuple[int, int], schedule: NoiseSchedule, churn: ChurnParams,
@@ -158,20 +166,23 @@ def _walk(name: str, shape: tuple[int, int], schedule: NoiseSchedule, churn: Chu
 
     ``step(t, sigma, x_hat, sigma_hat, sigma_next)`` maps the churned
     latent to the latent at sigma_next and returns it with the step's
-    record, or with None to keep no record. The initial latent is drawn
-    from ``STREAM_INIT``, and the churn noise of every step with gamma > 0
-    in one draw from ``STREAM_CHURN``, taken row by row; a non-finite
-    latent after any step raises, naming ``name``.
+    record, or with None to keep no record. The levels come from one
+    per-run list, ``levels[t] = schedule.sigma_at(t)`` as Python floats, so
+    sigma is ``levels[t]`` and sigma_next is ``levels[t - 1]`` (0 after the
+    last step). The initial latent is drawn from ``STREAM_INIT``, and the
+    churn noise of every step with gamma > 0 in one draw from
+    ``STREAM_CHURN``, taken row by row; a non-finite latent after any step
+    raises, naming ``name``.
     """
     n_steps = schedule.n_steps
     x = gaussian_noise(shape, schedule.sigma_max, rng.split(STREAM_INIT))
-    # gammas[t] is the churn factor at countdown step t, level sigma_at(t).
-    gammas = [churn_gamma(churn, sigma, n_steps) for sigma in schedule.sigmas[::-1].tolist()]
+    levels = schedule.sigmas[::-1].tolist()
+    gammas = [churn_gamma(churn, sigma, n_steps) for sigma in levels]
     churn_rows = iter(normal_rows(rng.split(STREAM_CHURN), sum(g > 0 for g in gammas), shape))
     trace = StepTrace()
     for t in range(n_steps - 1, -1, -1):
-        sigma = schedule.sigma_at(t)
-        sigma_next = schedule.sigma_at(t - 1) if t > 0 else 0.0
+        sigma = levels[t]
+        sigma_next = levels[t - 1] if t > 0 else 0.0
         gamma = gammas[t]
         x_hat, sigma_hat = churn_perturb(x, sigma, gamma, churn.s_noise,
                                          next(churn_rows) if gamma > 0 else None)
@@ -196,10 +207,10 @@ def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat[None], sigma_hat, (cond,))[0]
-        x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
         diag = {}
         if diagnostics:
             diag = dict(latent_hash=sequence_hash(x_hat), denoised_hash=sequence_hash(denoised))
+        x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
         return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat), **diag)
 
     return _walk("sample", backend.seq_shape, schedule, churn, rng, step)

@@ -31,7 +31,7 @@ import numpy as np
 from .core import RngBatch, RngStream, normal_rows, reverse, sequence_hash
 from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend
 from .sampler import STREAM_REINJECT, StepRecord, StepTrace, _euler_from_denoised, _walk, check_conditions, sample
-from .schedule import ChurnParams, NoiseSchedule, injection_std
+from .schedule import ChurnParams, NoiseSchedule
 
 KIND_LINEAR = "linear"
 KIND_EXPONENTIAL = "exponential"
@@ -46,6 +46,7 @@ class AlphaSchedule:
     """
 
     weights: np.ndarray
+    _laid_out: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -58,6 +59,18 @@ class AlphaSchedule:
     @property
     def n_frames(self) -> int:
         return self.weights.size
+
+    def laid_out(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """alpha_n and 1 - alpha_n on every frame n of a (..., N, d) array of
+        ``shape``, built once per shape: a product with a full array runs in
+        one contiguous loop, where an (N, 1) column broadcasts d values at a
+        time."""
+        pair = self._laid_out.get(shape)
+        if pair is None:
+            column = self.weights[:, None]
+            pair = (np.broadcast_to(column, shape).copy(), np.broadcast_to(1.0 - column, shape).copy())
+            self._laid_out[shape] = pair
+        return pair
 
 
 def alpha_weights(kind: str, n_frames: int, lam: float | None = None) -> AlphaSchedule:
@@ -127,8 +140,10 @@ def fuse(x_fwd: np.ndarray, x_bwd: np.ndarray, alpha: AlphaSchedule) -> np.ndarr
     if x_bwd.shape != x_fwd.shape or x_fwd.shape[-2:-1] != (alpha.n_frames,):
         raise ValueError(f"cannot fuse paths of shapes {x_fwd.shape} and {x_bwd.shape} "
                          f"with {alpha.n_frames} weights")
-    w = alpha.weights[:, None]
-    return w * x_fwd + (1.0 - w) * x_bwd[..., ::-1, :]
+    w_fwd, w_bwd = alpha.laid_out(x_fwd.shape)
+    x = np.multiply(w_fwd, x_fwd)
+    x += np.multiply(w_bwd, x_bwd[..., ::-1, :])
+    return x
 
 
 def fusion_objective(x: np.ndarray, x_fwd: np.ndarray, x_bwd: np.ndarray,
@@ -158,7 +173,9 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
     forward under c_s and reversed under c_e, fuse; while t is above the
     cutoff, re-noise the fused state back up to sigma_t (one shared draw),
     redo both denoise steps from sigma_t, and re-fuse, m_reinject times.
-    The re-injection noise of the whole run is one draw of
+    The re-injection std sqrt(sigma_t^2 - sigma_{t-1}^2) comes from the
+    levels the walk hands each step, its per-run list of levels, and the
+    re-injection noise of the whole run is one draw of
     m_reinject * #{t > t0} rows, used in order. Returns the final fused
     sequence (a (B, N, d) batch when ``rng`` is an RngBatch) and a T-record
     trace of the fusion counts; with ``diagnostics`` set the records also
@@ -195,7 +212,7 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
             # Re-injection: lift the fused state back to sigma_t (the new
             # noise's variance is exactly sigma_t^2 - sigma_{t-1}^2), redo
             # both paths from sigma_t with no churn, and fuse again.
-            inj = injection_std(schedule, t)
+            inj = math.sqrt(sigma * sigma - sigma_next * sigma_next)
             for _ in range(cfg.m_reinject):
                 fwd, bwd, x = fused(x + inj * next(rein_rows), sigma, sigma_next)
                 fusions += 1

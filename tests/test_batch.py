@@ -99,16 +99,13 @@ def test_batch_rows_match_batch_of_one(name, kind):
 
 #: SHA-256 over the outputs and traces of test_mixture_outputs_are_pinned.
 MIXTURE_DIGEST = "f5e26c5bbefaa31d03fdb3b5aab8e8e916b6fbfbdf67ddc7320db2197c63693a"
+#: SHA-256 over the outputs and traces of test_gaussian_outputs_are_pinned.
+GAUSSIAN_DIGEST = "bf9eddc3248e63210e8c9039d8f3c487685146cb7cdd0b406f0fc3327ee3736d"
 
 
-def test_mixture_outputs_are_pinned():
-    # Endpoints far apart, so under each endpoint the other direction's
-    # routes have weight exactly 0, while the interpolated conditions near
-    # the middle weigh all six routes.
-    world = TrajectoryGmmWorld.arcs(n_frames=6, start=(-3.0, 0.0), end=(3.0, 0.0), tau=0.1)
-    backend = AnalyticGmmBackend(world)
-    c_s, c_e = Condition(np.array([-3.0, 0.0])), Condition(np.array([3.0, 0.0]))
-    assert [np.count_nonzero(world.posterior_component_weights(c)) for c in (c_s, c_e)] == [3, 3]
+def _pinned_digest(backend, c_s, c_e):
+    """SHA-256 over the outputs and traces of sample, trf with m = 0 and 2,
+    and both baselines, each run on a 4-seed batch over 12 levels."""
     sched = build_karras(12, 0.01, 20.0)
     seeds = [100, 101, 102, 103]
     runs = [sample(backend, sched, c_s, ChurnParams(), RngBatch.from_seeds(seeds), diagnostics=True)]
@@ -123,7 +120,23 @@ def test_mixture_outputs_are_pinned():
         digest.update(np.ascontiguousarray(x).tobytes())
         if trace is not None:
             digest.update(trace.to_json_lines().encode())
-    assert digest.hexdigest() == MIXTURE_DIGEST
+    return digest.hexdigest()
+
+
+def test_mixture_outputs_are_pinned():
+    # Endpoints far apart, so under each endpoint the other direction's
+    # routes have weight exactly 0, while the interpolated conditions near
+    # the middle weigh all six routes.
+    world = TrajectoryGmmWorld.arcs(n_frames=6, start=(-3.0, 0.0), end=(3.0, 0.0), tau=0.1)
+    backend = AnalyticGmmBackend(world)
+    c_s, c_e = Condition(np.array([-3.0, 0.0])), Condition(np.array([3.0, 0.0]))
+    assert [np.count_nonzero(world.posterior_component_weights(c)) for c in (c_s, c_e)] == [3, 3]
+    assert _pinned_digest(backend, c_s, c_e) == MIXTURE_DIGEST
+
+
+def test_gaussian_outputs_are_pinned():
+    backend, start, end = _gp()
+    assert _pinned_digest(backend, Condition(start), Condition(end)) == GAUSSIAN_DIGEST
 
 
 @pytest.mark.parametrize("kind", KINDS)

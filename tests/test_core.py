@@ -1,5 +1,8 @@
 """Sequence numerics and RNG streams."""
 
+import hashlib
+import random
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -88,6 +91,42 @@ class TestRngStream:
         rng = RngStream(3)
         draws = [rng.choice(3, p=[0.0, 1.0, 0.0]) for _ in range(50)]
         assert set(draws) == {1}
+
+    #: SHA-256 of ``_draw_digest`` per (seed, stream) key.
+    PINNED = {
+        (0, 0): "a4a25199b75ea1c660611a5302f43337d1871846e2aad1e3060b5274fe7c931c",
+        (5, 77): "2c1a7b5580f2703e2d7b741db264573173c954dfa7cab92d7e134703d7367779",
+        (2**64 - 1, 2**64 - 1): "09afe2b51653f1790807345ccb58a3b57526b178947ac6b4c9cc120bac58cda4",
+    }
+
+    @staticmethod
+    def _draw_digest(rng):
+        h = hashlib.sha256()
+        h.update(rng.normal((3, 4)).tobytes())
+        h.update(bytes([rng.choice(7) for _ in range(8)]))
+        h.update(bytes([rng.choice(3, p=[0.2, 0.5, 0.3]) for _ in range(8)]))
+        h.update(rng.normal(5).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("key", list(PINNED), ids=["0-0", "5-77", "max-max"])
+    def test_draws_are_pinned(self, key):
+        assert self._draw_digest(RngStream(*key)) == self.PINNED[key]
+
+    def test_split_child_draws_are_pinned(self):
+        child = RngStream(5, 77).split(2)
+        assert (child.seed, child.stream) == (5, 10858069623537357396)
+        assert self._draw_digest(child) == "ee3ad82ad9a64e097f309fadd9460747139b712e1c17bda4da73f2a4f94a3c1d"
+
+    def test_streams_read_no_os_entropy(self, monkeypatch):
+        # numpy's SeedSequence() takes its entropy from secrets.randbits,
+        # which reads random._urandom.
+        def urandom(n):
+            raise AssertionError("OS entropy read")
+
+        monkeypatch.setattr(random, "_urandom", urandom)
+        batch = RngBatch.from_seeds(range(16))
+        assert batch.split(1).normal((2, 3)).shape == (16, 2, 3)
+        assert batch.normal((4,)).shape == (16, 4)
 
 
 class TestGaussianNoise:

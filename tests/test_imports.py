@@ -1,10 +1,11 @@
-"""Imports: no unused names, and no scipy behind any command.
+"""Imports: no unused names, no scipy behind any command, no numpy.random at start-up.
 
 The toolchain ships no linter, so this walks each module's syntax tree: a
 name bound by an import must appear as a name somewhere in the module.
 Package ``__init__.py`` files are skipped, since they import to re-export.
 The package depends on numpy alone; scipy's import would be most of a
-command's start-up time.
+command's start-up time, and numpy.random's is about 10 ms of it, so the
+RNG streams import it on their first draw.
 """
 
 import ast
@@ -48,6 +49,20 @@ def test_no_unused_imports_in_src_or_tests():
     assert found == {}
 
 
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_importing_the_cli_imports_no_numpy_random():
+    script = "import sys, trflab.cli\nprint('numpy.random' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_a_trf_command_imports_no_scipy(tmp_path):
     config = tmp_path / "gp.json"
     config.write_text(json.dumps({
@@ -59,9 +74,7 @@ def test_a_trf_command_imports_no_scipy(tmp_path):
         f"rc = trflab.cli.main(['trf', '--config', {str(config)!r}, '--out', {str(tmp_path / 'run')!r}])\n"
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"

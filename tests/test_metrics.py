@@ -65,6 +65,34 @@ class TestRoughness:
             roughness(np.zeros((2, 2)))
 
 
+class TestBatches:
+    """A (B, N, d) batch scores every row exactly as the row alone."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 256])
+    def test_rows_score_as_sequences(self, dim):
+        rng = RngStream(4)
+        x = 10.0 * rng.normal((5, 7, dim))
+        target = rng.normal((dim,))
+        errors = endpoint_error(x, target)
+        assert errors.shape == (5,)
+        np.testing.assert_array_equal(errors, [np.linalg.norm(row[-1] - target) for row in x])
+        assert [endpoint_error(row, target) for row in x] == errors.tolist()
+        second = [row[2:] - 2.0 * row[1:-1] + row[:-2] for row in x]
+        np.testing.assert_array_equal(roughness(x), [np.sqrt((s ** 2).sum(axis=1)).max() for s in second])
+        assert [roughness(row) for row in x] == roughness(x).tolist()
+
+    def test_bad_batches_rejected(self):
+        x = np.zeros((3, 4, 2))
+        x[2, 1, 0] = np.nan
+        for bad in (x, np.zeros((0, 4, 2)), np.zeros((3, 0, 2))):
+            with pytest.raises(ValueError):
+                endpoint_error(bad, np.zeros(2))
+            with pytest.raises(ValueError):
+                roughness(bad)
+        with pytest.raises(ValueError, match="at least 3 frames"):
+            roughness(np.zeros((3, 2, 2)))
+
+
 class TestEnergyDistance:
     def test_identical_multisets_small_negative(self):
         # The unbiased estimator on identical multisets equals

@@ -100,6 +100,17 @@ class TestFuse:
             npt.assert_array_equal(out[0], x_fwd[0])
             npt.assert_array_equal(out[-1], x_bwd[0])
 
+    def test_matches_column_weights_exactly_on_every_shape(self):
+        # The weights laid out once per shape give the bits of the (N, 1)
+        # column formula, on a sequence and on batches of several sizes
+        # fused with one schedule.
+        rng = np.random.default_rng(2)
+        alpha = alpha_weights("exponential", 6, lam=2.0)
+        w = alpha.weights[:, None]
+        for shape in [(6, 2), (4, 6, 2), (2, 3, 6, 2), (4, 6, 2), (6, 5)]:
+            x_fwd, x_bwd = rng.normal(size=(2,) + shape)
+            npt.assert_array_equal(fuse(x_fwd, x_bwd, alpha), w * x_fwd + (1.0 - w) * x_bwd[..., ::-1, :])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fuse(np.zeros((3, 2)), np.zeros((4, 2)), alpha_weights("linear", 3))
