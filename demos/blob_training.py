@@ -22,7 +22,7 @@ import numpy as np
 from trflab.core import RngStream
 from trflab.denoiser import Condition
 from trflab.harness import export_frames_pgm
-from trflab.schedule import build_karras
+from trflab.schedule import ChurnParams, build_karras
 from trflab.train import MlpBackend, TrainConfig, load_checkpoint, save_checkpoint, train
 from trflab.trf import KIND_LINEAR, TrfConfig, alpha_weights, trf_sample
 from trflab.worlds import MovingBlobWorld, TrajectoryGmmWorld, blob_position
@@ -70,7 +70,7 @@ def main():
     print(f"\nsampling {args.seeds} fused sequences with the trained denoiser ...")
     errors = []
     for seed in range(args.seeds):
-        x, _ = trf_sample(backend, sched, c_s, c_e, trf_cfg, RngStream(seed))
+        x, _ = trf_sample(backend, sched, c_s, c_e, ChurnParams(), trf_cfg, RngStream(seed))
         g = world.grid_size
         found = blob_position(x[-1].reshape(g, g), world.bump_std)
         errors.append(np.linalg.norm(found - target_pix))

@@ -41,6 +41,7 @@ def main():
     end = np.array([1.0, 0.0])
     c_s = Condition(start)
     c_e = Condition(end)
+    churn = ChurnParams()
     cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, args.n_frames))
 
     print(f"random-walk world, {args.n_frames} frames; start {start}, end {end}")
@@ -48,9 +49,9 @@ def main():
 
     rows = {"fused": [], "forward": [], "interp": []}
     for seed in range(args.seeds):
-        xt, _ = trf_sample(backend, sched, c_s, c_e, cfg, RngStream(seed))
-        xf, _ = sample(backend, sched, c_s, ChurnParams(), RngStream(seed))
-        xi = baseline_condition_interp(backend, sched, c_s, c_e, RngStream(seed))
+        xt, _ = trf_sample(backend, sched, c_s, c_e, churn, cfg, RngStream(seed))
+        xf, _ = sample(backend, sched, c_s, churn, RngStream(seed))
+        xi, _ = baseline_condition_interp(backend, sched, c_s, c_e, churn, RngStream(seed))
         rows["fused"].append(endpoint_error(xt, end))
         rows["forward"].append(endpoint_error(xf, end))
         rows["interp"].append(endpoint_error(xi, end))

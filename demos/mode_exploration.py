@@ -20,7 +20,7 @@ from trflab.core import RngStream
 from trflab.denoiser import AnalyticGmmBackend, Condition
 from trflab.harness import export_trajectory_csv
 from trflab.metrics import energy_distance, mode_coverage
-from trflab.schedule import build_karras
+from trflab.schedule import ChurnParams, build_karras
 from trflab.trf import KIND_LINEAR, TrfConfig, alpha_weights, trf_sample
 from trflab.worlds import TrajectoryGmmWorld
 
@@ -44,7 +44,7 @@ def main():
     print(f"arc world: {world.n_modes} routes, {world.n_frames} frames, tau {world.tau}")
     print(f"drawing {args.seeds} fused sequences\n")
 
-    draws = [trf_sample(backend, sched, c_s, c_e, cfg, RngStream(seed))[0]
+    draws = [trf_sample(backend, sched, c_s, c_e, ChurnParams(), cfg, RngStream(seed))[0]
              for seed in range(args.seeds)]
     cov = mode_coverage(draws, world)
     templates = world.templates.reshape(world.n_modes, -1)

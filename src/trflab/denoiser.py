@@ -157,8 +157,7 @@ class AnalyticGaussianBackend(DenoiserBackend):
         key = tuple(c.key() for c in conds)
         mean = self._means.get(key)
         if mean is None:
-            means = [self.world.conditional_moments(c)[0] for c in conds]
-            mean = np.asarray(means, dtype=np.float64).reshape((len(conds),) + self.seq_shape)
+            mean = np.stack([self.world.conditional_moments(c)[0] for c in conds])
             self._means[key] = mean
         return mean
 

@@ -21,7 +21,7 @@ import os
 import struct
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,9 @@ MANIFEST_NAME = "manifest.json"
 TENSOR_MAGIC = b"TRFT"
 TENSOR_VERSION = 1
 
+#: Seeds are below 2**63: the RNG streams key Philox with (seed, stream id),
+#: and a key pair with one word at or above 2**63 and one below loses bits.
+SEED_LIMIT = 2 ** 63
 SAMPLER_KINDS = ("forward", "trf", "baseline-interp", "baseline-inpaint")
 #: Each sweep axis and the config section it sets.
 SWEEP_AXES = {"m_reinject": "trf", "t0": "trf", "alpha_kind": "trf", "s_churn": "churn"}
@@ -149,6 +152,7 @@ _SCHEMA = {
         "batch_size": ("int", TrainConfig.batch_size, 4096),
         "hidden": ("int", TrainConfig.hidden, 2048),
         "n_freq": ("int", TrainConfig.n_freq, 64),
+        "seed": ("seed", TrainConfig.seed),
     },
 }
 
@@ -160,6 +164,10 @@ def _full_key(path: str, key: str) -> str:
 def _value(v, kind: str, key: str, limit=None):
     """Config value ``v`` of key ``key`` checked against ``kind`` and its
     schema limit; numbers come back as finite floats."""
+    if kind == "seed":
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < SEED_LIMIT:
+            raise ConfigError(f"config key '{key}' must be an integer in [0, 2**63), got {v!r}")
+        return v
     if kind == "numbers":
         if not isinstance(v, list):
             raise ConfigError(f"config key '{key}' must be a list of numbers, got {type(v).__name__}")
@@ -220,8 +228,7 @@ def _seeds(seeds) -> list:
         raise ConfigError("config key 'seeds' must be a non-empty list of integers")
     seen = set()
     for i, s in enumerate(seeds):
-        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-            raise ConfigError(f"config key 'seeds[{i}]' must be a non-negative integer")
+        _value(s, "seed", f"seeds[{i}]")
         if s in seen:
             # One output file per seed: a repeat would be sampled twice
             # but written once, and counted twice in the metrics.
@@ -297,14 +304,13 @@ class ExperimentConfig:
 
     @_builds("trf")
     def build_trf(self, n_frames: int, n_steps: int) -> TrfConfig:
-        """The fused sampler's config, its cutoff t0 resolved against n_steps."""
+        """The fused sampler's config, its cutoff t0 checked against n_steps."""
         t = self.data["trf"]
         lam = t["alpha_lam"] if t["alpha_kind"] == KIND_EXPONENTIAL else None
-        cfg = TrfConfig(
-            alpha=alpha_weights(t["alpha_kind"], n_frames, lam),
-            m_reinject=t["m_reinject"], t0=t["t0"], churn=self.build_churn(),
-        )
-        return replace(cfg, t0=cfg.resolved_t0(n_steps))
+        cfg = TrfConfig(alpha=alpha_weights(t["alpha_kind"], n_frames, lam),
+                        m_reinject=t["m_reinject"], t0=t["t0"])
+        cfg.resolved_t0(n_steps)
+        return cfg
 
     def build_conditions(self, world) -> tuple[Condition, Condition | None]:
         spec = self.data["conditions"]
@@ -506,11 +512,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
     if kind == "forward":
         trajectories, _ = sample(backend, schedule, c_s, churn, rng)
     elif kind == "trf":
-        trajectories, _ = trf_sample(backend, schedule, c_s, c_e, trf_cfg, rng)
+        trajectories, _ = trf_sample(backend, schedule, c_s, c_e, churn, trf_cfg, rng)
     elif kind == "baseline-interp":
-        trajectories = baseline_condition_interp(backend, schedule, c_s, c_e, rng, churn=churn)
+        trajectories, _ = baseline_condition_interp(backend, schedule, c_s, c_e, churn, rng)
     else:
-        trajectories = baseline_inpaint(backend, schedule, c_s, c_e.frame, rng, churn=churn)
+        trajectories, _ = baseline_inpaint(backend, schedule, c_s, c_e, churn, rng)
 
     # Metrics first: one that fails leaves no trajectory without a manifest.
     metrics = _summary_metrics(trajectories, c_e)

@@ -9,7 +9,8 @@ denoised paths, their fusion and the re-injection rounds in
 :func:`~trflab.trf.trf_sample`; an Euler step plus the end-frame overwrite
 in :func:`~trflab.trf.baseline_inpaint`. Churn lives in the walk, not in
 the hook, so the fused sampler churns one shared latent and feeds the
-identical state to both of its paths.
+identical state to both of its paths; every sampler takes churn right
+after its conditions and returns its output with the walk's trace.
 
 RNG substream labels are fixed module-wide so that runs which share a root
 stream consume identical draws in identical order — several equivalence
@@ -166,7 +167,7 @@ def _walk(name: str, shape: tuple[int, int], schedule: NoiseSchedule, churn: Chu
 
     ``step(t, sigma, x_hat, sigma_hat, sigma_next)`` maps the churned
     latent to the latent at sigma_next and returns it with the step's
-    record, or with None to keep no record. The levels come from one
+    record, which the trace keeps. The levels come from one
     per-run list, ``levels[t] = schedule.sigma_at(t)`` as Python floats, so
     sigma is ``levels[t]`` and sigma_next is ``levels[t - 1]`` (0 after the
     last step). The initial latent is drawn from ``STREAM_INIT``, and the
@@ -188,8 +189,7 @@ def _walk(name: str, shape: tuple[int, int], schedule: NoiseSchedule, churn: Chu
                                          next(churn_rows) if gamma > 0 else None)
         x, record = step(t, sigma, x_hat, sigma_hat, sigma_next)
         check_finite(x, name, t, sigma, rng)
-        if record is not None:
-            trace.append(record)
+        trace.append(record)
     return x, trace
 
 

@@ -19,8 +19,9 @@ it does not shrink the per-step disagreement between the two paths.
 
 Also here: the two single-path baselines this strategy is measured
 against — per-frame condition interpolation, and end-frame inpainting.
-Every sampler here walks the schedule with the single-path loop's walk and
-runs one chain or a batch of chains (see :mod:`trflab.sampler`).
+Every sampler here takes churn right after its conditions, as the
+single-path loop does, runs its walk on one chain or a batch of chains, and
+returns the output with the walk's trace (see :mod:`trflab.sampler`).
 """
 
 import math
@@ -100,11 +101,12 @@ def alpha_weights(kind: str, n_frames: int, lam: float | None = None) -> AlphaSc
 
 @dataclass(frozen=True)
 class TrfConfig:
-    """Knobs of the fused sampler.
+    """Knobs of the fused sampler that the single-path samplers lack.
 
     m_reinject is the number of re-injection cycles per step; t0 the cutoff
     step index below which re-injection stops (None resolves to ceil(T/2),
-    keeping it active through the high-noise half). Re-injection repeats the
+    keeping it active through the high-noise half); churn, which every
+    sampler's walk shares, is a sampler argument. Re-injection repeats the
     fusion at high noise; it smooths the expected fused path but leaves the
     forward/backward disagreement of the exact denoisers unchanged (a churned
     run shows less disagreement only because the re-injected rounds step
@@ -114,7 +116,6 @@ class TrfConfig:
     alpha: AlphaSchedule
     m_reinject: int = 2
     t0: int | None = None
-    churn: ChurnParams = field(default_factory=ChurnParams)
 
     def __post_init__(self):
         if self.m_reinject < 0:
@@ -165,7 +166,7 @@ def fusion_objective(x: np.ndarray, x_fwd: np.ndarray, x_bwd: np.ndarray,
 
 
 def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition,
-               c_e: Condition, cfg: TrfConfig, rng: RngStream | RngBatch,
+               c_e: Condition, churn: ChurnParams, cfg: TrfConfig, rng: RngStream | RngBatch,
                diagnostics: bool = False) -> tuple[np.ndarray, StepTrace]:
     """Bounded generation from c_s to c_e by fused two-path denoising.
 
@@ -225,49 +226,43 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
         return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
                              fusions=fusions, **diag)
 
-    return _walk("trf_sample", shape, schedule, cfg.churn, rng, step)
+    return _walk("trf_sample", shape, schedule, churn, rng, step)
 
 
-def baseline_condition_interp(backend: DenoiserBackend, schedule: NoiseSchedule,
-                              c_s: Condition, c_e: Condition, rng: RngStream | RngBatch,
-                              churn: ChurnParams | None = None) -> np.ndarray:
+def baseline_condition_interp(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition,
+                              c_e: Condition, churn: ChurnParams,
+                              rng: RngStream | RngBatch) -> tuple[np.ndarray, StepTrace]:
     """Single forward path steered by per-frame interpolated conditions.
 
-    Frame n is denoised under condition (1 - n/(N-1)) c_s + n/(N-1) c_e.
+    Frame n is denoised under condition (1 - n/(N-1)) c_s + n/(N-1) c_e;
+    the output comes with :func:`~trflab.sampler.sample`'s trace.
     """
     check_conditions(backend, c_s, c_e)
-    if churn is None:
-        churn = ChurnParams()
     u = np.linspace(0.0, 1.0, backend.seq_shape[0])
     conds = [Condition((1.0 - un) * c_s.frame + un * c_e.frame) for un in u]
-    per_frame = PerFrameConditionBackend(backend, conds)
-    x, _ = sample(per_frame, schedule, c_s, churn, rng)
-    return x
+    return sample(PerFrameConditionBackend(backend, conds), schedule, c_s, churn, rng)
 
 
 def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition,
-                     end_frame, rng: RngStream | RngBatch,
-                     churn: ChurnParams | None = None) -> np.ndarray:
+                     c_e: Condition, churn: ChurnParams,
+                     rng: RngStream | RngBatch) -> tuple[np.ndarray, StepTrace]:
     """Forward sampling with the last frame overwritten each step.
 
     After every Euler step the latent's final frame is replaced by the
-    target diffused to the latent's current level, end + sigma * eps; the
-    final step overwrites at sigma = 0, so the output ends exactly at the
-    target. The rest of the sequence is never told about the target, which
-    is what produces the characteristic late-sequence jump. The overwrite
-    noise of the whole run is one (T, d) draw, one row per step.
+    target c_e diffused to the latent's current level, c_e + sigma * eps;
+    the final step overwrites at sigma = 0, so the output ends exactly at
+    the target. The rest of the sequence is never told about the target,
+    which is what produces the characteristic late-sequence jump. The
+    overwrite noise of the whole run is one (T, d) draw, one row per step.
+    The trace records the noise levels.
     """
-    end = Condition(end_frame)
-    check_conditions(backend, c_s, end)
-    if churn is None:
-        churn = ChurnParams()
-    over_rows = iter(normal_rows(rng.split(STREAM_REINJECT), schedule.n_steps, (end.dim,)))
+    check_conditions(backend, c_s, c_e)
+    over_rows = iter(normal_rows(rng.split(STREAM_REINJECT), schedule.n_steps, (c_e.dim,)))
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat[None], sigma_hat, (c_s,))[0]
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
-        x[..., -1, :] = end.frame + sigma_next * next(over_rows)
-        return x, None
+        x[..., -1, :] = c_e.frame + sigma_next * next(over_rows)
+        return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat))
 
-    x, _ = _walk("baseline_inpaint", backend.seq_shape, schedule, churn, rng, step)
-    return x
+    return _walk("baseline_inpaint", backend.seq_shape, schedule, churn, rng, step)

@@ -3,9 +3,9 @@
 Three desk-scale data distributions stand in for a video corpus:
 
 * ``PinnedGaussianProcessWorld`` — an AR(1) chain per dimension, pinned at
-  the conditioning frame. Conditional mean and covariance are available in
-  closed form, as arrays, so sampler output can be checked against exact
-  moments.
+  the conditioning frame. Conditional mean and frame covariance are
+  available in closed form, as arrays, so sampler output can be checked
+  against exact moments.
 * ``TrajectoryGmmWorld`` — a mixture of template trajectories (e.g. three
   arcs joining the same two endpoints) with isotropic jitter, a world with
   genuinely distinct plausible routes. Its exact conditional mixture is
@@ -63,22 +63,22 @@ class PinnedGaussianProcessWorld:
         #: Per-dimension N x N frame covariance F; the conditional covariance
         #: of the stacked sequence is kron(F, I_d) whatever the condition.
         self.frame_cov = lower @ lower.T
+        self.frame_cov.flags.writeable = False  # conditional_moments hands it out
 
     @property
     def seq_shape(self) -> tuple[int, int]:
         return (self.n_frames, self.dim)
 
     def conditional_moments(self, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
-        """Exact mean (N*d,) and SPD covariance (N*d, N*d) given frame 0.
+        """Exact law given frame 0, in its factors: the (N, d) mean and the
+        SPD (N, N) frame covariance F.
 
-        Only the mean depends on the condition; the covariance is
-        kron(frame_cov, I_d).
+        The covariance of the flattened (N*d,) sequence is kron(F, I_d);
+        only the mean depends on the condition.
         """
         frame = as_frame(cond.frame, dim=self.dim)
         powers = self.a ** np.arange(self.n_frames)
-        mean = (powers[:, None] * frame[None, :]).reshape(-1)
-        cov = np.kron(self.frame_cov, np.eye(self.dim))
-        return mean, cov
+        return powers[:, None] * frame[None, :], self.frame_cov
 
     def sample_sequence(self, cond: Condition, rng: RngStream) -> np.ndarray:
         """Exact conditional draw; matches conditional_moments by construction."""
@@ -284,7 +284,7 @@ class MovingBlobWorld:
 
 
 def conditional_moments(world, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
-    """Exact conditional mean/covariance given frame 0; Gaussian-process worlds only."""
+    """Exact conditional mean and frame covariance given frame 0; Gaussian-process worlds only."""
     if not isinstance(world, PinnedGaussianProcessWorld):
         raise TypeError(f"conditional moments are closed-form only for the Gaussian-process world, not {type(world).__name__}")
     return world.conditional_moments(cond)

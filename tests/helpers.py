@@ -20,3 +20,20 @@ class FrameReversedRng:
     def normal(self, shape):
         draw = self._base.normal(shape)
         return draw[..., ::-1, :].copy() if draw.ndim >= 2 else draw
+
+
+class DrawLog:
+    """RNG adapter that appends (substream label, shape) of every draw to ``log``.
+
+    The label is the one the stream was split by last, None for the root.
+    """
+
+    def __init__(self, base, log, label=None):
+        self._base, self.log, self.label = base, log, label
+
+    def split(self, label):
+        return DrawLog(self._base.split(label), self.log, label)
+
+    def normal(self, shape):
+        self.log.append((self.label, tuple(shape)))
+        return self._base.normal(shape)

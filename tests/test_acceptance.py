@@ -92,10 +92,10 @@ def test_criterion_02_degenerate_weights_reduce_to_single_path():
     cfg_bwd = TrfConfig(alpha=AlphaSchedule(np.zeros(6)), m_reinject=0)
     fwd_same = bwd_same = 0
     for seed in range(20):
-        x1, _ = trf_sample(backend, sched, c_s, c_e, cfg_fwd, RngStream(seed))
+        x1, _ = trf_sample(backend, sched, c_s, c_e, churn, cfg_fwd, RngStream(seed))
         xf, _ = sample(backend, sched, c_s, churn, RngStream(seed))
         fwd_same += np.array_equal(x1, xf)
-        x0, _ = trf_sample(backend, sched, c_s, c_e, cfg_bwd, RngStream(seed))
+        x0, _ = trf_sample(backend, sched, c_s, c_e, churn, cfg_bwd, RngStream(seed))
         xb, _ = sample(backend, sched, c_e, churn, FrameReversedRng(RngStream(seed)))
         bwd_same += np.array_equal(x0, reverse(xb))
     ok = fwd_same == 20 and bwd_same == 20
@@ -112,9 +112,9 @@ def test_criterion_03_endpoint_adherence_vs_interpolated_guidance():
     cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, 16))
     trf_err, interp_err = [], []
     for seed in range(200):
-        x, _ = trf_sample(backend, sched, c_s, c_e, cfg, RngStream(seed))
+        x, _ = trf_sample(backend, sched, c_s, c_e, ChurnParams(), cfg, RngStream(seed))
         trf_err.append(endpoint_error(x, c_e.frame))
-        xi = baseline_condition_interp(backend, sched, c_s, c_e, RngStream(seed))
+        xi, _ = baseline_condition_interp(backend, sched, c_s, c_e, ChurnParams(), RngStream(seed))
         interp_err.append(endpoint_error(xi, c_e.frame))
     med_trf = float(np.median(trf_err))
     med_interp = float(np.median(interp_err))
@@ -129,13 +129,12 @@ def test_criterion_04_smoother_than_inpainting_baseline():
     backend = AnalyticGaussianBackend(world)
     sched = build_karras(50, 0.002, 80.0)
     c_s = Condition(np.array([0.0, 0.0]))
-    end = np.array([3.0, 3.0])
-    c_e = Condition(end)
+    c_e = Condition(np.array([3.0, 3.0]))
     cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, 16))
     wins = 0
     for seed in range(100):
-        xt, _ = trf_sample(backend, sched, c_s, c_e, cfg, RngStream(seed))
-        xi = baseline_inpaint(backend, sched, c_s, end, RngStream(seed))
+        xt, _ = trf_sample(backend, sched, c_s, c_e, ChurnParams(), cfg, RngStream(seed))
+        xi, _ = baseline_inpaint(backend, sched, c_s, c_e, ChurnParams(), RngStream(seed))
         wins += roughness(xt) < roughness(xi)
     ok = wins >= 90
     assert _report(4, "smoothness vs inpainting", ok,
@@ -149,7 +148,8 @@ def test_criterion_05_forward_sampler_matches_exact_moments():
     cond = Condition(np.array([1.0, -0.5]))
     x, _ = sample(backend, sched, cond, ChurnParams(), RngBatch.from_seeds(range(5000)))
     draws = x.reshape(5000, 16)
-    mean, cov = conditional_moments(world, cond)
+    mean, frame_cov = conditional_moments(world, cond)
+    mean, cov = mean.reshape(-1), np.kron(frame_cov, np.eye(2))
     max_abs = float(np.abs(draws.mean(axis=0) - mean).max())
     frob = float(np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov))
     ok = max_abs < 0.05 and frob < 0.1
@@ -172,8 +172,8 @@ def test_criterion_06_reinjection_lowers_roughness():
     cfg_on = TrfConfig(alpha=alpha, m_reinject=2)   # cutoff defaults to T/2
     cfg_off = TrfConfig(alpha=alpha, m_reinject=0)
     t0 = cfg_on.resolved_t0(sched.n_steps)
-    x_on, trace_on = trf_sample(backend, sched, c_s, c_e, cfg_on, ZeroNoiseRng())
-    x_off, trace_off = trf_sample(backend, sched, c_s, c_e, cfg_off, ZeroNoiseRng(),
+    x_on, trace_on = trf_sample(backend, sched, c_s, c_e, ChurnParams(), cfg_on, ZeroNoiseRng())
+    x_off, trace_off = trf_sample(backend, sched, c_s, c_e, ChurnParams(), cfg_off, ZeroNoiseRng(),
                                   diagnostics=True)
     rough_on, rough_off = roughness(x_on), roughness(x_off)
     disagreement = max(r.disagreement for r in trace_off.records)
@@ -199,7 +199,7 @@ def test_criterion_07_explores_distinct_routes():
     c_e = Condition(np.array([1.0, 0.0]))
     cfg = TrfConfig(alpha=alpha_weights(KIND_LINEAR, 16))
     samples = np.stack(
-        [trf_sample(backend, sched, c_s, c_e, cfg, RngStream(seed))[0] for seed in range(200)])
+        [trf_sample(backend, sched, c_s, c_e, ChurnParams(), cfg, RngStream(seed))[0] for seed in range(200)])
     cov = mode_coverage(samples, world)
     max_share = float(cov.shares.max())
     ok = cov.n_covered >= 2 and max_share <= 0.95
@@ -229,7 +229,7 @@ def test_criterion_08_trained_pixel_backend_learns_and_steers():
     target = world.to_pixel([1.0, 0.0])
     errs = []
     for seed in range(20):
-        x, _ = trf_sample(backend, sched, c_s, c_e, trf_cfg, RngStream(seed))
+        x, _ = trf_sample(backend, sched, c_s, c_e, ChurnParams(), trf_cfg, RngStream(seed))
         errs.append(float(np.linalg.norm(blob_position(x[-1].reshape(16, 16), world.bump_std) - target)))
     mean_err = float(np.mean(errs))
     ok = ratio <= 0.5 and mean_err <= 1.5

@@ -25,6 +25,7 @@ from trflab import (
     RngBatch,
     RngStream,
     TrajectoryGmmWorld,
+    StepTrace,
     TrfConfig,
     alpha_weights,
     baseline_condition_interp,
@@ -38,7 +39,7 @@ from trflab.core import normal_rows
 from trflab.sampler import churn_perturb
 from trflab.train import init_params
 
-from helpers import FrameReversedRng
+from helpers import DrawLog, FrameReversedRng
 
 SEEDS = list(range(100, 116))
 
@@ -60,21 +61,24 @@ def _mlp():
 
 BACKENDS = {"gp": _gp, "gmm": _gmm, "mlp": _mlp}
 KINDS = ("sample", "trf", "interp", "inpaint")
+#: The kinds whose traces carry diagnostics; the baselines' carry the levels.
+DIAGNOSED = ("sample", "trf")
 
 
 def _run(kind, backend, start, end, rng):
-    """Output and trace, with its diagnostics (None for the baselines), of one sampler kind."""
+    """Output and 12-record trace of one sampler kind, with diagnostics where it has them."""
     sched = build_karras(12, 0.01, 20.0)
     c_s = Condition(start)
     c_e = Condition(end)
+    churn = ChurnParams()
     if kind == "sample":
-        return sample(backend, sched, c_s, ChurnParams(), rng, diagnostics=True)
+        return sample(backend, sched, c_s, churn, rng, diagnostics=True)
     if kind == "trf":
         cfg = TrfConfig(alpha=alpha_weights("linear", 6), m_reinject=2)
-        return trf_sample(backend, sched, c_s, c_e, cfg, rng, diagnostics=True)
+        return trf_sample(backend, sched, c_s, c_e, churn, cfg, rng, diagnostics=True)
     if kind == "interp":
-        return baseline_condition_interp(backend, sched, c_s, c_e, rng), None
-    return baseline_inpaint(backend, sched, c_s, end, rng), None
+        return baseline_condition_interp(backend, sched, c_s, c_e, churn, rng)
+    return baseline_inpaint(backend, sched, c_s, c_e, churn, rng)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -83,18 +87,21 @@ def test_batch_rows_match_batch_of_one(name, kind):
     backend, start, end = BACKENDS[name]()
     x, trace = _run(kind, backend, start, end, RngBatch.from_seeds(SEEDS))
     assert x.shape == (len(SEEDS), 6, 2)
+    assert isinstance(trace, StepTrace) and len(trace) == 12
     for i, seed in enumerate(SEEDS):
         x1, trace1 = _run(kind, backend, start, end, RngBatch.from_seeds([seed]))
         assert x1.shape == (1, 6, 2)
-        if name == "mlp":
-            np.testing.assert_allclose(x[i], x1[0], rtol=0, atol=1e-12)
-            continue
-        np.testing.assert_array_equal(x[i], x1[0])
-        if trace is not None:
-            for rec, rec1 in zip(trace.records, trace1.records):
+        assert isinstance(trace1, StepTrace) and len(trace1) == 12
+        for rec, rec1 in zip(trace.records, trace1.records):
+            assert (rec.t, rec.sigma, rec.sigma_hat, rec.fusions) == \
+                (rec1.t, rec1.sigma, rec1.sigma_hat, rec1.fusions)
+            if kind in DIAGNOSED and name != "mlp":
                 assert rec.latent_hash[i] == rec1.latent_hash[0]
                 assert rec.denoised_hash[i] == rec1.denoised_hash[0]
-                assert rec.fusions == rec1.fusions
+        if name == "mlp":
+            np.testing.assert_allclose(x[i], x1[0], rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(x[i], x1[0])
 
 
 #: SHA-256 over the outputs and traces of test_mixture_outputs_are_pinned.
@@ -104,16 +111,19 @@ GAUSSIAN_DIGEST = "bf9eddc3248e63210e8c9039d8f3c487685146cb7cdd0b406f0fc3327ee37
 
 
 def _pinned_digest(backend, c_s, c_e):
-    """SHA-256 over the outputs and traces of sample, trf with m = 0 and 2,
-    and both baselines, each run on a 4-seed batch over 12 levels."""
+    """SHA-256 over the outputs and traces of sample and trf with m = 0 and 2,
+    and over the outputs of both baselines, each run on a 4-seed batch over
+    12 levels."""
     sched = build_karras(12, 0.01, 20.0)
     seeds = [100, 101, 102, 103]
-    runs = [sample(backend, sched, c_s, ChurnParams(), RngBatch.from_seeds(seeds), diagnostics=True)]
+    churn = ChurnParams()
+    runs = [sample(backend, sched, c_s, churn, RngBatch.from_seeds(seeds), diagnostics=True)]
     for m in (0, 2):
         cfg = TrfConfig(alpha=alpha_weights("linear", 6), m_reinject=m)
-        runs.append(trf_sample(backend, sched, c_s, c_e, cfg, RngBatch.from_seeds(seeds), diagnostics=True))
-    runs.append((baseline_condition_interp(backend, sched, c_s, c_e, RngBatch.from_seeds(seeds)), None))
-    runs.append((baseline_inpaint(backend, sched, c_s, c_e.frame, RngBatch.from_seeds(seeds)), None))
+        runs.append(trf_sample(backend, sched, c_s, c_e, churn, cfg, RngBatch.from_seeds(seeds),
+                               diagnostics=True))
+    for baseline in (baseline_condition_interp, baseline_inpaint):
+        runs.append((baseline(backend, sched, c_s, c_e, churn, RngBatch.from_seeds(seeds))[0], None))
     digest = hashlib.sha256()
     for x, trace in runs:
         assert x.shape == (4, 6, 2) and x.dtype == np.float64
@@ -148,25 +158,10 @@ def test_batch_of_one_matches_single_stream(name, kind):
         xs, trace_s = _run(kind, backend, start, end, RngStream(seed))
         assert xs.shape == (6, 2)
         np.testing.assert_allclose(xb[0], xs, rtol=0, atol=1e-12)
-        if trace_s is not None:
-            assert trace_b.total_fusions == trace_s.total_fusions
+        assert trace_b.total_fusions == trace_s.total_fusions
+        if kind in DIAGNOSED:
             assert isinstance(trace_s.records[0].latent_hash, str)
             assert len(trace_b.records[0].latent_hash) == 1
-
-
-class DrawLog:
-    """RNG adapter that logs the shape of every draw of the run into ``draws``."""
-
-    def __init__(self, base, draws):
-        self._base = base
-        self.draws = draws
-
-    def split(self, label):
-        return DrawLog(self._base.split(label), self.draws)
-
-    def normal(self, shape):
-        self.draws.append(shape)
-        return self._base.normal(shape)
 
 
 @pytest.mark.parametrize("kind,bad", [(kind, bad) for kind in KINDS for bad in ("start", "end")

@@ -14,6 +14,8 @@ likelihood) and the mixture posterior against 1-D numerical quadrature,
 so neither test shares linear algebra with the implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +53,13 @@ class GaussianWorldDenoiser:
         if not np.allclose(self.cov, self.cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         self._eye = np.eye(n)
+
+    @classmethod
+    def under(cls, world, cond: Condition) -> "GaussianWorldDenoiser":
+        """The reference denoiser of a GP world under ``cond``, its law made
+        dense: the flattened mean and the covariance kron(F, I_d)."""
+        mean, frame_cov = world.conditional_moments(cond)
+        return cls(mean.reshape(-1), np.kron(frame_cov, np.eye(world.dim)))
 
     def posterior_x0(self, x: np.ndarray, sigma: float) -> np.ndarray:
         x = as_sequence(x)
@@ -156,8 +165,8 @@ class TestGaussianPosterior:
     def _small_world(self):
         world = PinnedGaussianProcessWorld(a=0.6, q=0.5, dim=1, n_frames=3)
         cond = Condition(np.array([0.8]))
-        mean, cov = world.conditional_moments(cond)
-        return GaussianWorldDenoiser(mean, cov), mean, cov
+        d = GaussianWorldDenoiser.under(world, cond)
+        return d, d.mean, d.cov
 
     def test_importance_sampling_oracle(self):
         # Draw clean sequences from the prior, reweight by the Gaussian
@@ -365,8 +374,7 @@ class TestAnalyticBackends:
         world = PinnedGaussianProcessWorld(a=0.7, q=0.4, dim=2, n_frames=5)
         backend = AnalyticGaussianBackend(world)
         cond = Condition(np.array([0.5, -0.2]))
-        mean, cov = world.conditional_moments(cond)
-        direct = GaussianWorldDenoiser(mean, cov)
+        direct = GaussianWorldDenoiser.under(world, cond)
         rng = RngStream(3)
         x = rng.normal((5, 2))
         for sigma in (0.3, 1.0, 4.0):
@@ -374,6 +382,20 @@ class TestAnalyticBackends:
                 backend.predict_x0(x[None], sigma, (cond,))[0], direct.posterior_x0(x, sigma), atol=1e-10
             )
         assert backend.seq_shape == (5, 2)
+
+    def test_gaussian_backend_never_builds_the_dense_covariance(self):
+        # A 256 x 32 world's law in dense form, kron(F, I_d), is 512 MiB;
+        # its factors, the (256, 32) mean and the 256 x 256 F, under 1 MiB.
+        world = PinnedGaussianProcessWorld(a=1.0, q=0.3, dim=32, n_frames=256)
+        backend = AnalyticGaussianBackend(world)
+        x = np.zeros((1, 256, 32))
+        tracemalloc.start()
+        try:
+            backend.predict_x0(x, 1.0, (Condition(np.ones(32)),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_gaussian_backend_caches_per_condition(self):
         world = PinnedGaussianProcessWorld(a=0.7, q=0.4, dim=1, n_frames=4)

@@ -74,6 +74,17 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(gp_raw(seeds=[0, 0, 1]))
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict(gp_raw(seeds=[]))
+        # Seeds lie in [0, 2**63), where each keys streams of its own: 2**64
+        # would wrap to seed 0, and 2**63 share its streams with 2**63 + 1.
+        for raw, key in ((gp_raw(seeds=[2 ** 64]), r"seeds\[0\]"),
+                         (gp_raw(seeds=[0, 2 ** 63]), r"seeds\[1\]"),
+                         (gp_raw(train={"seed": -1}), "train.seed"),
+                         (gp_raw(train={"seed": 2 ** 63}), "train.seed"),
+                         (gp_raw(train={"seed": 1.0}), "train.seed")):
+            with pytest.raises(ConfigError, match=rf"'{key}' must be an integer in \[0, 2\*\*63\)"):
+                ExperimentConfig.from_dict(raw)
+        top = ExperimentConfig.from_dict(gp_raw(seeds=[2 ** 63 - 1], train={"seed": 2 ** 63 - 1}))
+        assert top.data["seeds"] == [top.build_train().seed] == [2 ** 63 - 1]
 
     def test_choice_errors(self):
         with pytest.raises(ConfigError, match="sampler"):
@@ -543,6 +554,8 @@ class TestCli:
                      "--out", str(tmp_path / "r")]) == 1
         assert main(["sample", "--config", cfg, "--seeds", "5..2",
                      "--out", str(tmp_path / "r")]) == 1
+        assert main(["sample", "--config", cfg, "--seeds", f"{2 ** 63}..{2 ** 63 + 1}",
+                     "--out", str(tmp_path / "r")]) == 1
         assert main(["sample", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r")]) == 1
         capsys.readouterr()
@@ -591,6 +604,8 @@ class TestCli:
         ("train", "train.hidden=0", r"invalid 'train' config: hidden must be >= 1"),
         ("train", "train.n_freq=-1", r"invalid 'train' config: .*n_freq a positive even"),
         ("train", "world.q=-1", r"invalid 'world' config: innovation std"),
+        ("train", "train.seed=-1", r"'train.seed' must be an integer in \[0, 2\*\*63\), got -1"),
+        ("trf", f"seeds=[{2 ** 64}]", r"'seeds\[0\]' must be an integer in \[0, 2\*\*63\)"),
         ("sweep", 'sweep={"t0":[1,999]}', r"invalid 'trf' config: t0 must be in \[0, 5\], got 999"),
         ("sweep", 'sweep={"m_reinject":[0,"x"]}', r"'sweep.m_reinject\[1\]' must be int"),
         ("sweep", 'sweep={"s_churn":[0.5,-1]}', r"invalid 'churn' config: s_churn must be >= 0"),

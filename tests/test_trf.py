@@ -32,7 +32,7 @@ from trflab import (
 )
 from trflab.sampler import STREAM_CHURN, STREAM_INIT, STREAM_REINJECT
 
-from helpers import FrameReversedRng
+from helpers import DrawLog, FrameReversedRng
 
 
 class TestAlphaWeights:
@@ -197,7 +197,7 @@ def alg1_reference(backend, sigmas, c_s, c_e, m_reinject, t0, s_churn, seed):
     return x, fused_states
 
 
-def trf_per_step_reference(backend, sched, c_s, c_e, cfg, rng):
+def trf_per_step_reference(backend, sched, c_s, c_e, churn, cfg, rng):
     """trf_sample written out with one noise draw at each use.
 
     Independent of the sampler's whole-run noise tables: the initial
@@ -224,11 +224,11 @@ def trf_per_step_reference(backend, sched, c_s, c_e, cfg, rng):
     for t in range(n_steps - 1, -1, -1):
         sig = sched.sigma_at(t)
         sig_next = sched.sigma_at(t - 1) if t > 0 else 0.0
-        gamma = churn_gamma(cfg.churn, sig, n_steps)
+        gamma = churn_gamma(churn, sig, n_steps)
         sig_hat, x_hat = sig, x
         if gamma > 0:
             sig_hat = sig * (1.0 + gamma)
-            std = np.sqrt(sig_hat * sig_hat - sig * sig) * cfg.churn.s_noise
+            std = np.sqrt(sig_hat * sig_hat - sig * sig) * churn.s_noise
             x_hat = x + std * rng_churn.normal(shape)
         x = fused(x_hat, sig_hat, sig_next)
         if t > t0:
@@ -236,20 +236,6 @@ def trf_per_step_reference(backend, sched, c_s, c_e, cfg, rng):
             for _ in range(cfg.m_reinject):
                 x = fused(x + inj * rng_rein.normal(shape), sig, sig_next)
     return x
-
-
-class DrawLog:
-    """RngStream wrapper that logs (substream label, shape) of every normal draw."""
-
-    def __init__(self, base, log, label=None):
-        self._base, self.log, self.label = base, log, label
-
-    def split(self, label):
-        return DrawLog(self._base.split(label), self.log, label)
-
-    def normal(self, shape):
-        self.log.append((self.label, tuple(shape)))
-        return self._base.normal(shape)
 
 
 class Counting:
@@ -279,11 +265,10 @@ class TestTrfSample:
         sched = build_karras(3, 0.05, 5.0)
         c_s = Condition(np.array([0.3]))
         c_e = Condition(np.array([-0.2]))
-        cfg = TrfConfig(alpha=alpha_weights("linear", 2), m_reinject=1, t0=1,
-                        churn=ChurnParams(s_churn=0.5))
+        cfg = TrfConfig(alpha=alpha_weights("linear", 2), m_reinject=1, t0=1)
         for seed in range(5):
-            x, trace = trf_sample(backend, sched, c_s, c_e, cfg, RngStream(seed),
-                                  diagnostics=True)
+            x, trace = trf_sample(backend, sched, c_s, c_e, ChurnParams(s_churn=0.5), cfg,
+                                  RngStream(seed), diagnostics=True)
             x_ref, fused_ref = alg1_reference(
                 backend, sched.sigmas, c_s, c_e, 1, 1, 0.5, seed
             )
@@ -295,7 +280,7 @@ class TestTrfSample:
         sched = build_karras(12, 0.01, 20.0)
         cfg = TrfConfig(alpha=AlphaSchedule(np.ones(8)), m_reinject=0)
         for seed in (0, 7):
-            x_trf, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg,
+            x_trf, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg,
                                   RngStream(seed))
             x_fwd, _ = sample(self.backend, sched, self.c_s, ChurnParams(),
                               RngStream(seed))
@@ -307,7 +292,7 @@ class TestTrfSample:
         sched = build_karras(12, 0.01, 20.0)
         cfg = TrfConfig(alpha=AlphaSchedule(np.zeros(8)), m_reinject=0)
         for seed in (1, 9):
-            x_trf, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg,
+            x_trf, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg,
                                   RngStream(seed))
             x_bwd, _ = sample(self.backend, sched, self.c_e, ChurnParams(),
                               FrameReversedRng(RngStream(seed)))
@@ -316,26 +301,26 @@ class TestTrfSample:
     def test_trace_counts_fusions(self):
         sched = build_karras(10, 0.01, 20.0)
         cfg0 = TrfConfig(alpha=self.alpha, m_reinject=0)
-        _, tr0 = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg0, RngStream(0))
+        _, tr0 = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg0, RngStream(0))
         assert len(tr0) == 10
         assert tr0.total_fusions == 10
 
         cfg2 = TrfConfig(alpha=self.alpha, m_reinject=2, t0=5)
-        _, tr2 = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg2, RngStream(0))
+        _, tr2 = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg2, RngStream(0))
         # Steps t = 9..6 sit above the cutoff: 4 steps gain 2 fusions each.
         assert tr2.total_fusions == 10 + 8
 
     def test_deterministic(self):
         sched = build_karras(10, 0.01, 20.0)
         cfg = TrfConfig(alpha=self.alpha)
-        a, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg, RngStream(5))
-        b, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg, RngStream(5))
+        a, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg, RngStream(5))
+        b, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg, RngStream(5))
         npt.assert_array_equal(a, b)
 
     def test_endpoints_pinned_to_conditions(self):
         sched = build_karras(50, 0.002, 80.0)
         cfg = TrfConfig(alpha=self.alpha)
-        x, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg, RngStream(3))
+        x, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg, RngStream(3))
         assert np.linalg.norm(x[0] - self.c_s.frame) < 0.05
         assert np.linalg.norm(x[-1] - self.c_e.frame) < 0.05
 
@@ -345,11 +330,11 @@ class TestTrfSample:
         sched = build_karras(20, 0.01, 20.0)
         cfg = TrfConfig(alpha=self.alpha, m_reinject=2, t0=10)
         for seed in range(3):
-            x_fwd, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg,
+            x_fwd, _ = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg,
                                   RngStream(seed))
             c_s_sw = Condition(self.c_e.frame)
             c_e_sw = Condition(self.c_s.frame)
-            x_sw, _ = trf_sample(self.backend, sched, c_s_sw, c_e_sw, cfg,
+            x_sw, _ = trf_sample(self.backend, sched, c_s_sw, c_e_sw, ChurnParams(), cfg,
                                  FrameReversedRng(RngStream(seed)))
             npt.assert_allclose(x_sw, reverse(x_fwd), atol=1e-10)
 
@@ -371,11 +356,11 @@ class TestTrfSample:
                     recorded.append(x.copy())
                 return backend.predict_x0(x, sigma, cond)
 
-        cfg = TrfConfig(alpha=alpha_weights("linear", 3), m_reinject=1, t0=1,
-                        churn=ChurnParams(s_churn=0.5))
+        cfg = TrfConfig(alpha=alpha_weights("linear", 3), m_reinject=1, t0=1)
         c_s = Condition(np.array([0.4]))
         c_e = Condition(np.array([-0.3]))
-        trf_sample(Recording(), sched, c_s, c_e, cfg, RngBatch.from_seeds(range(30_000)))
+        trf_sample(Recording(), sched, c_s, c_e, ChurnParams(s_churn=0.5), cfg,
+                   RngBatch.from_seeds(range(30_000)))
         # One recorded stack of the forward and the reversed view of the same
         # (30000, 3, 1) states on the condition axis; keep the forward one.
         assert len(recorded) == 1 and recorded[0].shape == (2, 30_000, 3, 1)
@@ -388,7 +373,7 @@ class TestTrfSample:
         counting = Counting(self.backend)
         cfg = TrfConfig(alpha=self.alpha, m_reinject=2)
         rng = RngBatch.from_seeds(range(lead[0])) if lead else RngStream(0)
-        _, trace = trf_sample(counting, build_karras(10, 0.01, 20.0), self.c_s, self.c_e, cfg, rng)
+        _, trace = trf_sample(counting, build_karras(10, 0.01, 20.0), self.c_s, self.c_e, ChurnParams(), cfg, rng)
         assert trace.total_fusions == 10 + 2 * 4  # re-injection at t = 6..9 > t0 = 5
         assert len(counting.calls) == trace.total_fusions
         for shape, cond in counting.calls:
@@ -406,7 +391,7 @@ class TestTrfSample:
         if sampler == "sample":
             sample(counting, sched, self.c_s, ChurnParams(), rng)
         else:
-            baseline_inpaint(counting, sched, self.c_s, self.c_e.frame, rng)
+            baseline_inpaint(counting, sched, self.c_s, self.c_e, ChurnParams(), rng)
         assert len(counting.calls) == 10
         for shape, cond in counting.calls:
             assert shape == (1,) + lead + (8, 2)
@@ -424,7 +409,7 @@ class TestTrfSample:
         def run(rng):
             if sampler == "sample":
                 return sample(self.backend, sched, self.c_s, ChurnParams(), rng)[0]
-            return trf_sample(self.backend, sched, self.c_s, self.c_e, cfg, rng)[0]
+            return trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg, rng)[0]
 
         batch = run(FrameReversedRng(RngBatch.from_seeds(seeds)))
         for i, seed in enumerate(seeds):
@@ -453,16 +438,17 @@ class TestNoiseTables:
         # sigma_max above s_tmax and sigma_min below s_tmin: the churn window
         # excludes steps at both ends of the ladder.
         sched = build_karras(14, 0.002, 80.0)
+        churn = ChurnParams()
         cfg = TrfConfig(alpha=self.alpha, m_reinject=2)
         for seed in (0, 5):
             def rng():
                 return RngBatch.from_seeds(range(seed, seed + lead[0])) if lead else RngStream(seed)
-            x, _ = trf_sample(backend, sched, c_s, c_e, cfg, rng())
-            npt.assert_array_equal(x, trf_per_step_reference(backend, sched, c_s, c_e, cfg, rng()))
+            x, _ = trf_sample(backend, sched, c_s, c_e, churn, cfg, rng())
+            npt.assert_array_equal(x, trf_per_step_reference(backend, sched, c_s, c_e, churn, cfg, rng()))
 
-    def _draws(self, sched, cfg):
+    def _draws(self, sched, churn, cfg):
         log = []
-        trf_sample(self.backend, sched, self.c_s, self.c_e, cfg, DrawLog(RngStream(0), log))
+        trf_sample(self.backend, sched, self.c_s, self.c_e, churn, cfg, DrawLog(RngStream(0), log))
         return {label: shape for label, shape in log}
 
     def test_churn_table_has_one_row_per_churned_step(self):
@@ -470,15 +456,15 @@ class TestNoiseTables:
         churn = ChurnParams()
         n_churn = sum(churn_gamma(churn, sched.sigma_at(t), 14) > 0 for t in range(14))
         assert 0 < n_churn < 14
-        draws = self._draws(sched, TrfConfig(alpha=self.alpha, churn=churn))
+        draws = self._draws(sched, churn, TrfConfig(alpha=self.alpha))
         assert draws[STREAM_CHURN] == (n_churn, 8, 2)
-        draws = self._draws(sched, TrfConfig(alpha=self.alpha, churn=ChurnParams(s_churn=0.0)))
+        draws = self._draws(sched, ChurnParams(s_churn=0.0), TrfConfig(alpha=self.alpha))
         assert draws[STREAM_CHURN] == (0, 8, 2)
 
     @pytest.mark.parametrize("m, t0, rows", [(2, None, 2 * 6), (3, 4, 3 * 9), (0, 4, 0),
                                               (2, 14, 0), (2, 13, 0), (2, 0, 2 * 13)])
     def test_reinjection_table_has_m_rows_per_step_above_t0(self, m, t0, rows):
-        draws = self._draws(build_karras(14, 0.002, 80.0),
+        draws = self._draws(build_karras(14, 0.002, 80.0), ChurnParams(),
                             TrfConfig(alpha=self.alpha, m_reinject=m, t0=t0))
         assert draws[STREAM_REINJECT] == (rows, 8, 2)
         assert draws[STREAM_INIT] == (8, 2)
@@ -487,8 +473,8 @@ class TestNoiseTables:
         sched = build_karras(10, 0.01, 20.0)
         cfg = TrfConfig(alpha=self.alpha, m_reinject=2, t0=5)
         rng = RngBatch.from_seeds(range(3))
-        x_off, off = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg, rng)
-        x_on, on = trf_sample(self.backend, sched, self.c_s, self.c_e, cfg,
+        x_off, off = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg, rng)
+        x_on, on = trf_sample(self.backend, sched, self.c_s, self.c_e, ChurnParams(), cfg,
                               RngBatch.from_seeds(range(3)), diagnostics=True)
         npt.assert_array_equal(x_off, x_on)
         assert len(off) == 10 and off.total_fusions == 10 + 2 * 4
@@ -508,8 +494,8 @@ class TestBaselineConditionInterp:
         sched = build_karras(10, 0.01, 20.0)
         c = Condition(np.array([0.5, 0.5]))
         c_end = Condition(np.array([0.5, 0.5]))
-        x_interp = baseline_condition_interp(self.backend, sched, c, c_end,
-                                             RngStream(4))
+        x_interp, _ = baseline_condition_interp(self.backend, sched, c, c_end, ChurnParams(),
+                                                RngStream(4))
         x_plain, _ = sample(self.backend, sched, c, ChurnParams(), RngStream(4))
         npt.assert_allclose(x_interp, x_plain, atol=1e-12)
 
@@ -517,7 +503,7 @@ class TestBaselineConditionInterp:
         counting = Counting(self.backend)
         c_s = Condition(np.array([-0.5, 0.0]))
         c_e = Condition(np.array([0.5, 1.0]))
-        baseline_condition_interp(counting, build_karras(7, 0.01, 20.0), c_s, c_e,
+        baseline_condition_interp(counting, build_karras(7, 0.01, 20.0), c_s, c_e, ChurnParams(),
                                   RngBatch.from_seeds(range(4)))
         assert len(counting.calls) == 7
         for shape, cond in counting.calls:
@@ -568,16 +554,16 @@ class TestBaselineInpaint:
         c_s = Condition(np.array([0.3]))
         end = np.array([-0.2])
         for seed in range(5):
-            x = baseline_inpaint(backend, sched, c_s, end, RngStream(seed),
-                                 churn=ChurnParams(s_churn=0.5))
+            x, _ = baseline_inpaint(backend, sched, c_s, Condition(end), ChurnParams(s_churn=0.5),
+                                    RngStream(seed))
             x_ref = inpaint_reference(backend, sched.sigmas, c_s, end, 0.5, seed)
             npt.assert_allclose(x, x_ref, rtol=0.0, atol=1e-12)
 
     def test_final_frame_hits_target(self):
         sched = build_karras(20, 0.002, 20.0)
-        end = np.array([0.8, 0.3])
-        x = baseline_inpaint(self.backend, sched, self.c_s, end, RngStream(0))
-        assert np.linalg.norm(x[-1] - end) < 0.01
+        end = Condition(np.array([0.8, 0.3]))
+        x, _ = baseline_inpaint(self.backend, sched, self.c_s, end, ChurnParams(), RngStream(0))
+        assert np.linalg.norm(x[-1] - end.frame) < 0.01
 
     def test_consistent_with_natural_endpoint(self):
         # Inpainting toward the endpoint the forward path would reach anyway
@@ -587,6 +573,6 @@ class TestBaselineInpaint:
         for seed in range(5):
             x_fwd, _ = sample(self.backend, sched, self.c_s, no_churn,
                               RngStream(seed))
-            x_in = baseline_inpaint(self.backend, sched, self.c_s, x_fwd[-1],
-                                    RngStream(seed), churn=no_churn)
+            x_in, _ = baseline_inpaint(self.backend, sched, self.c_s, Condition(x_fwd[-1]),
+                                       no_churn, RngStream(seed))
             assert np.abs(x_in - x_fwd).max() < 0.05

@@ -41,21 +41,20 @@ class TestGaussianProcessWorld:
     def test_conditional_moments_against_recursion(self):
         world = PinnedGaussianProcessWorld(a=0.6, q=0.5, dim=2, n_frames=6)
         cond = Condition(np.array([1.0, -2.0]))
-        mean, cov = world.conditional_moments(cond)
+        mean, frame_cov = world.conditional_moments(cond)
         # Mean decays geometrically from the pinned frame.
         expected_mean = (0.6 ** np.arange(6))[:, None] * np.array([1.0, -2.0])
-        np.testing.assert_allclose(mean, expected_mean.reshape(-1), atol=1e-14)
-        # Covariance is the AR(1) frame covariance, one copy per dimension.
-        expected_cov = np.kron(ar1_frame_cov(0.6, 0.5, 6), np.eye(2))
-        np.testing.assert_allclose(cov, expected_cov, atol=1e-12)
+        np.testing.assert_allclose(mean, expected_mean, atol=1e-14)
+        # The frame covariance is the AR(1) one, shared by every dimension.
+        np.testing.assert_allclose(frame_cov, ar1_frame_cov(0.6, 0.5, 6), atol=1e-12)
 
     def test_moments_match_monte_carlo(self):
         world = PinnedGaussianProcessWorld(a=0.5, q=0.4, dim=1, n_frames=5)
         cond = Condition(np.array([2.0]))
-        mean, cov = world.conditional_moments(cond)
+        mean, cov = world.conditional_moments(cond)  # with d = 1, kron(F, I_d) is F
         rng = RngStream(17)
         draws = np.stack([world.sample_sequence(cond, rng).reshape(-1) for _ in range(10_000)])
-        np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.03)
+        np.testing.assert_allclose(draws.mean(axis=0), mean.reshape(-1), atol=0.03)
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.03)
 
     def test_covariance_is_spd_even_at_random_walk(self):
