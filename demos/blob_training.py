@@ -21,9 +21,9 @@ import numpy as np
 
 from trflab.core import RngStream
 from trflab.denoiser import Condition
-from trflab.harness import export_frames_pgm
+from trflab.harness import export_frames_pgm, save_training
 from trflab.schedule import ChurnParams, build_karras
-from trflab.train import MlpBackend, TrainConfig, load_checkpoint, save_checkpoint, train
+from trflab.train import MlpBackend, TrainConfig, load_checkpoint, train
 from trflab.trf import KIND_LINEAR, TrfConfig, alpha_weights, trf_sample
 from trflab.worlds import MovingBlobWorld, TrajectoryGmmWorld, blob_position
 
@@ -52,11 +52,7 @@ def main():
     last = curve[-100:].mean()
     print(f"  smoothed loss {first:.4f} -> {last:.4f} (ratio {last / first:.3f})")
 
-    ckpt = os.path.join(args.out, "checkpoint.trfw")
-    save_checkpoint(params, ckpt)
-    lines = ["step,loss"] + [f"{i},{format(v, '.17g')}" for i, v in enumerate(curve)]
-    with open(os.path.join(args.out, "loss_curve.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ckpt = save_training(args.out, params, curve)
     backend = MlpBackend(load_checkpoint(ckpt))
 
     start_pos = np.array([-1.0, 0.0])

@@ -47,9 +47,6 @@ def main():
     draws = [trf_sample(backend, sched, c_s, c_e, ChurnParams(), cfg, RngStream(seed))[0]
              for seed in range(args.seeds)]
     cov = mode_coverage(draws, world)
-    templates = world.templates.reshape(world.n_modes, -1)
-    flat = np.array([x.ravel() for x in draws])
-    labels = ((flat[:, None, :] - templates[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
 
     for k, n in enumerate(cov.counts):
         mark = " (unvisited)" if n == 0 else ""
@@ -63,8 +60,8 @@ def main():
     print("(unbiased estimate: values near zero, including slightly negative,")
     print(" mean the two sample sets are statistically indistinguishable)")
 
-    for k in np.unique(labels):
-        x = draws[int(np.argmax(labels == k))]
+    for k in np.unique(cov.labels):
+        x = draws[int(np.argmax(cov.labels == k))]
         export_trajectory_csv(x, os.path.join(args.out, f"route_{k}.csv"))
     print(f"\nwrote one trajectory per visited route to {args.out}/")
 

@@ -11,11 +11,13 @@ File formats:
 * trajectory tensor — magic "TRFT", then version/N/d as little-endian u32,
   then N*d float64 values, row-major little-endian (16 header bytes total);
 * trajectory CSV — header "frame,dim0,...", 17-significant-digit decimals;
-* frame grids — binary 8-bit PGM (P5), [0,1] mapped linearly to [0,255].
+* frame grids — binary 8-bit PGM (P5), [0,1] mapped linearly to [0,255];
+* loss curve — CSV with header "step,loss", 17-significant-digit losses.
 """
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -30,7 +32,7 @@ from .denoiser import AnalyticGaussianBackend, AnalyticGmmBackend, Condition
 from .metrics import MetricReport, endpoint_error, roughness
 from .sampler import sample
 from .schedule import ChurnParams, build_karras
-from .train import CheckpointError, MlpBackend, TrainConfig, load_checkpoint
+from .train import CheckpointError, MlpBackend, TrainConfig, load_checkpoint, save_checkpoint, train
 from .trf import (KIND_EXPONENTIAL, KIND_LINEAR, TrfConfig, alpha_weights, baseline_condition_interp,
                   baseline_inpaint, trf_sample)
 from .worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWorld
@@ -325,9 +327,11 @@ class ExperimentConfig:
         return TrainConfig(**self.data["train"])
 
     def build_run(self):
-        """Everything ``run_experiment`` needs, built before it writes anything:
-        (backend, schedule, churn, start and end conditions, fused-sampler
-        config or None). A bad value raises ConfigError."""
+        """The configured sampler as a call on the run's RNG, bound to its
+        backend, schedule, conditions, churn and fused-sampler config, and
+        the end condition for the metrics (None for an unbounded run). Built
+        before ``run_experiment`` writes anything; a bad value raises
+        ConfigError."""
         world = self.build_world()
         backend = self.build_backend(world)
         schedule = self.build_schedule()
@@ -336,14 +340,22 @@ class ExperimentConfig:
         c_s, c_e = self.build_conditions(world)
         if kind != "forward" and c_e is None:
             raise ConfigError(f"missing required config key 'conditions.end' (sampler {kind!r} is bounded)")
-        trf_cfg = self.build_trf(world.seq_shape[0], schedule.n_steps) if kind == "trf" else None
-        return backend, schedule, churn, c_s, c_e, trf_cfg
+        bounds = (c_s,) if kind == "forward" else (c_s, c_e)
+        trf_cfg = (self.build_trf(world.seq_shape[0], schedule.n_steps),) if kind == "trf" else ()
+        # Looked up as module globals on every call, never kept in a table
+        # filled at import, so that a tracer patching them sees each run.
+        sampler = {"forward": sample, "trf": trf_sample, "baseline-interp": baseline_condition_interp,
+                   "baseline-inpaint": baseline_inpaint}[kind]
+        return functools.partial(sampler, backend, schedule, *bounds, churn, *trf_cfg), c_e
 
-    def canonical_json(self) -> str:
-        return canonical_json(self.data)
+    def out_dir(self) -> str:
+        """The output directory; ConfigError if the config names none."""
+        if not self.data["out_dir"]:
+            raise ConfigError("missing required config key 'out_dir'")
+        return self.data["out_dir"]
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return hashlib.sha256(canonical_json(self.data).encode()).hexdigest()
 
 
 def read_raw_config(path) -> dict:
@@ -445,14 +457,7 @@ class ExperimentManifest:
     wall_clock_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "outputs": self.outputs,
-            "metrics": self.metrics.to_dict(),
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"metrics": self.metrics.to_dict()}
 
     def fingerprint(self) -> str:
         """Hash over everything a rerun must reproduce.
@@ -468,7 +473,7 @@ class ExperimentManifest:
         return hashlib.sha256(canonical_json(stable).encode()).hexdigest()
 
     def save(self, path):
-        _atomic_write_bytes(path, (canonical_json(self.to_dict()) + "\n").encode())
+        _write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
@@ -477,10 +482,7 @@ class ExperimentManifest:
         if d.get("format_version") != MANIFEST_VERSION:
             raise ValueError(f"{path}: manifest format version {d.get('format_version')}, "
                              f"expected {MANIFEST_VERSION}")
-        return cls(format_version=d["format_version"], config=d["config"],
-                   config_hash=d["config_hash"], outputs=d["outputs"],
-                   metrics=MetricReport.from_dict(d["metrics"]),
-                   wall_clock_seconds=d["wall_clock_seconds"])
+        return cls(**{f.name: d[f.name] for f in fields(cls)} | {"metrics": MetricReport.from_dict(d["metrics"])})
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
@@ -496,40 +498,88 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
     complete run.
     """
     t_begin = time.time()
-    out_dir = cfg.data["out_dir"]
-    if not out_dir:
-        raise ConfigError("missing required config key 'out_dir'")
-
-    backend, schedule, churn, c_s, c_e, trf_cfg = cfg.build_run()
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise RuntimeError(f"cannot create output directory {out_dir}: {exc}") from exc
+    out_dir = cfg.out_dir()
+    run, c_e = cfg.build_run()
+    _make_dir(out_dir)
 
     seeds = cfg.data["seeds"]
-    kind = cfg.data["sampler"]
-    rng = RngBatch.from_seeds(seeds)
-    if kind == "forward":
-        trajectories, _ = sample(backend, schedule, c_s, churn, rng)
-    elif kind == "trf":
-        trajectories, _ = trf_sample(backend, schedule, c_s, c_e, churn, trf_cfg, rng)
-    elif kind == "baseline-interp":
-        trajectories, _ = baseline_condition_interp(backend, schedule, c_s, c_e, churn, rng)
-    else:
-        trajectories, _ = baseline_inpaint(backend, schedule, c_s, c_e, churn, rng)
+    trajectories, _ = run(RngBatch.from_seeds(seeds))
 
     # Metrics first: one that fails leaves no trajectory without a manifest.
     metrics = _summary_metrics(trajectories, c_e)
-    outputs = {}
-    for seed, x in zip(seeds, trajectories):
-        name = f"seed_{seed:04d}.trft"
-        outputs[name] = export_tensor(x, os.path.join(out_dir, name))
+    names = [f"seed_{seed:04d}.trft" for seed in seeds]
+    outputs = {name: export_tensor(x, os.path.join(out_dir, name)) for name, x in zip(names, trajectories)}
 
     manifest = ExperimentManifest(
         format_version=MANIFEST_VERSION, config=cfg.data, config_hash=cfg.config_hash(),
         outputs=outputs, metrics=metrics, wall_clock_seconds=time.time() - t_begin)
     manifest.save(os.path.join(out_dir, MANIFEST_NAME))
     return manifest
+
+
+def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:
+    """Run every point of the config's sweep grid and write its summary.
+
+    Point i is the normalized config with each axis value placed into its
+    section, run into ``run_NNN`` (i, zero-padded) under out_dir. Every
+    point is validated and built before the first run writes. The summary,
+    written last to ``summary.json`` in out_dir, lists each run's params,
+    directory, metrics and fingerprint; returns those runs and its path.
+    """
+    sweep = cfg.data["sweep"]
+    if not sweep:
+        raise ConfigError("missing required config key 'sweep'")
+    out_dir = cfg.out_dir()
+    points = []
+    for i, combo in enumerate(itertools.product(*sweep.values())):
+        params = dict(zip(sweep, combo))
+        data = json.loads(canonical_json(cfg.data))
+        data.update(sweep=None, out_dir=os.path.join(out_dir, f"run_{i:03d}"))
+        for axis, value in params.items():
+            data[SWEEP_AXES[axis]][axis] = value
+        point = ExperimentConfig.from_dict(data)
+        point.build_run()
+        points.append((params, point))
+
+    runs = []
+    for params, point in points:
+        manifest = run_experiment(point)
+        runs.append({"params": params, "dir": os.path.basename(point.data["out_dir"]),
+                     "metrics": manifest.metrics.to_dict(), "fingerprint": manifest.fingerprint()})
+    summary_path = os.path.join(out_dir, "summary.json")
+    _write_json(summary_path, {"runs": runs})
+    return runs, summary_path
+
+
+def run_training(cfg: ExperimentConfig) -> tuple[str, np.ndarray]:
+    """Train the MLP denoiser on the configured world and save it to
+    out_dir (see :func:`save_training`); returns the checkpoint path and
+    the loss curve. The world and the training settings are built before
+    out_dir is created."""
+    out_dir = cfg.out_dir()
+    world = cfg.build_world()
+    train_cfg = cfg.build_train()
+    _make_dir(out_dir)
+    params, curve = train(world, train_cfg)
+    return save_training(out_dir, params, curve), curve
+
+
+def save_training(out_dir, params, curve) -> str:
+    """Write a trained network as ``checkpoint.trfw`` and its per-step loss
+    as ``loss_curve.csv`` in ``out_dir``, each atomically; returns the
+    checkpoint path."""
+    ckpt = os.path.join(out_dir, "checkpoint.trfw")
+    save_checkpoint(params, ckpt)
+    lines = ["step,loss"] + [f"{i},{format(v, '.17g')}" for i, v in enumerate(curve)]
+    _atomic_write_bytes(os.path.join(out_dir, "loss_curve.csv"), ("\n".join(lines) + "\n").encode())
+    return ckpt
+
+
+def _make_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot create output directory {path}: {exc}") from exc
 
 
 def evaluate_run(run_dir) -> MetricReport:
@@ -550,8 +600,7 @@ def evaluate_run(run_dir) -> MetricReport:
         # come and go between versions without a new manifest version.
         raise ConfigError(f"{manifest_path}: its config does not validate under this "
                           f"trflab's schema (written by an older version?): {exc}") from exc
-    world = cfg.build_world()
-    _, c_e = cfg.build_conditions(world)
+    _, c_e = cfg.build_conditions(cfg.build_world())
     trajectories = []
     for name, digest in sorted(manifest.outputs.items()):
         path = os.path.join(run_dir, name)
@@ -580,6 +629,11 @@ def _summary_metrics(trajectories: np.ndarray, c_e: Condition | None) -> MetricR
 def canonical_json(obj) -> str:
     """Stable serialization: sorted keys, no whitespace, shortest decimals."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _write_json(path, obj):
+    """``obj`` as one line of canonical JSON, written atomically."""
+    _atomic_write_bytes(path, (canonical_json(obj) + "\n").encode())
 
 
 def sha256_file(path) -> str:

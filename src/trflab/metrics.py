@@ -101,8 +101,19 @@ def _pairwise_sum(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class ModeCoverage:
-    counts: np.ndarray
-    n_covered: int
+    """Each sample's nearest route, ``labels[i]`` in [0, n_modes), and the
+    per-route tallies derived from them."""
+
+    labels: np.ndarray
+    n_modes: int
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.bincount(self.labels, minlength=self.n_modes)
+
+    @property
+    def n_covered(self) -> int:
+        return int((self.counts > 0).sum())
 
     @property
     def shares(self) -> np.ndarray:
@@ -121,9 +132,7 @@ def mode_coverage(samples, world) -> ModeCoverage:
     if m.shape[1] != templates.shape[1]:
         raise ValueError("samples do not match the world's template shape")
     diff = m[:, None, :] - templates[None, :, :]
-    nearest = ((diff ** 2).sum(axis=2)).argmin(axis=1)
-    counts = np.bincount(nearest, minlength=world.n_modes)
-    return ModeCoverage(counts=counts, n_covered=int((counts > 0).sum()))
+    return ModeCoverage(labels=((diff ** 2).sum(axis=2)).argmin(axis=1), n_modes=world.n_modes)
 
 
 @dataclass

@@ -4,7 +4,9 @@
 initial latent, and at each step churns the latent up in noise, hands it to
 a per-step hook, checks that the hook's new latent is finite, and keeps the
 step record the hook returns. The hook does the denoising: an Euler step
-toward the backend's clean-sequence prediction here in :func:`sample`; two
+toward the backend's clean-sequence prediction here in :func:`sample`, and
+the same step around per-frame conditions in
+:func:`~trflab.trf.baseline_condition_interp`; two
 denoised paths, their fusion and the re-injection rounds in
 :func:`~trflab.trf.trf_sample`; an Euler step plus the end-frame overwrite
 in :func:`~trflab.trf.baseline_inpaint`. Churn lives in the walk, not in
@@ -204,6 +206,13 @@ def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
     which carry the latent and denoised hashes when ``diagnostics`` is set.
     """
     check_conditions(backend, cond)
+    return _walk("sample", backend.seq_shape, schedule, churn, rng, _denoise_step(backend, cond, diagnostics))
+
+
+def _denoise_step(backend: DenoiserBackend, cond: Condition, diagnostics: bool):
+    """The single-path ``_walk`` step: denoise the churned latent under
+    ``cond``, then one Euler step; the record carries the latent and
+    denoised hashes when ``diagnostics`` is set."""
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat[None], sigma_hat, (cond,))[0]
@@ -213,4 +222,4 @@ def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
         x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
         return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat), **diag)
 
-    return _walk("sample", backend.seq_shape, schedule, churn, rng, step)
+    return step

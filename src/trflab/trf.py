@@ -31,7 +31,8 @@ import numpy as np
 
 from .core import RngBatch, RngStream, normal_rows, reverse, sequence_hash
 from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend
-from .sampler import STREAM_REINJECT, StepRecord, StepTrace, _euler_from_denoised, _walk, check_conditions, sample
+from .sampler import (STREAM_REINJECT, StepRecord, StepTrace, _denoise_step, _euler_from_denoised, _walk,
+                      check_conditions)
 from .schedule import ChurnParams, NoiseSchedule
 
 KIND_LINEAR = "linear"
@@ -234,13 +235,16 @@ def baseline_condition_interp(backend: DenoiserBackend, schedule: NoiseSchedule,
                               rng: RngStream | RngBatch) -> tuple[np.ndarray, StepTrace]:
     """Single forward path steered by per-frame interpolated conditions.
 
-    Frame n is denoised under condition (1 - n/(N-1)) c_s + n/(N-1) c_e;
-    the output comes with :func:`~trflab.sampler.sample`'s trace.
+    Frame n is denoised under condition (1 - n/(N-1)) c_s + n/(N-1) c_e,
+    by :func:`~trflab.sampler.sample`'s step on its own walk, so the
+    output comes with that trace and a non-finite latent names this
+    baseline.
     """
     check_conditions(backend, c_s, c_e)
     u = np.linspace(0.0, 1.0, backend.seq_shape[0])
     conds = [Condition((1.0 - un) * c_s.frame + un * c_e.frame) for un in u]
-    return sample(PerFrameConditionBackend(backend, conds), schedule, c_s, churn, rng)
+    step = _denoise_step(PerFrameConditionBackend(backend, conds), c_s, False)
+    return _walk("baseline_condition_interp", backend.seq_shape, schedule, churn, rng, step)
 
 
 def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition,

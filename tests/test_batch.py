@@ -242,7 +242,7 @@ def test_non_finite_latent_names_sampler_step_and_seed(kind):
     # Churn lifts step t's level by under 5%; the ladder's ratio there is ~1.8,
     # so only steps t <= t_bad denoise at a level below 1.2 sigma_t.
     sigma_bad = 1.2 * sigma
-    loop = {"sample": "sample", "trf": "trf_sample", "interp": "sample",
+    loop = {"sample": "sample", "trf": "trf_sample", "interp": "baseline_condition_interp",
             "inpaint": "baseline_inpaint"}[kind]
     with pytest.raises(RuntimeError) as err:
         _run(kind, NanBelow(backend, sigma_bad, row=5), start, end, RngBatch.from_seeds(SEEDS))

@@ -31,6 +31,8 @@ from trflab.train import ArchDescriptor, TrainConfig, init_params, save_checkpoi
 from trflab.worlds import MovingBlobWorld, PinnedGaussianProcessWorld
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: SHA-256 of the summary.json that test_sweep_grid's 2 x 2 grid writes.
+SWEEP_SUMMARY_SHA256 = "ec888e4c884d4e5cadbe7ab2ec38d11068348c9e15932b6324eff0f2fc9a6901"
 
 
 def gp_raw(**extra):
@@ -714,6 +716,42 @@ class TestCli:
         assert curve[0] == "step,loss"
         assert len(curve) == 31
 
+    def test_train_seed_sets_the_training_seed(self, tmp_path):
+        cfg = self._write_config(tmp_path, gp_raw(train={"n_steps": 10, "batch_size": 4, "hidden": 8}))
+        digests = {}
+        for name, flags in (("flag", ["--seed", "7"]), ("set", ["--set", "train.seed=7"]), ("config", [])):
+            out = tmp_path / name
+            assert main(["train", "--config", cfg, "--out", str(out), *flags]) == 0
+            digests[name] = sha256_file(out / "checkpoint.trfw")
+        assert digests["flag"] == digests["set"] != digests["config"]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--seeds", "5..9"]),
+        ("eval", ["--seed", "0"]),
+        ("eval", ["--seeds", "0..1"]),
+        ("eval", ["--set", "seeds=[1]"]),
+    ], ids=["train-seeds", "eval-seed", "eval-seeds", "eval-set"])
+    def test_a_flag_the_command_does_not_use_exits_1_naming_it(self, tmp_path, capsys, command, flags):
+        cfg = self._write_config(tmp_path, gp_raw(train={"n_steps": 5, "batch_size": 4, "hidden": 8}))
+        out = tmp_path / "run"
+        if command == "eval":
+            assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+            capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"config error: trflab {command} takes no {flags[0]}\n"
+        if command == "train":
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["trf"], ["train"], ["sweep", "--set", 'sweep={"m_reinject":[0,1]}']],
+                             ids=["trf", "train", "sweep"])
+    def test_an_out_dir_that_cannot_be_made_exits_2_naming_it(self, tmp_path, capsys, command):
+        cfg = self._write_config(tmp_path, gp_raw(train={"n_steps": 5, "batch_size": 4, "hidden": 8}))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(command + ["--config", cfg, "--out", str(blocker / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: RuntimeError: cannot create output directory {blocker / 'out'}"), err
+
     def test_checkpoint_backend_roundtrip(self, tmp_path):
         raw = gp_raw(train={"n_steps": 20, "batch_size": 4, "hidden": 8})
         cfg = self._write_config(tmp_path, raw)
@@ -731,6 +769,7 @@ class TestCli:
         out = str(tmp_path / "sweep")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert sha256_file(os.path.join(out, "summary.json")) == SWEEP_SUMMARY_SHA256
         assert len(summary["runs"]) == 4
         for i, run in enumerate(summary["runs"]):
             sub = os.path.join(out, f"run_{i:03d}")

@@ -208,6 +208,15 @@ class TestModeCoverage:
         np.testing.assert_allclose(cov.shares, [0.6, 0.3, 0.1], atol=0.03)
         assert cov.n_covered == 3
 
+    def test_labels_name_each_samples_route(self):
+        # The demo writes one draw per visited route from these labels.
+        world = self._world()
+        samples = np.stack([world.templates[2], world.templates[0] - 0.01, world.templates[2]])
+        cov = mode_coverage(samples, world)
+        np.testing.assert_array_equal(cov.labels, [2, 0, 2])
+        np.testing.assert_array_equal(cov.counts, [1, 0, 2])
+        assert cov.n_covered == 2
+
     def test_missing_mode_reported(self):
         world = self._world()
         samples = np.stack([world.templates[1]] * 5)
