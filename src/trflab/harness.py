@@ -15,6 +15,7 @@ File formats:
 * loss curve — CSV with header "step,loss", 17-significant-digit losses.
 """
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -54,19 +55,15 @@ class ConfigError(Exception):
     """Invalid experiment configuration; the message names the offending key."""
 
 
-def _builds(section: str):
-    """Decorate a config builder: a ValueError or OverflowError it raises,
-    which means a value out of range, becomes a ConfigError that names
-    config section ``section`` and keeps the original message."""
-    def decorate(build):
-        @functools.wraps(build)
-        def wrapper(*args, **kwargs):
-            try:
-                return build(*args, **kwargs)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"invalid '{section}' config: {exc}") from exc
-        return wrapper
-    return decorate
+@contextlib.contextmanager
+def _section_errors(section: str):
+    """A ValueError or OverflowError raised inside, which means a value out
+    of range, becomes a ConfigError that names config section ``section``
+    and keeps the original message."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid '{section}' config: {exc}") from exc
 
 
 _REQUIRED = object()
@@ -273,18 +270,17 @@ class ExperimentConfig:
 
     # -- builders ----------------------------------------------------------
 
-    @_builds("world")
     def build_world(self):
-        return _build_world(self.data["world"])
+        with _section_errors("world"):
+            return _build_world(self.data["world"])
 
     def build_backend(self, world):
         spec = self.data["backend"]
         if spec["kind"] == "analytic":
-            if isinstance(world, PinnedGaussianProcessWorld):
-                return AnalyticGaussianBackend(world)
-            if isinstance(world, TrajectoryGmmWorld):
-                return AnalyticGmmBackend(world)
-            raise ConfigError("the blob world has no analytic denoiser; use a checkpoint backend")
+            analytic = {"gp": AnalyticGaussianBackend, "gmm": AnalyticGmmBackend}.get(self.data["world"]["kind"])
+            if analytic is None:
+                raise ConfigError("the blob world has no analytic denoiser; use a checkpoint backend")
+            return analytic(world)
         try:
             params = load_checkpoint(spec["path"])
         except (OSError, CheckpointError, ValueError) as exc:  # ValueError: non-finite weights
@@ -295,23 +291,21 @@ class ExperimentConfig:
                 f"checkpoint network shape {backend.seq_shape} does not match world {world.seq_shape}")
         return backend
 
-    @_builds("schedule")
     def build_schedule(self):
-        s = self.data["schedule"]
-        return build_karras(s["n_steps"], s["sigma_min"], s["sigma_max"], s["rho"])
+        with _section_errors("schedule"):
+            return build_karras(**self.data["schedule"])
 
-    @_builds("churn")
     def build_churn(self) -> ChurnParams:
-        return ChurnParams(**self.data["churn"])
+        with _section_errors("churn"):
+            return ChurnParams(**self.data["churn"])
 
-    @_builds("trf")
     def build_trf(self, n_frames: int, n_steps: int) -> TrfConfig:
         """The fused sampler's config, its cutoff t0 checked against n_steps."""
         t = self.data["trf"]
-        lam = t["alpha_lam"] if t["alpha_kind"] == KIND_EXPONENTIAL else None
-        cfg = TrfConfig(alpha=alpha_weights(t["alpha_kind"], n_frames, lam),
-                        m_reinject=t["m_reinject"], t0=t["t0"])
-        cfg.resolved_t0(n_steps)
+        with _section_errors("trf"):
+            cfg = TrfConfig(alpha=alpha_weights(t["alpha_kind"], n_frames, t["alpha_lam"]),
+                            m_reinject=t["m_reinject"], t0=t["t0"])
+            cfg.resolved_t0(n_steps)
         return cfg
 
     def build_conditions(self, world) -> tuple[Condition, Condition | None]:
@@ -322,9 +316,9 @@ class ExperimentConfig:
         c_e = None if spec["end"] is None else _frame_condition(world, spec["end"], "end")
         return c_s, c_e
 
-    @_builds("train")
     def build_train(self) -> TrainConfig:
-        return TrainConfig(**self.data["train"])
+        with _section_errors("train"):
+            return TrainConfig(**self.data["train"])
 
     def build_run(self):
         """The configured sampler as a call on the run's RNG, bound to its
@@ -385,31 +379,17 @@ def _frame_condition(world, values: list, key: str) -> Condition:
     frame = np.asarray(values, dtype=np.float64)
     # Blob-world conditions may be given as 2-D positions; render them.
     if isinstance(world, MovingBlobWorld) and frame.shape == (2,):
-        frame = world.render_positions(frame[None, :])[0][0]
+        (frame,), (clamped,) = world.render_positions(frame[None, :])
+        if clamped:
+            raise ConfigError(f"conditions.{key} position {values} lies off the "
+                              f"{world.grid_size}x{world.grid_size} blob grid")
     if frame.shape != (world.seq_shape[1],):
         raise ConfigError(
             f"conditions.{key} has dimension {frame.shape}, world frames have dimension {world.seq_shape[1]}")
     return Condition(frame)
 
 
-def _schema_kind(raw: dict, keys: list[str]) -> str | None:
-    """Schema kind of the key at dotted path ``keys`` of ``raw``, with a
-    world or backend section's keys picked by its kind as it stands in
-    ``raw``; None for a path the schema does not know."""
-    schema, node = _SCHEMA[""], raw
-    for key in keys[:-1]:
-        spec = schema.get(key)
-        if spec is None or spec[0] != "section":
-            return None
-        node = node.get(key, spec[1]) if isinstance(node, dict) else None
-        schema = _SCHEMA[key]
-        if "kind" in schema and isinstance(node, dict) and node.get("kind") in schema["kind"][2]:
-            schema = {**schema, **_SCHEMA[node["kind"]]}
-    spec = schema.get(keys[-1])
-    return spec[0] if spec else None
-
-
-def _override_value(text: str, kind: str | None):
+def _override_value(text: str, kind: str):
     """The value of ``--set key=text``: the raw text for a string key, else
     the text read as JSON, else, for a number key, as a Python float, else
     the raw text, which the key's type check then rejects."""
@@ -428,19 +408,23 @@ def _override_value(text: str, kind: str | None):
 
 
 def apply_overrides(raw: dict, assignments: list[str]) -> dict:
-    """Apply --set key.path=value pairs, each value read as its schema key's type."""
+    """Apply --set key.path=value pairs, each value read as its schema key's
+    type. One walk follows the path down ``raw`` and the schema together;
+    a world or backend section's keys are those of its kind as it stands."""
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key_path, _, text = item.partition("=")
-        keys = key_path.split(".")
-        value = _override_value(text, _schema_kind(raw, keys))
-        node = raw
-        for key in keys[:-1]:
+        *path, last = key_path.split(".")
+        node, schema = raw, _SCHEMA[""]
+        for key in path:
+            schema = _SCHEMA[key] if schema.get(key, ("",))[0] == "section" else {}
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"override {key_path!r} crosses non-object key {key!r}")
-        node[keys[-1]] = value
+            if "kind" in schema and node.get("kind") in schema["kind"][2]:
+                schema = {**schema, **_SCHEMA[node["kind"]]}
+        node[last] = _override_value(text, schema.get(last, ("",))[0])
     return raw
 
 

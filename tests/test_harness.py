@@ -276,6 +276,15 @@ class TestApplyOverrides:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(raw)
 
+    def test_a_kind_set_earlier_in_the_list_types_the_next_key(self):
+        raw = apply_overrides(gp_raw(), ["world.kind=gmm", "world.tau=.05"])
+        assert raw["world"]["tau"] == 0.05 and isinstance(raw["world"]["tau"], float)
+
+    def test_an_override_into_an_absent_section_creates_it(self):
+        raw = apply_overrides({}, ["schedule.sigma_max=.5", "world.trajectory.tau=.05"])
+        # A schedule's keys are fixed; an absent world has no kind to pick its keys by.
+        assert raw == {"schedule": {"sigma_max": 0.5}, "world": {"trajectory": {"tau": ".05"}}}
+
     def test_malformed(self):
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides({}, ["n_steps50"])
@@ -567,6 +576,59 @@ class TestCli:
             assert main(["trf", "--config", bad, "--out", str(tmp_path / "r")]) == 1
             assert key in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["trf", "--seed", "abc"], "trflab trf: argument --seed: invalid int value: 'abc'"),
+        (["trf"], "trflab trf: the following arguments are required: --config"),
+        (["trf", "--config", "config.json", "--bogus", "1"], "trflab trf takes no --bogus"),
+        ([], "trflab: the following arguments are required: command"),
+    ], ids=["bad-seed", "no-config", "unknown-flag", "no-command"])
+    def test_usage_errors_exit_1_and_write_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
+        self._write_config(tmp_path, gp_raw(out_dir="run"))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sample", "--config --out --seed --seeds --set"),
+        ("trf", "--config --out --seed --seeds --set"),
+        ("baseline", "--config --kind --out --seed --seeds --set"),
+        ("train", "--config --out --seed --set"),
+        ("eval", "--config --out"),
+        ("sweep", "--config --out --seed --seeds --set"),
+    ], ids=["sample", "trf", "baseline", "train", "eval", "sweep"])
+    def test_help_exits_0_showing_exactly_the_commands_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert sorted(set(re.findall(r"--[a-z]+", usage))) == flags.split()
+
+    def test_eval_config_reads_the_run_in_its_out_dir(self, tmp_path, capsys, monkeypatch):
+        cfg = self._write_config(tmp_path, gp_raw(out_dir="runs/a"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["trf", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg]) == 0
+        assert "endpoint_error_median" in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("key", ["start", "end"])
+    def test_a_blob_position_off_the_grid_exits_1_naming_it(self, tmp_path, capsys, key):
+        ckpt = tmp_path / "blob.trfw"
+        save_checkpoint(init_params(ArchDescriptor(n_frames=4, frame_dim=256, hidden=2, n_freq=2),
+                                    RngStream(0)), ckpt)
+        # The default 16 x 16 grid spans +-1.5 units; (10, 10) would render at its corner.
+        cfg = self._write_config(tmp_path, {
+            "world": {"kind": "blob", "trajectory": {"kind": "gmm", "n_frames": 4}},
+            "backend": {"kind": "checkpoint", "path": str(ckpt)},
+            "conditions": {"start": [-1.0, 0.0], "end": [1.0, 0.0], key: [10.0, 10.0]},
+        })
+        out = tmp_path / "r"
+        assert main(["trf", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: conditions.{key} position [10.0, 10.0] lies off "), err
+        assert not out.exists()
 
     def test_runtime_errors_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path / "nowhere")]) == 2

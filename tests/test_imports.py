@@ -35,9 +35,11 @@ def test_the_check_sees_unused_and_used_imports():
     assert unused_imports(source) == ["d", "os"]
 
 
-def test_no_unused_imports_in_src_or_tests():
+def _unused_imports_under(*tops) -> dict:
+    """Each module under the ``tops`` folders of the repository with the
+    names it imports and never uses."""
     found = {}
-    for top in ("src", "tests"):
+    for top in tops:
         for folder, _, names in os.walk(os.path.join(ROOT, top)):
             for name in names:
                 if name.endswith(".py") and name != "__init__.py":
@@ -46,7 +48,16 @@ def test_no_unused_imports_in_src_or_tests():
                         unused = unused_imports(fh.read())
                     if unused:
                         found[os.path.relpath(path, ROOT)] = unused
-    assert found == {}
+    return found
+
+
+def test_no_unused_imports_in_src_or_tests():
+    assert _unused_imports_under("src", "tests") == {}
+
+
+def test_no_unused_imports_in_demos():
+    # perfbench/ is left out: run.py imports trflab.cli only to load it.
+    assert _unused_imports_under("demos") == {}
 
 
 def _env():
