@@ -65,10 +65,7 @@ def _key_sequence_type():
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words != 2 or dtype != np.uint64:
                 raise ValueError("a Philox key is two 64-bit words")
-            # Philox(key=...) converts the key exactly so. A pair with one
-            # word at or above 2**63 and one below goes through float64,
-            # which rounds; converting alike keeps every stream's draws.
-            return np.asarray(self.key).astype(np.uint64)
+            return np.array(self.key, dtype=np.uint64)
 
     return KeySequence
 

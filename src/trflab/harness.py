@@ -43,8 +43,9 @@ MANIFEST_NAME = "manifest.json"
 TENSOR_MAGIC = b"TRFT"
 TENSOR_VERSION = 1
 
-#: Seeds are below 2**63: the RNG streams key Philox with (seed, stream id),
-#: and a key pair with one word at or above 2**63 and one below loses bits.
+#: Seeds lie in [0, 2**63), the signed 64-bit range. The RNG streams key
+#: Philox with (seed, stream id) as two exact unsigned 64-bit words, so every
+#: seed in range keys streams of its own.
 SEED_LIMIT = 2 ** 63
 SAMPLER_KINDS = ("forward", "trf", "baseline-interp", "baseline-inpaint")
 #: Each sweep axis and the config section it sets.
@@ -359,7 +360,7 @@ def read_raw_config(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -397,7 +398,7 @@ def _override_value(text: str, kind: str):
         return text
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError, or an integer past Python's digit limit
         pass
     if kind == "number":
         try:

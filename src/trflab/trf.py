@@ -263,10 +263,11 @@ def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Con
     check_conditions(backend, c_s, c_e)
     over_rows = iter(normal_rows(rng.split(STREAM_REINJECT), schedule.n_steps, (c_e.dim,)))
 
+    denoise = _denoise_step(backend, c_s, False)
+
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
-        denoised = backend.predict_x0(x_hat[None], sigma_hat, (c_s,))[0]
-        x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
+        x, record = denoise(t, sigma, x_hat, sigma_hat, sigma_next)
         x[..., -1, :] = c_e.frame + sigma_next * next(over_rows)
-        return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat))
+        return x, record
 
     return _walk("baseline_inpaint", backend.seq_shape, schedule, churn, rng, step)

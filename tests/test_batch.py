@@ -14,30 +14,14 @@ import os
 import numpy as np
 import pytest
 
-from trflab import (
-    AnalyticGaussianBackend,
-    AnalyticGmmBackend,
-    ArchDescriptor,
-    ChurnParams,
-    Condition,
-    MlpBackend,
-    PinnedGaussianProcessWorld,
-    RngBatch,
-    RngStream,
-    TrajectoryGmmWorld,
-    StepTrace,
-    TrfConfig,
-    alpha_weights,
-    baseline_condition_interp,
-    baseline_inpaint,
-    build_karras,
-    sample,
-    trf_sample,
-)
 from trflab.cli import main
-from trflab.core import normal_rows
-from trflab.sampler import churn_perturb
-from trflab.train import init_params
+from trflab.core import RngBatch, RngStream, normal_rows
+from trflab.denoiser import AnalyticGaussianBackend, AnalyticGmmBackend, Condition
+from trflab.sampler import StepTrace, churn_perturb, sample
+from trflab.schedule import ChurnParams, build_karras
+from trflab.train import ArchDescriptor, MlpBackend, init_params
+from trflab.trf import TrfConfig, alpha_weights, baseline_condition_interp, baseline_inpaint, trf_sample
+from trflab.worlds import PinnedGaussianProcessWorld, TrajectoryGmmWorld
 
 from helpers import DrawLog, FrameReversedRng
 

@@ -76,8 +76,8 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(gp_raw(seeds=[0, 0, 1]))
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict(gp_raw(seeds=[]))
-        # Seeds lie in [0, 2**63), where each keys streams of its own: 2**64
-        # would wrap to seed 0, and 2**63 share its streams with 2**63 + 1.
+        # Seeds lie in [0, 2**63), the signed 64-bit range: 2**63 is past
+        # it, and 2**64 would also wrap to seed 0's streams.
         for raw, key in ((gp_raw(seeds=[2 ** 64]), r"seeds\[0\]"),
                          (gp_raw(seeds=[0, 2 ** 63]), r"seeds\[1\]"),
                          (gp_raw(train={"seed": -1}), "train.seed"),
@@ -570,6 +570,14 @@ class TestCli:
         assert main(["sample", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r")]) == 1
         capsys.readouterr()
+        # An integer literal past Python's 4 300-digit conversion limit, and
+        # bytes that are not UTF-8.
+        huge, binary = tmp_path / "huge.json", tmp_path / "binary.json"
+        huge.write_text(json.dumps(gp_raw()).replace('"n_steps": 5', '"n_steps": ' + "1" * 5000))
+        binary.write_bytes(b"\xff\xfe{}")
+        for path in (huge, binary):
+            assert main(["sample", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+            assert f"config {path} is not valid JSON" in capsys.readouterr().err
         for raw, key in ((gp_raw(seeds=[0, 0, 1]), "seeds[1]"),
                          (gp_raw(trf={"share_churn_noise": False}), "trf.share_churn_noise")):
             bad = self._write_config(tmp_path, raw)
@@ -698,6 +706,10 @@ class TestCli:
         ("train", "train.n_freq=65", r"'train.n_freq' must be at most 64, got 65"),
         pytest.param("train", f"train.n_steps={10 ** 400}",
                      rf"'train.n_steps' must be at most 100000, got {10 ** 400}", id="n_steps-10**400"),
+        pytest.param("trf", "schedule.n_steps=" + "1" * 5000, r"'schedule.n_steps' must be int",
+                     id="n_steps-5000-digits"),
+        pytest.param("trf", "schedule.sigma_max=" + "1" * 5000, r"'schedule.sigma_max' must be a finite number",
+                     id="sigma_max-5000-digits"),
     ])
     def test_bad_values_exit_1_before_anything_is_written(self, tmp_path, capsys, command,
                                                           override, named):

@@ -1,11 +1,15 @@
-"""Imports: no unused names, no scipy behind any command, no numpy.random at start-up.
+"""Imports: no unused names, layered modules, no scipy behind any command,
+no numpy.random at start-up.
 
 The toolchain ships no linter, so this walks each module's syntax tree: a
-name bound by an import must appear as a name somewhere in the module.
-Package ``__init__.py`` files are skipped, since they import to re-export.
-The package depends on numpy alone; scipy's import would be most of a
-command's start-up time, and numpy.random's is about 10 ms of it, so the
-RNG streams import it on their first draw.
+name bound by an import must appear as a name somewhere in the module. The
+package ``__init__.py`` re-exports nothing, so it is walked like the rest,
+and every name is imported from the module that defines it. Importing a
+module loads only the layers it builds on (``LAYERS``), from the RNG
+streams up to the harness and the command line. The package depends on
+numpy alone; scipy's import would be most of a command's start-up time,
+and numpy.random's is about 10 ms of it, so the RNG streams import it on
+their first draw.
 """
 
 import ast
@@ -42,7 +46,7 @@ def _unused_imports_under(*tops) -> dict:
     for top in tops:
         for folder, _, names in os.walk(os.path.join(ROOT, top)):
             for name in names:
-                if name.endswith(".py") and name != "__init__.py":
+                if name.endswith(".py"):
                     path = os.path.join(folder, name)
                     with open(path) as fh:
                         unused = unused_imports(fh.read())
@@ -64,6 +68,37 @@ def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     return env
+
+
+_SAMPLER = {"core", "denoiser", "schedule", "sampler"}
+_ALL = _SAMPLER | {"trf", "worlds", "train", "metrics", "harness", "cli"}
+
+#: The trflab modules that ``import trflab.<key>`` loads, the package aside.
+LAYERS = {
+    "core": {"core"},
+    "schedule": {"schedule"},
+    "denoiser": {"core", "denoiser"},
+    "worlds": {"core", "denoiser", "worlds"},
+    "train": {"core", "denoiser", "train"},
+    "metrics": {"core", "metrics"},
+    "sampler": _SAMPLER,
+    "trf": _SAMPLER | {"trf"},
+    "harness": _ALL - {"cli"},
+    "cli": _ALL,
+}
+
+
+def test_each_module_loads_only_the_layers_beneath_it():
+    script = ("import importlib, sys\n"
+              "importlib.import_module('trflab.' + sys.argv[1])\n"
+              "print(*(m.removeprefix('trflab.') for m in sys.modules if m.startswith('trflab.')))\n")
+    loaded = {}
+    for name in LAYERS:
+        proc = subprocess.run([sys.executable, "-c", script, name], env=_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded[name] = set(proc.stdout.split())
+    assert loaded == LAYERS
 
 
 def test_importing_the_cli_imports_no_numpy_random():

@@ -8,18 +8,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from trflab import (
-    AnalyticGaussianBackend,
-    ChurnParams,
-    Condition,
-    NoiseSchedule,
-    PinnedGaussianProcessWorld,
-    RngStream,
-    build_karras,
-    churn_perturb,
-    sample,
-)
-from trflab.sampler import _euler_from_denoised
+from trflab.core import RngStream
+from trflab.denoiser import AnalyticGaussianBackend, Condition
+from trflab.sampler import _euler_from_denoised, churn_perturb, sample
+from trflab.schedule import ChurnParams, NoiseSchedule, build_karras
+from trflab.worlds import PinnedGaussianProcessWorld
 
 
 class UnitGaussianBackend:

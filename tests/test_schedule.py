@@ -7,13 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trflab import (
-    ChurnParams,
-    NoiseSchedule,
-    build_karras,
-    churn_gamma,
-    injection_std,
-)
+from trflab.schedule import ChurnParams, NoiseSchedule, build_karras, churn_gamma, injection_std
 
 
 class TestBuildKarras:

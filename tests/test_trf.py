@@ -7,30 +7,21 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trflab import (
+from trflab.core import RngBatch, RngStream, reverse, sequence_hash
+from trflab.denoiser import AnalyticGaussianBackend, AnalyticGmmBackend, Condition
+from trflab.sampler import STREAM_CHURN, STREAM_INIT, STREAM_REINJECT, sample
+from trflab.schedule import ChurnParams, build_karras, churn_gamma
+from trflab.trf import (
     AlphaSchedule,
-    RngBatch,
-    AnalyticGaussianBackend,
-    AnalyticGmmBackend,
-    ChurnParams,
-    Condition,
-    PinnedGaussianProcessWorld,
-    RngStream,
-    TrajectoryGmmWorld,
     TrfConfig,
     alpha_weights,
     baseline_condition_interp,
     baseline_inpaint,
-    build_karras,
-    churn_gamma,
     fuse,
     fusion_objective,
-    reverse,
-    sample,
-    sequence_hash,
     trf_sample,
 )
-from trflab.sampler import STREAM_CHURN, STREAM_INIT, STREAM_REINJECT
+from trflab.worlds import PinnedGaussianProcessWorld, TrajectoryGmmWorld
 
 from helpers import DrawLog, FrameReversedRng
 
