@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import struct
 import sys
 import time
@@ -40,6 +41,9 @@ from .worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWo
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+#: A trajectory output's file name: the only kind of file that a rerun
+#: deletes on an earlier manifest's word.
+_OUTPUT_NAME = re.compile(r"seed_[0-9]+\.trft")
 TENSOR_MAGIC = b"TRFT"
 TENSOR_VERSION = 1
 
@@ -480,19 +484,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
     see the whole batch. Every builder runs before the output directory is
     created, so a config error leaves nothing behind. All files are written
     atomically and the manifest last: a directory with a manifest is a
-    complete run.
+    complete run. An earlier run in out_dir is cleared first (see
+    :func:`_clear_earlier_run`).
     """
     t_begin = time.time()
     out_dir = cfg.out_dir()
     run, c_e = cfg.build_run()
+    seeds = cfg.data["seeds"]
+    names = [f"seed_{seed:04d}.trft" for seed in seeds]
+    _clear_earlier_run(out_dir, names)
     _make_dir(out_dir)
 
-    seeds = cfg.data["seeds"]
     trajectories, _ = run(RngBatch.from_seeds(seeds))
 
     # Metrics first: one that fails leaves no trajectory without a manifest.
     metrics = _summary_metrics(trajectories, c_e)
-    names = [f"seed_{seed:04d}.trft" for seed in seeds]
     outputs = {name: export_tensor(x, os.path.join(out_dir, name)) for name, x in zip(names, trajectories)}
 
     manifest = ExperimentManifest(
@@ -500,6 +506,34 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
         outputs=outputs, metrics=metrics, wall_clock_seconds=time.time() - t_begin)
     manifest.save(os.path.join(out_dir, MANIFEST_NAME))
     return manifest
+
+
+def _clear_earlier_run(out_dir, names):
+    """Remove what an earlier run's manifest in ``out_dir`` names, except ``names``.
+
+    The manifest goes first, so that a run that then fails leaves no
+    complete-looking directory. Then each output it lists that is not in
+    ``names`` (this run's outputs) is deleted, but only a plain
+    ``seed_NNNN.trft`` name: a hand-edited manifest cannot reach outside
+    ``out_dir`` or delete other files. A manifest that cannot be read is a
+    RuntimeError naming it, and nothing is deleted.
+    """
+    path = os.path.join(out_dir, MANIFEST_NAME)
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path) as fh:
+            outputs = json.load(fh)["outputs"]
+        if not isinstance(outputs, dict):
+            raise ValueError("'outputs' is not an object")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise RuntimeError(f"{path}: cannot read the earlier run's manifest ({exc}); "
+                           f"nothing was deleted") from exc
+    os.remove(path)
+    for name in outputs.keys() - set(names):
+        if _OUTPUT_NAME.fullmatch(name):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], str]:

@@ -111,11 +111,6 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return replace(self, **{name: block.copy() for name, block in self.blocks()})
 
-    @classmethod
-    def empty(cls, arch: ArchDescriptor) -> "MlpParams":
-        """Uninitialized blocks of ``arch``'s shapes, for a gradient buffer."""
-        return cls(arch, **{name: np.empty(shape) for name, shape in arch.block_shapes().items()})
-
 
 def init_params(arch: ArchDescriptor, rng: RngStream) -> MlpParams:
     """Gaussian fan-in initialization, zero biases."""
@@ -152,27 +147,55 @@ def forward(params: MlpParams, inputs: np.ndarray):
     return out, (inputs, z1, s1, h1, z2, s2, h2)
 
 
-def backward(params: MlpParams, cache, grad_out: np.ndarray, grads: MlpParams) -> MlpParams:
-    """Exact gradients for every block given d(loss)/d(outputs).
+#: Elements per gradient chunk that :func:`backward` yields: 1 MiB of float64.
+GRAD_CHUNK = 131072
 
-    Every block of ``grads``, a buffer of ``params``' shapes that a
-    training loop allocates once, is overwritten, and ``grads`` is
-    returned. Only batch-sized temporaries are allocated: a fresh
-    weight-sized array per step would page-fault in again.
+
+def _row_chunks(name: str, a: np.ndarray, b: np.ndarray):
+    """Yield ``(name, rows, (a.T @ b)[rows])`` over chunks of whole rows.
+
+    ``a`` is (batch, n_rows) and ``b`` is (batch, width). A chunk spans a
+    multiple of 8 rows and at most GRAD_CHUNK elements (unless 8 rows are
+    more): with OpenBLAS 0.3.31's Haswell kernels, such chunks gave the
+    whole product's bits at every size tried, and single rows did not.
+    Whole rows of a C-contiguous block are one contiguous slice of it, which
+    Adam walks flat. Every chunk is written into one buffer, valid until the
+    next chunk is requested.
+    """
+    n_rows, width = a.shape[1], b.shape[1]
+    step = max(8, GRAD_CHUNK // width // 8 * 8)
+    buf = np.empty(min(step, n_rows) * width)
+    for lo in range(0, n_rows, step):
+        rows = np.s_[lo:lo + step]
+        part = a[:, rows]
+        yield name, rows, np.matmul(part.T, b, out=buf[:part.shape[1] * width].reshape(-1, width))
+
+
+def backward(params: MlpParams, cache, grad_out: np.ndarray):
+    """Stream the exact gradient of every block given d(loss)/d(outputs).
+
+    Yields ``(block name, rows, gradient)``, where ``rows`` slices the
+    block's leading axis and ``gradient`` is that of ``block[rows]``: each
+    bias whole, each weight block in chunks of rows (see
+    :func:`_row_chunks`), in the order b3, w3, b2, w2, b1, w1. A consumer
+    may update a block in place before it asks for the next chunk: every
+    product that reads a weight block's value is taken before its first
+    chunk (``gh2`` before w3's, ``gh1`` before w2's). So no weight-sized
+    gradient is ever resident, only one chunk and batch-sized temporaries.
     """
     inputs, z1, s1, h1, z2, s2, h2 = cache
     grad_out = np.atleast_2d(grad_out)
-    np.matmul(h2.T, grad_out, out=grads.w3)
-    grad_out.sum(axis=0, out=grads.b3)
+    whole = np.s_[:]
+    yield "b3", whole, grad_out.sum(axis=0)
     gh2 = grad_out @ params.w3.T
+    yield from _row_chunks("w3", h2, grad_out)
     gz2 = gh2 * (s2 * (1.0 + z2 * (1.0 - s2)))  # d silu(z) / dz
-    np.matmul(h1.T, gz2, out=grads.w2)
-    gz2.sum(axis=0, out=grads.b2)
+    yield "b2", whole, gz2.sum(axis=0)
     gh1 = gz2 @ params.w2.T
+    yield from _row_chunks("w2", h1, gz2)
     gz1 = gh1 * (s1 * (1.0 + z1 * (1.0 - s1)))
-    np.matmul(inputs.T, gz1, out=grads.w1)
-    gz1.sum(axis=0, out=grads.b1)
-    return grads
+    yield "b1", whole, gz1.sum(axis=0)
+    yield from _row_chunks("w1", inputs, gz1)
 
 
 class MlpBackend(DenoiserBackend):
@@ -228,10 +251,9 @@ class TrainConfig:
             raise ValueError("hidden must be >= 1 and n_freq a positive even number")
 
 
-def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarray,
-                   grads: MlpParams):
-    """Loss and exact gradients for given per-item noise levels and draws;
-    the gradients overwrite ``grads`` as in :func:`backward`.
+def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarray):
+    """Loss, and the stream of its exact gradients, for given per-item noise
+    levels and draws.
 
     The lambda(sigma)-weighted denoising objective,
     mean over items of lambda ||D(y + sigma eps) - y||^2 / (N d) with
@@ -239,6 +261,10 @@ def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarr
     preconditioned form mean((F - F_target)^2): identical value, and the
     raw network output F carries an evenly weighted regression target at
     every noise level.
+
+    The loss is computed first. The gradients come as :func:`backward`'s
+    stream, which computes nothing until it is consumed, so a caller can
+    check the loss before any gradient exists.
     """
     arch = params.arch
     n_items = len(batch)
@@ -254,40 +280,38 @@ def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarr
     c_skip, c_out, c_in, c_noise = edm_scalings(sigmas, arch.sigma_data)
 
     # Row i is [c_in x_noisy, fourier(c_noise), condition frame], filled by column
-    # slices. The targets reuse x_noisy's buffer: page-faulting in a fresh
-    # (n, N d) temporary per operation costs more than the arithmetic on it.
+    # slices. Each (n, N d) intermediate is written into a buffer whose
+    # contents are dead, and the batch, the noise and y are dropped before the
+    # forward pass: train hands over the batch and the noise without keeping
+    # a reference, so dropping them here frees them.
     inputs = np.empty((n_items, arch.input_dim))
     cond_at = arch.seq_dim + arch.n_freq
-    x_noisy = y + sigmas * noise.reshape(n_items, arch.seq_dim)
+    x_noisy = np.multiply(sigmas, noise.reshape(n_items, arch.seq_dim))
+    x_noisy += y
     np.multiply(c_in, x_noisy, out=inputs[:, :arch.seq_dim])
     inputs[:, arch.seq_dim:cond_at] = fourier_features(c_noise[:, 0], arch.n_freq)
     inputs[:, cond_at:] = [cond.frame for _, cond in batch]
+    del batch, noise
     targets = np.multiply(c_skip, x_noisy, out=x_noisy)
     np.subtract(y, targets, out=targets)
+    del y
     targets /= c_out
 
     out, cache = forward(params, inputs)
-    resid = out - targets
-    loss = float(np.mean(resid * resid))
-    return loss, backward(params, cache, 2.0 * resid / resid.size, grads)
-
-
-def edm_loss(params: MlpParams, batch, rng: RngStream, grads: MlpParams,
-             p_mean: float = -1.2, p_std: float = 1.2):
-    """Draw log-normal noise levels and fresh noise, then evaluate the loss."""
-    arch = params.arch
-    n_items = len(batch)
-    sigmas = np.exp(p_mean + p_std * rng.normal((n_items,)))
-    noise = rng.normal((n_items, arch.n_frames, arch.frame_dim))
-    return edm_loss_terms(params, batch, sigmas, noise, grads)
+    resid = np.subtract(out, targets, out=targets)
+    loss = float(np.mean(np.multiply(resid, resid, out=out)))
+    del out
+    grad_out = np.multiply(2.0, resid, out=resid)
+    grad_out /= grad_out.size
+    return loss, backward(params, cache, grad_out)
 
 
 #: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-#: Elements per slice of a block that :func:`adam_step` updates at once:
-#: the slice and its two scratch buffers stay in L2 cache.
+#: Elements per slice of a gradient chunk that :func:`adam_step` updates at
+#: once: the slice and its two scratch buffers stay in L2 cache.
 ADAM_CHUNK = 16384
 
 
@@ -299,25 +323,31 @@ class AdamState:
         self.scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
 
-def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float):
-    """In-place Adam update with bias correction (Kingma & Ba 2015).
+def adam_step(params: MlpParams, grads, state: AdamState, lr: float):
+    """In-place Adam update with bias correction (Kingma & Ba 2015), applied
+    while ``grads`` is consumed.
 
-    Each block is walked in flat slices of ADAM_CHUNK elements, and the
-    update's temporaries live in the state's two chunk-sized scratch
+    ``grads`` yields ``(block name, rows, gradient of block[rows])``, as
+    :func:`backward` does, ``rows`` a slice of the block's leading axis.
+    Each chunk updates its rows of the block and of both moments before the
+    next chunk is requested, so the weights, the two moments and one chunk
+    are all that stays resident. A chunk is walked in flat slices of
+    ADAM_CHUNK elements, whose temporaries live in the state's two scratch
     buffers, so a step allocates nothing. Every element gets the operations
     of the whole-block form, in its order:
     m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
     block -= (lr (m / bc1)) / (sqrt(v / bc2) + eps).
     Each operation is elementwise, so the result is bit-identical to that
-    form for any chunk size.
+    form for any chunking.
     """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, block in params.blocks():
-        flat = (block.reshape(-1), getattr(grads, name).reshape(-1),
-                state.m[name].reshape(-1), state.v[name].reshape(-1))
-        for lo in range(0, block.size, ADAM_CHUNK):
+    for name, rows, grad in grads:
+        # Whole rows of a C-contiguous block: every flat view below is a view.
+        flat = (getattr(params, name)[rows].reshape(-1), grad.reshape(-1),
+                state.m[name][rows].reshape(-1), state.v[name][rows].reshape(-1))
+        for lo in range(0, grad.size, ADAM_CHUNK):
             p, g, m, v = (a[lo:lo + ADAM_CHUNK] for a in flat)
             step, denom = (a[:p.size] for a in state.scratch)
             m *= ADAM_BETA1
@@ -340,8 +370,15 @@ def train(world, cfg: TrainConfig):
     """Adam-optimize the denoising loss over fresh world samples.
 
     Returns (params, loss_curve). Aborts with the step index if the loss
-    goes non-finite. Fully determined by (world, cfg): data, noise levels,
-    and initialization all come from substreams of cfg.seed.
+    goes non-finite; the loss is checked before its gradient stream is
+    consumed, so that step updates nothing. Fully determined by
+    (world, cfg): data, noise levels, and initialization all come from
+    substreams of cfg.seed.
+
+    Adam consumes each step's gradients as :func:`backward` streams them,
+    so the weights and the two moments are the only weight-sized arrays:
+    beside them a step holds one gradient chunk and one batch's
+    temporaries.
     """
     n_frames, frame_dim = world.seq_shape
     arch = ArchDescriptor(n_frames=n_frames, frame_dim=frame_dim, hidden=cfg.hidden,
@@ -351,14 +388,16 @@ def train(world, cfg: TrainConfig):
     rng_data = root.split(1)
     rng_noise = root.split(2)
     state = AdamState(params)
-    # Every step's gradients go into this one buffer, and Adam updates in
-    # place: after the first step, a step allocates nothing weight-sized.
-    grads = MlpParams.empty(arch)
 
+    n_items = cfg.batch_size
     loss_curve = np.empty(cfg.n_steps)
     for step in range(cfg.n_steps):
-        batch = [world.training_pair(rng_data) for _ in range(cfg.batch_size)]
-        loss, grads = edm_loss(params, batch, rng_noise, grads, cfg.p_mean, cfg.p_std)
+        # Log-normal noise levels, then the noise. The batch and the noise are
+        # passed without a name here, so edm_loss_terms can free them early.
+        sigmas = np.exp(cfg.p_mean + cfg.p_std * rng_noise.normal((n_items,)))
+        loss, grads = edm_loss_terms(
+            params, [world.training_pair(rng_data) for _ in range(n_items)],
+            sigmas, rng_noise.normal((n_items, n_frames, frame_dim)))
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at step {step}")
         loss_curve[step] = loss

@@ -1,5 +1,9 @@
 """Test doubles shared by several test modules."""
 
+import numpy as np
+
+from trflab.train import MlpParams
+
 
 class FrameReversedRng:
     """RNG adapter that frame-reverses every sequence-shaped draw.
@@ -37,3 +41,21 @@ class DrawLog:
     def normal(self, shape):
         self.log.append((self.label, tuple(shape)))
         return self._base.normal(shape)
+
+
+def collect_gradients(arch, stream):
+    """Gather a gradient stream, as ``trflab.train.backward`` yields it, into
+    whole blocks: an ``MlpParams`` of ``arch``'s shapes.
+
+    Each chunk is copied as it arrives, since the stream may reuse its
+    buffer, and every element must be covered by exactly one chunk.
+    """
+    shapes = arch.block_shapes()
+    grads = {name: np.full(shape, np.nan) for name, shape in shapes.items()}
+    hits = {name: np.zeros(shape, dtype=int) for name, shape in shapes.items()}
+    for name, rows, chunk in stream:
+        grads[name][rows] = chunk
+        hits[name][rows] += 1
+    for name, count in hits.items():
+        assert np.all(count == 1), f"{name}: the chunks do not tile the block"
+    return MlpParams(arch, **grads)

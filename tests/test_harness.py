@@ -479,6 +479,53 @@ class TestRunExperiment:
         assert main(["eval", "--out", str(run_dir)]) == 2
         assert name in capsys.readouterr().err
 
+    def test_rerun_with_fewer_seeds_leaves_no_stale_outputs(self, tmp_path, capsys):
+        # trf with seeds 0..3, then 0..1 into one out_dir: the second run's
+        # directory holds only its own outputs, so eval accepts it.
+        cfg = tmp_path / "gp.json"
+        cfg.write_text(json.dumps(gp_raw()))
+        out = tmp_path / "run"
+        assert main(["trf", "--config", str(cfg), "--seeds", "0..3", "--out", str(out)]) == 0
+        assert main(["trf", "--config", str(cfg), "--seeds", "0..1", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "seed_0000.trft", "seed_0001.trft"]
+        assert main(["eval", "--out", str(out)]) == 0
+
+    def test_rerun_deletes_only_plain_output_names(self, tmp_path):
+        # A hand-edited manifest cannot make a rerun delete anything but a
+        # seed_NNNN.trft directly inside out_dir.
+        run_dir = tmp_path / "run"
+        run_experiment(ExperimentConfig.from_dict(gp_raw(seeds=[0, 5], out_dir=str(run_dir))))
+        (run_dir / "sub").mkdir()
+        kept = [tmp_path / "seed_0009.trft", run_dir / "notes.txt", run_dir / "sub" / "seed_0001.trft",
+                run_dir / "seed_0007.trft.tmp"]
+        for path in kept:
+            path.write_bytes(b"")
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["outputs"].update({"../seed_0009.trft": "", "notes.txt": "", "sub/seed_0001.trft": "",
+                                    "seed_0007.trft.tmp": "", "seed_0008.trft": ""})
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        run_experiment(ExperimentConfig.from_dict(gp_raw(seeds=[0], out_dir=str(run_dir))))
+        assert not (run_dir / "seed_0005.trft").exists()
+        assert all(path.exists() for path in kept)
+        assert sorted(ExperimentManifest.load(run_dir / "manifest.json").outputs) == ["seed_0000.trft"]
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"outputs": ["seed_0001.trft"]}', "{}"],
+                             ids=["syntax", "array", "outputs-list", "no-outputs"])
+    def test_unreadable_earlier_manifest_stops_the_rerun(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "run"
+        run_experiment(ExperimentConfig.from_dict(gp_raw(seeds=[0, 1], out_dir=str(run_dir))))
+        path = run_dir / "manifest.json"
+        path.write_text(text)
+        before = sorted(os.listdir(run_dir))
+        with pytest.raises(RuntimeError, match=re.escape(f"{path}: cannot read the earlier run's manifest")):
+            run_experiment(ExperimentConfig.from_dict(gp_raw(seeds=[0], out_dir=str(run_dir))))
+        assert sorted(os.listdir(run_dir)) == before
+        assert path.read_text() == text
+        cfg = tmp_path / "gp.json"
+        cfg.write_text(json.dumps(gp_raw()))
+        assert main(["sample", "--config", str(cfg), "--out", str(run_dir)]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_all_sampler_kinds_run(self, tmp_path):
         for kind in ("forward", "trf", "baseline-interp", "baseline-inpaint"):
             cfg = ExperimentConfig.from_dict(

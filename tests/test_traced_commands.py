@@ -25,7 +25,8 @@ COMMANDS = {
     "interp": (["baseline", "--kind", "interp"],
                ("trf.baseline_condition_interp", "denoiser.predict_x0.perframe", *RUN_LAYERS)),
     "inpaint": (["baseline", "--kind", "inpaint"], ("trf.baseline_inpaint", *RUN_LAYERS)),
-    "train": (["train"], ("train.forward", "train.adam_step", "train.checkpoint", "harness.config")),
+    "train": (["train"], ("train.forward", "train.backward", "train.adam_step", "train.edm_loss_terms",
+                          "train.checkpoint", "harness.config")),
     "sweep": (["sweep", "--set", 'sweep={"m_reinject":[0,1]}'], ("trf.trf_sample", *RUN_LAYERS)),
 }
 

@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import trflab.train as train_module
+from helpers import collect_gradients
 from trflab.core import RngStream
 from trflab.denoiser import Condition
 from trflab.train import (
@@ -25,7 +27,6 @@ from trflab.train import (
     TrainingDivergedError,
     adam_step,
     backward,
-    edm_loss,
     edm_loss_terms,
     forward,
     fourier_features,
@@ -62,8 +63,8 @@ class TestGradients:
         rng = RngStream(77)
         params = init_params(arch, rng.split(0))
         batch, sigmas, noise = tiny_batch(arch, rng.split(1))
-        _, grads = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
-        scratch = MlpParams.empty(arch)
+        _, stream = edm_loss_terms(params, batch, sigmas, noise)
+        grads = collect_gradients(arch, stream)
 
         h = 1e-6
         probe = RngStream(5)
@@ -74,9 +75,9 @@ class TestGradients:
                 idx = int(probe.choice(block.size))
                 orig = block.reshape(-1)[idx]
                 block.reshape(-1)[idx] = orig + h
-                up, _ = edm_loss_terms(params, batch, sigmas, noise, scratch)
+                up, _ = edm_loss_terms(params, batch, sigmas, noise)
                 block.reshape(-1)[idx] = orig - h
-                down, _ = edm_loss_terms(params, batch, sigmas, noise, scratch)
+                down, _ = edm_loss_terms(params, batch, sigmas, noise)
                 block.reshape(-1)[idx] = orig
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
@@ -89,12 +90,13 @@ class TestGradients:
         rng = RngStream(3)
         params = init_params(arch, rng.split(0))
         batch, sigmas, noise = tiny_batch(arch, rng.split(1))
-        loss, grads = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
+        loss, stream = edm_loss_terms(params, batch, sigmas, noise)
+        grads = collect_gradients(arch, stream)
         # Descending along the gradient must reduce the loss to first order.
         step = 1e-4
         for name in _BLOCKS:
             getattr(params, name)[...] -= step * getattr(grads, name)
-        after, _ = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
+        after, _ = edm_loss_terms(params, batch, sigmas, noise)
         grad_sq = sum(float((getattr(grads, n) ** 2).sum()) for n in _BLOCKS)
         np.testing.assert_allclose(loss - after, step * grad_sq, rtol=1e-2)
 
@@ -109,7 +111,7 @@ class TestLoss:
         params = MlpParams(arch, **{n: np.zeros(s) for n, s in shapes.items()})
         rng = RngStream(21)
         batch, sigmas, noise = tiny_batch(arch, rng)
-        loss, _ = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
+        loss, _ = edm_loss_terms(params, batch, sigmas, noise)
 
         sd2 = arch.sigma_data ** 2
         targets = []
@@ -129,7 +131,7 @@ class TestLoss:
         rng = RngStream(9)
         params = init_params(arch, rng.split(0))
         batch, sigmas, noise = tiny_batch(arch, rng.split(1), n_items=4)
-        loss, _ = edm_loss_terms(params, batch, sigmas, noise, MlpParams.empty(arch))
+        loss, _ = edm_loss_terms(params, batch, sigmas, noise)
 
         backend = MlpBackend(params)
         sd2 = arch.sigma_data ** 2
@@ -141,30 +143,36 @@ class TestLoss:
             per_item.append(lam * np.sum((d - seq) ** 2) / seq.size)
         np.testing.assert_allclose(loss, np.mean(per_item), rtol=1e-10)
 
-    def test_edm_loss_draws_lognormal_levels(self):
-        arch = tiny_arch()
-        params = init_params(arch, RngStream(0))
-        batch = [(np.zeros((2, 2)), Condition(np.zeros(2)))] * 2
-        grads = MlpParams.empty(arch)
-        l1, _ = edm_loss(params, batch, RngStream(4), grads, p_mean=-1.2, p_std=1.2)
-        l2, _ = edm_loss(params, batch, RngStream(4), grads, p_mean=-1.2, p_std=1.2)
-        assert l1 == l2  # same stream, same levels and noise
-        l3, _ = edm_loss(params, batch, RngStream(5), grads, p_mean=-1.2, p_std=1.2)
-        assert l1 != l3
+    def test_training_draws_lognormal_levels(self, monkeypatch):
+        # train draws each step's noise levels as exp(p_mean + p_std z).
+        seen = []
+        real_terms = train_module.edm_loss_terms
+
+        def recording_terms(params, batch, sigmas, noise):
+            seen.append(np.log(sigmas))
+            return real_terms(params, batch, sigmas, noise)
+
+        monkeypatch.setattr(train_module, "edm_loss_terms", recording_terms)
+        world = PinnedGaussianProcessWorld(a=0.7, q=0.4, dim=1, n_frames=2)
+        train(world, TrainConfig(n_steps=40, batch_size=25, hidden=4, n_freq=2,
+                                 p_mean=-0.7, p_std=0.5, seed=2))
+        log_levels = np.concatenate(seen)
+        assert log_levels.shape == (1000,)
+        assert abs(log_levels.mean() + 0.7) < 0.05
+        assert abs(log_levels.std() - 0.5) < 0.05
 
     def test_empty_batch_rejected(self):
         arch = tiny_arch()
         params = init_params(arch, RngStream(0))
-        grads = MlpParams.empty(arch)
         with pytest.raises(ValueError):
-            edm_loss_terms(params, [], np.empty(0), np.empty((0, 2, 2)), grads)
+            edm_loss_terms(params, [], np.empty(0), np.empty((0, 2, 2)))
         batch, sigmas, noise = tiny_batch(arch, RngStream(1))
         wrong_shape = [(np.zeros((3, 2)), cond) for _, cond in batch]
         with pytest.raises(ValueError, match="shape"):
-            edm_loss_terms(params, wrong_shape, sigmas, noise, grads)
+            edm_loss_terms(params, wrong_shape, sigmas, noise)
         batch[1] = (np.full((2, 2), np.nan), batch[1][1])
         with pytest.raises(ValueError, match="non-finite"):
-            edm_loss_terms(params, batch, sigmas, noise, grads)
+            edm_loss_terms(params, batch, sigmas, noise)
 
 
 class TestNetwork:
@@ -194,14 +202,13 @@ class TestNetwork:
         x = RngStream(2).normal((5, arch.input_dim))
         out, cache = forward(params, x)
         assert out.shape == (5, arch.seq_dim)
-        # Every block of the buffer is overwritten, whatever it held before.
-        stale = MlpParams(arch, **{n: np.full(s, np.nan) for n, s in arch.block_shapes().items()})
-        grads = backward(params, cache, np.ones_like(out), stale)
-        assert grads is stale
-        fresh = backward(params, cache, np.ones_like(out), MlpParams.empty(arch))
+        # The stream covers every block once (collect_gradients checks), and
+        # a second pass over the same cache yields the same gradients.
+        grads = collect_gradients(arch, backward(params, cache, np.ones_like(out)))
+        again = collect_gradients(arch, backward(params, cache, np.ones_like(out)))
         for name in _BLOCKS:
             assert getattr(grads, name).shape == getattr(params, name).shape
-            np.testing.assert_array_equal(getattr(grads, name), getattr(fresh, name))
+            np.testing.assert_array_equal(getattr(grads, name), getattr(again, name))
             assert np.all(np.isfinite(getattr(grads, name)))
 
     def test_backend_contract(self):
@@ -246,6 +253,22 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def whole_blocks(grads: MlpParams):
+    """``grads`` as a gradient stream of one chunk per block."""
+    return ((name, np.s_[:], block) for name, block in grads.blocks())
+
+
+def whole_block_backward(params: MlpParams, cache, grad_out) -> MlpParams:
+    """Every block's gradient as one product: the form backward's stream must reproduce."""
+    inputs, z1, s1, h1, z2, s2, h2 = cache
+    gh2 = grad_out @ params.w3.T
+    gz2 = gh2 * (s2 * (1.0 + z2 * (1.0 - s2)))
+    gh1 = gz2 @ params.w2.T
+    gz1 = gh1 * (s1 * (1.0 + z1 * (1.0 - s1)))
+    return MlpParams(params.arch, w1=inputs.T @ gz1, b1=gz1.sum(axis=0), w2=h1.T @ gz2,
+                     b2=gz2.sum(axis=0), w3=h2.T @ grad_out, b3=grad_out.sum(axis=0))
+
+
 class TestAdam:
     @pytest.mark.parametrize("arch", [
         # Blocks of 1, ADAM_CHUNK and 2 ADAM_CHUNK + 2 elements.
@@ -262,7 +285,7 @@ class TestAdam:
         rng = RngStream(41)
         for _ in range(20):
             grads = MlpParams(arch, **{n: rng.normal(s) for n, s in arch.block_shapes().items()})
-            adam_step(params, grads, state, lr=1e-3)
+            adam_step(params, whole_blocks(grads), state, lr=1e-3)
             reference_adam_step(ref_params, grads, ref_state, lr=1e-3)
         assert state.t == ref_state.t == 20
         for name in _BLOCKS:
@@ -277,7 +300,7 @@ class TestAdam:
         params = init_params(arch, RngStream(0))
         before = params.copy()
         grads = MlpParams(arch, **{n: np.ones(s) for n, s in arch.block_shapes().items()})
-        adam_step(params, grads, AdamState(params), lr=0.1)
+        adam_step(params, whole_blocks(grads), AdamState(params), lr=0.1)
         for name in _BLOCKS:
             delta = getattr(before, name) - getattr(params, name)
             np.testing.assert_allclose(delta, 0.1, rtol=1e-7)
@@ -287,9 +310,55 @@ class TestAdam:
         params = init_params(arch, RngStream(0))
         before = params.copy()
         grads = MlpParams(arch, **{n: np.zeros(s) for n, s in arch.block_shapes().items()})
-        adam_step(params, grads, AdamState(params), lr=0.1)
+        adam_step(params, whole_blocks(grads), AdamState(params), lr=0.1)
         for name in _BLOCKS:
             np.testing.assert_array_equal(getattr(params, name), getattr(before, name))
+
+
+class TestGradientStream:
+    """backward's chunks against whole-block products, at a size where every
+    weight block spans several chunks (GRAD_CHUNK lowered to 512 elements:
+    16 rows of w1 and w2, 8 rows of w3)."""
+
+    ARCH = ArchDescriptor(n_frames=4, frame_dim=16, hidden=32, n_freq=8)  # w1 is 88 x 32
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(train_module, "GRAD_CHUNK", 512)
+
+    def test_streamed_gradients_equal_whole_block_products(self):
+        params = init_params(self.ARCH, RngStream(50))
+        rng = RngStream(51)
+        out, cache = forward(params, rng.normal((6, self.ARCH.input_dim)))
+        grad_out = rng.normal(out.shape)
+        chunks = {}
+        for name, _, _ in backward(params, cache, grad_out):
+            chunks[name] = chunks.get(name, 0) + 1
+        assert chunks == {"w1": 6, "b1": 1, "w2": 2, "b2": 1, "w3": 4, "b3": 1}
+        streamed = collect_gradients(self.ARCH, backward(params, cache, grad_out))
+        reference = whole_block_backward(params, cache, grad_out)
+        for name in _BLOCKS:
+            np.testing.assert_array_equal(_bits(getattr(streamed, name)), _bits(getattr(reference, name)))
+
+    def test_training_steps_equal_whole_block_updates(self, monkeypatch):
+        # Adam consumes each chunk before the next is computed, and its slices
+        # (lowered to 100 elements) straddle rows and chunks; three steps must
+        # still match whole-block gradients followed by the whole-block update.
+        monkeypatch.setattr(train_module, "ADAM_CHUNK", 100)
+        params = init_params(self.ARCH, RngStream(52))
+        ref_params = params.copy()
+        state, ref_state = AdamState(params), AdamState(ref_params)
+        for step in range(3):
+            batch, sigmas, noise = tiny_batch(self.ARCH, RngStream(53).split(step), n_items=5)
+            loss, stream = edm_loss_terms(params, batch, sigmas, noise)
+            adam_step(params, stream, state, lr=1e-2)
+            ref_loss, ref_stream = edm_loss_terms(ref_params, batch, sigmas, noise)
+            reference_adam_step(ref_params, collect_gradients(self.ARCH, ref_stream), ref_state, lr=1e-2)
+            assert loss == ref_loss
+            for name in _BLOCKS:
+                np.testing.assert_array_equal(_bits(getattr(params, name)), _bits(getattr(ref_params, name)))
+                np.testing.assert_array_equal(_bits(state.m[name]), _bits(ref_state.m[name]))
+                np.testing.assert_array_equal(_bits(state.v[name]), _bits(ref_state.v[name]))
 
 
 class TestTraining:
@@ -321,30 +390,46 @@ class TestTraining:
         assert curve[-50:].mean() < 0.8 * curve[:50].mean()
 
     def test_divergence_reported_with_step(self, monkeypatch):
-        # A loss that goes non-finite mid-run must abort, naming the step.
-        import importlib
-
-        train_mod = importlib.import_module("trflab.train")
-        real_loss = train_mod.edm_loss
+        # A loss that goes non-finite mid-run must abort, naming the step,
+        # and that step must update nothing: the weights and both Adam
+        # moments stay those after step 1.
+        real_terms = train_module.edm_loss_terms
+        real_adam = train_module.adam_step
         calls = {"n": 0}
+        after = []
 
-        def flaky_loss(params, batch, rng, grads, p_mean=-1.2, p_std=1.2):
-            loss, grads = real_loss(params, batch, rng, grads, p_mean, p_std)
+        def flaky_terms(params, batch, sigmas, noise):
+            loss, grads = real_terms(params, batch, sigmas, noise)
             if calls["n"] == 2:
                 loss = np.inf
             calls["n"] += 1
             return loss, grads
 
-        monkeypatch.setattr(train_mod, "edm_loss", flaky_loss)
+        def recording_adam(params, grads, state, lr):
+            real_adam(params, grads, state, lr)
+            after.append((params, state, params.copy(),
+                          {n: m.copy() for n, m in state.m.items()},
+                          {n: v.copy() for n, v in state.v.items()}))
+
+        monkeypatch.setattr(train_module, "edm_loss_terms", flaky_terms)
+        monkeypatch.setattr(train_module, "adam_step", recording_adam)
         with pytest.raises(TrainingDivergedError, match="step 2"):
             train(self._world(), TrainConfig(n_steps=5, batch_size=2, hidden=8))
+        assert len(after) == 2
+        params, state, params_1, m_1, v_1 = after[-1]
+        assert state.t == 2
+        for name in _BLOCKS:
+            np.testing.assert_array_equal(getattr(params, name), getattr(params_1, name))
+            np.testing.assert_array_equal(state.m[name], m_1[name])
+            np.testing.assert_array_equal(state.v[name], v_1[name])
 
     def test_training_allocates_little_beyond_its_weights(self):
         # Three steps at the benchmark's size (8 x 256 blob, hidden 256, batch
-        # 64). Weights, both Adam moments and the gradient buffer are 4 weight
-        # copies; the rest (one batch's activations, rendering and an Adam
-        # slice) fits in 12 MiB. A fresh gradient set per step or whole-block
-        # Adam temporaries would exceed it.
+        # 64). Weights and both Adam moments are 3 weight copies; the rest
+        # (one batch's inputs, targets and activations, rendering, one 1 MiB
+        # gradient chunk and an Adam slice) fits in 9 MiB. A weight-sized
+        # gradient buffer (9 MiB here) or whole-block Adam temporaries would
+        # exceed it.
         traj = TrajectoryGmmWorld.arcs(n_frames=8, tau=0.1)
         world = MovingBlobWorld(traj, grid_size=16, bump_std=1.5, pixels_per_unit=5.0)
         cfg = TrainConfig(n_steps=3, batch_size=64, hidden=256, seed=0)
@@ -355,7 +440,7 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         weight_bytes = sum(block.nbytes for _, block in params.blocks())
-        assert peak <= 4 * weight_bytes + 12 * 2 ** 20, (peak / 2 ** 20, weight_bytes / 2 ** 20)
+        assert peak <= 3 * weight_bytes + 9 * 2 ** 20, (peak / 2 ** 20, weight_bytes / 2 ** 20)
 
     def test_blob_training_bytes_are_pinned(self, tmp_path):
         # Four steps on a small blob world, one frame of it off the grid: the
