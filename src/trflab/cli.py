@@ -3,8 +3,9 @@ and sweep fusion hyperparameters. Each command is one call into
 :mod:`trflab.harness`; this module parses arguments and prints results.
 
 The sampling commands and ``sweep`` take a JSON config (--config), a seed
-override (--seed N or --seeds A..B, inclusive, not both), an output
-directory (--out), and dotted-path overrides (--set trf.m_reinject=3).
+override (--seed N or --seeds A..B, inclusive, at most 2**16 seeds, not
+both), an output directory (--out), and dotted-path overrides
+(--set trf.m_reinject=3).
 ``train`` takes the same flags but one seed, its training seed: --seed N
 sets train.seed. ``eval`` takes only --out, the run directory, or
 --config, whose out_dir it then reads. Each subcommand's parser declares
@@ -18,6 +19,7 @@ import functools
 import sys
 
 from .harness import (
+    MAX_SEEDS,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -41,6 +43,8 @@ def _seed_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     if sep != ".." or not lo.isdigit() or not hi.isdigit() or int(lo) > int(hi):
         raise argparse.ArgumentTypeError(f"must be A..B with A <= B, got {text!r}")
+    if int(hi) - int(lo) >= MAX_SEEDS:
+        raise argparse.ArgumentTypeError(f"must span at most {MAX_SEEDS} seeds, got {text!r}")
     return list(range(int(lo), int(hi) + 1))
 
 
@@ -89,8 +93,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    run_dir = args.out or (args.config and ExperimentConfig.from_file(args.config).data["out_dir"])
-    print(canonical_json(evaluate_run(run_dir or ".").to_dict()))
+    run_dir = args.out or (ExperimentConfig.from_file(args.config).out_dir() if args.config else ".")
+    print(canonical_json(evaluate_run(run_dir).to_dict()))
     return 0
 
 

@@ -11,7 +11,7 @@ preconditioned trainable backend answers it with a small network wrapped in
 input/output scalings so one set of weights covers all noise levels.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +20,21 @@ from .core import as_frame
 
 @dataclass(frozen=True, eq=False)
 class Condition:
-    """A clean bounding frame; a start frame and an end frame condition alike."""
+    """A clean bounding frame; a start frame and an end frame condition alike.
+
+    Conditions compare by identity (``eq=False``), so a backend that keeps
+    what it computed for a tuple of conditions knows the tuple again by
+    ``==`` at no cost; a condition's frame is not written to after
+    construction."""
 
     frame: np.ndarray
-    _key: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "frame", as_frame(self.frame))
-        object.__setattr__(self, "_key", np.ascontiguousarray(self.frame, dtype="<f8").tobytes())
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
-
-    def key(self) -> bytes:
-        """Byte key identifying the conditioning value, taken at construction:
-        a condition's frame is not written to after that."""
-        return self._key
 
 
 def _on_condition_axis(stack: np.ndarray, ndim: int) -> np.ndarray:
@@ -134,19 +132,24 @@ class AnalyticGaussianBackend(DenoiserBackend):
     whatever the condition; only the mean depends on it. The posterior mean
     at level sigma is therefore mean + M_sigma (x - mean) with the frame map
     M_sigma = F (F + sigma^2 I)^(-1) applied along the frame axis. With
-    F = U diag(lam) U^T, eigendecomposed once per backend, every frame map
-    is M_sigma = U diag(lam / (lam + sigma^2)) U^T. Frame maps are cached by
-    sigma alone and shared by every condition, since samplers revisit the
-    same ladder of sigma values on both paths; the per-condition mean comes
-    from ``world.conditional_moments``. A call applies the frame map once to
-    the whole stack, with the stacked means cached per tuple of conditions.
+    F = U diag(lam) U^T, eigendecomposed when the backend is built, every
+    frame map is M_sigma = U diag(lam / (lam + sigma^2)) U^T, shared by
+    every condition; the per-condition mean comes from
+    ``world.conditional_moments``. A call applies the frame map once to the
+    whole stack. The backend keeps only what the last call used: the
+    stacked means of its tuple of conditions and the frame map of its
+    sigma, in ``_factors`` (at most one entry). A sampler stays on one
+    tuple for a whole run and comes back to a sigma only in the
+    back-to-back calls of one step, so a run computes each frame map once
+    and holds one N x N map, not one per noise level.
     """
 
     def __init__(self, world):
         self.world = world
-        self._means: dict[tuple[bytes, ...], np.ndarray] = {}
+        self._conds: tuple[Condition, ...] | None = None
+        self._mean: np.ndarray | None = None
         self._factors: dict[float, np.ndarray] = {}
-        self._eigh: tuple[np.ndarray, np.ndarray] | None = None
+        self._eigh = np.linalg.eigh(world.frame_cov)
 
     @property
     def seq_shape(self) -> tuple[int, int]:
@@ -154,23 +157,19 @@ class AnalyticGaussianBackend(DenoiserBackend):
 
     def mean_for(self, conds: tuple[Condition, ...]) -> np.ndarray:
         """The (C, N, d) stack of the world's conditional means under C conditions."""
-        key = tuple(c.key() for c in conds)
-        mean = self._means.get(key)
-        if mean is None:
-            mean = np.stack([self.world.conditional_moments(c)[0] for c in conds])
-            self._means[key] = mean
-        return mean
+        if conds != self._conds:
+            self._mean = np.stack([self.world.conditional_moments(c)[0] for c in conds])
+            self._conds = conds
+        return self._mean
 
     def frame_map(self, sigma: float) -> np.ndarray:
         """M_sigma = F (F + sigma^2 I)^(-1), the posterior-mean map on frames."""
         key = float(sigma)
         m = self._factors.get(key)
         if m is None:
-            if self._eigh is None:
-                self._eigh = np.linalg.eigh(self.world.frame_cov)
             lam, u = self._eigh
             m = (u * (lam / (lam + key * key))) @ u.T
-            self._factors[key] = m
+            self._factors = {key: m}
         return m
 
     def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
@@ -187,14 +186,16 @@ class AnalyticGmmBackend(DenoiserBackend):
     weights w_k, stacked means mu_k and isotropic variances tau_k^2 of K
     components, all K of the world's under every condition. The mixtures
     under C conditions stack into (C, K) log-weights, squared mean norms and
-    variances and (C, K, N*d) means, cached per tuple of conditions, and a
-    call denoises every slice of the condition axis in one pass of
-    :func:`_mixture_posterior`. A weight of 0 is a log-weight of -inf.
+    variances and (C, K, N*d) means, kept for the last tuple of conditions
+    (a sampler stays on one for a whole run), and a call denoises every
+    slice of the condition axis in one pass of :func:`_mixture_posterior`.
+    A weight of 0 is a log-weight of -inf.
     """
 
     def __init__(self, world):
         self.world = world
-        self._mixtures: dict[tuple[bytes, ...], tuple[np.ndarray, ...]] = {}
+        self._conds: tuple[Condition, ...] | None = None
+        self._mixture: tuple[np.ndarray, ...] | None = None
 
     @property
     def seq_shape(self) -> tuple[int, int]:
@@ -203,14 +204,12 @@ class AnalyticGmmBackend(DenoiserBackend):
     def mixture_for(self, conds: tuple[Condition, ...]) -> tuple[np.ndarray, ...]:
         """The world's mixtures under C conditions, stacked: (log-weights,
         means, squared mean norms, variances)."""
-        key = tuple(c.key() for c in conds)
-        stack = self._mixtures.get(key)
-        if stack is None:
+        if conds != self._conds:
             weights, means, variances = (np.stack(a) for a in zip(*(self.world.conditional_gmm(c) for c in conds)))
             with np.errstate(divide="ignore"):
-                stack = (np.log(weights), means, np.einsum("ckd,ckd->ck", means, means), variances)
-            self._mixtures[key] = stack
-        return stack
+                self._mixture = (np.log(weights), means, np.einsum("ckd,ckd->ck", means, means), variances)
+            self._conds = conds
+        return self._mixture
 
     def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
         x_flat = x.reshape(len(conds), -1, x.shape[-2] * x.shape[-1])

@@ -51,6 +51,9 @@ TENSOR_VERSION = 1
 #: Philox with (seed, stream id) as two exact unsigned 64-bit words, so every
 #: seed in range keys streams of its own.
 SEED_LIMIT = 2 ** 63
+#: The most seeds one run takes: far above any planned batch, and low enough
+#: that a typo in a seed range fails as a config error, not out of memory.
+MAX_SEEDS = 2 ** 16
 SAMPLER_KINDS = ("forward", "trf", "baseline-interp", "baseline-inpaint")
 #: Each sweep axis and the config section it sets.
 SWEEP_AXES = {"m_reinject": "trf", "t0": "trf", "alpha_kind": "trf", "s_churn": "churn"}
@@ -228,8 +231,8 @@ def _field(d: dict, key: str, spec: tuple, path: str):
 
 
 def _seeds(seeds) -> list:
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("config key 'seeds' must be a non-empty list of integers")
+    if not isinstance(seeds, list) or not 0 < len(seeds) <= MAX_SEEDS:
+        raise ConfigError(f"config key 'seeds' must be a list of 1 to {MAX_SEEDS} integers")
     seen = set()
     for i, s in enumerate(seeds):
         _value(s, "seed", f"seeds[{i}]")

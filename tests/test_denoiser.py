@@ -107,14 +107,15 @@ class DifferenceFormMixture:
 
 
 class _TableWorld:
-    """A stand-in world whose conditional mixture is looked up by condition."""
+    """A stand-in world whose conditional mixture is looked up by the bytes
+    of the condition's frame."""
 
     def __init__(self, mixtures: dict, seq_shape: tuple[int, int]):
         self.mixtures = mixtures
         self.seq_shape = seq_shape
 
     def conditional_gmm(self, cond: Condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.mixtures[cond.key()]
+        return self.mixtures[cond.frame.tobytes()]
 
 
 _ANY = Condition(np.zeros(1))
@@ -122,7 +123,7 @@ _ANY = Condition(np.zeros(1))
 
 def _mixture_backend(mixture, seq_shape) -> AnalyticGmmBackend:
     """The mixture backend of a world whose law is ``mixture`` under ``_ANY``."""
-    return AnalyticGmmBackend(_TableWorld({_ANY.key(): mixture}, seq_shape))
+    return AnalyticGmmBackend(_TableWorld({_ANY.frame.tobytes(): mixture}, seq_shape))
 
 
 def _posterior_x0(mixture, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -142,18 +143,16 @@ LADDER = [*build_karras(100, 0.002, 80.0).sigmas, 1e4]
 
 
 class TestCondition:
-    def test_dim_and_key(self):
-        c = Condition(np.array([1.0, 2.0, 3.0]))
-        assert c.dim == 3
-        same = Condition(np.array([1.0, 2.0, 3.0]))
-        other = Condition(np.array([1.0, 2.0, 3.5]))
-        assert c.key() == same.key()
-        assert c.key() != other.key()
+    def test_dim(self):
+        assert Condition(np.array([1.0, 2.0, 3.0])).dim == 3
 
-    def test_key_is_taken_once(self):
-        # The backends look every condition of every call up by its key.
+    def test_conditions_compare_by_identity(self):
+        # The backends know the last tuple of conditions again by ==.
         c = Condition(np.array([1.0, 2.0]))
-        assert c.key() is c.key()
+        same_value = Condition(np.array([1.0, 2.0]))
+        assert c == c and c != same_value
+        assert (c, same_value) == (c, same_value)
+        assert (c,) != (same_value,)
 
     def test_frame_coerced(self):
         c = Condition([1, 2])
@@ -397,12 +396,19 @@ class TestAnalyticBackends:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    def test_gaussian_backend_caches_per_condition(self):
+    def test_gaussian_backend_keeps_the_mean_of_the_last_tuple(self):
         world = PinnedGaussianProcessWorld(a=0.7, q=0.4, dim=1, n_frames=4)
         backend = AnalyticGaussianBackend(world)
         c1 = Condition(np.array([1.0]))
         c2 = Condition(np.array([1.0]))
-        assert backend.mean_for((c1,)) is backend.mean_for((c2,))
+        conds = (c1,)
+        kept = backend.mean_for(conds)
+        assert backend.mean_for(conds) is kept
+        assert backend.mean_for((c1,)) is kept
+        # An equal-valued new condition is a new tuple: computed afresh, equal.
+        again = backend.mean_for((c2,))
+        assert again is not kept
+        np.testing.assert_array_equal(again, kept)
         x = RngStream(9).normal((4, 1))
         first = backend.predict_x0(x[None], 0.8, (c1,))[0]
         second = backend.predict_x0(x[None], 0.8, (c2,))[0]
@@ -421,11 +427,12 @@ class TestAnalyticBackends:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
         backend = AnalyticGaussianBackend(PinnedGaussianProcessWorld(a=0.9, q=0.3, dim=2, n_frames=6))
-        for k, sigma in enumerate((2.0, 0.5, 0.1), start=1):
-            backend.frame_map(sigma)
-            assert len(backend._factors) == k
-            backend.frame_map(sigma)
-            assert len(backend._factors) == k
+        first = {}
+        for sigma in (2.0, 0.5, 0.1, 2.0):
+            m = backend.frame_map(sigma)
+            assert backend.frame_map(sigma) is m
+            assert len(backend._factors) == 1
+            np.testing.assert_array_equal(first.setdefault(sigma, m), m)
         assert len(calls) == 1
 
     def test_gaussian_backend_sigma_zero(self):
@@ -490,7 +497,7 @@ def mixture_calls(draw):
 def test_gmm_backend_matches_the_difference_form_on_random_mixtures(call):
     mixtures, x, sigma = call
     conds = tuple(Condition(np.array([float(c)])) for c in range(len(mixtures)))
-    backend = AnalyticGmmBackend(_TableWorld({c.key(): m for c, m in zip(conds, mixtures)}, x.shape[-2:]))
+    backend = AnalyticGmmBackend(_TableWorld({c.frame.tobytes(): m for c, m in zip(conds, mixtures)}, x.shape[-2:]))
     out = backend.predict_x0(x, sigma, conds)
     x_flat = x.reshape(x.shape[:2] + (-1,))
     r, _ = _mixture_posterior(x_flat, sigma, *backend.mixture_for(conds))
@@ -558,23 +565,28 @@ class TestConditionAxis:
                 else:
                     np.testing.assert_array_equal(out[c], single)
 
-    def test_gp_caches_the_stacked_mean_per_tuple(self):
+    def test_gp_keeps_the_stacked_mean_of_the_last_tuple(self):
         backend, conds = _condition_axis_cases()["gp"]
         stacked = backend.mean_for(conds)
         assert stacked.shape == (3, 5, 2)
-        assert backend.mean_for(tuple(Condition(c.frame.copy()) for c in conds)) is stacked
+        assert backend.mean_for(conds) is stacked
+        np.testing.assert_array_equal(backend.mean_for(tuple(Condition(c.frame.copy()) for c in conds)), stacked)
         for c, cond in enumerate(conds):
             np.testing.assert_array_equal(stacked[c], backend.mean_for((cond,))[0])
 
-    def test_gmm_caches_the_stacked_mixture_per_tuple(self, monkeypatch):
+    def test_gmm_keeps_the_stacked_mixture_of_the_last_tuple(self, monkeypatch):
         backend, conds = _condition_axis_cases()["gmm"]
         calls = []
         conditional_gmm = backend.world.conditional_gmm
         monkeypatch.setattr(backend.world, "conditional_gmm", lambda c: calls.append(c) or conditional_gmm(c))
         stacked = backend.mixture_for(conds)
         assert [a.shape for a in stacked] == [(2, 6), (2, 6, 10), (2, 6), (2, 6)]
-        assert backend.mixture_for(tuple(Condition(c.frame.copy()) for c in conds)) is stacked
+        assert backend.mixture_for(conds) is stacked
         assert calls == list(conds)
+        copies = tuple(Condition(c.frame.copy()) for c in conds)
+        for whole, again in zip(stacked, backend.mixture_for(copies)):
+            np.testing.assert_array_equal(again, whole)
+        assert calls == list(conds + copies)
         for c, cond in enumerate(conds):
             for whole, single in zip(stacked, backend.mixture_for((cond,))):
                 np.testing.assert_array_equal(whole[c], single[0])

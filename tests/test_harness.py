@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -87,6 +88,10 @@ class TestConfigValidation:
                 ExperimentConfig.from_dict(raw)
         top = ExperimentConfig.from_dict(gp_raw(seeds=[2 ** 63 - 1], train={"seed": 2 ** 63 - 1}))
         assert top.data["seeds"] == [top.build_train().seed] == [2 ** 63 - 1]
+        # One run takes at most 2**16 seeds, far above any batch this lab runs.
+        assert len(ExperimentConfig.from_dict(gp_raw(seeds=list(range(2 ** 16)))).data["seeds"]) == 2 ** 16
+        with pytest.raises(ConfigError, match="'seeds' must be a list of 1 to 65536 integers"):
+            ExperimentConfig.from_dict(gp_raw(seeds=list(range(2 ** 16 + 1))))
 
     def test_choice_errors(self):
         with pytest.raises(ConfigError, match="sampler"):
@@ -385,7 +390,7 @@ class TestPgmExport:
         frame[0, 0] = 0.5
         paths = export_frames_pgm(frame, tmp_path)
         assert paths == [os.path.join(tmp_path, "frame_000.pgm")]
-        data = open(paths[0], "rb").read()
+        data = pathlib.Path(paths[0]).read_bytes()
         assert data.startswith(b"P5\n4 4\n255\n")
         pixels = np.frombuffer(data[len(b"P5\n4 4\n255\n"):], dtype=np.uint8).reshape(4, 4)
         assert pixels[1, 2] == 255
@@ -395,10 +400,10 @@ class TestPgmExport:
     def test_stack_and_clipping(self, tmp_path):
         frames = np.stack([np.full((3, 3), -1.0), np.full((3, 3), 2.0)])
         paths = export_frames_pgm(frames, tmp_path)
-        assert len(paths) == 2
+        assert paths == [os.path.join(tmp_path, f"frame_00{i}.pgm") for i in range(2)]
         head = len(b"P5\n3 3\n255\n")
-        assert set(open(paths[0], "rb").read()[head:]) == {0}
-        assert set(open(paths[1], "rb").read()[head:]) == {255}
+        assert set(pathlib.Path(paths[0]).read_bytes()[head:]) == {0}
+        assert set(pathlib.Path(paths[1]).read_bytes()[head:]) == {255}
 
 
 class TestRunExperiment:
@@ -617,6 +622,12 @@ class TestCli:
         assert main(["sample", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r")]) == 1
         capsys.readouterr()
+        # A range is measured before its list is built: a trillion seeds
+        # would fail out of memory.
+        for seeds in ("0..1000000000000", "7..65543"):
+            assert main(["sample", "--config", cfg, "--seeds", seeds, "--out", str(tmp_path / "r")]) == 1
+            assert capsys.readouterr().err == (f"config error: trflab sample: argument --seeds: must span "
+                                               f"at most 65536 seeds, got '{seeds}'\n")
         # An integer literal past Python's 4 300-digit conversion limit, and
         # bytes that are not UTF-8.
         huge, binary = tmp_path / "huge.json", tmp_path / "binary.json"
@@ -667,6 +678,18 @@ class TestCli:
         capsys.readouterr()
         assert main(["eval", "--config", cfg]) == 0
         assert "endpoint_error_median" in json.loads(capsys.readouterr().out)
+
+    def test_eval_config_without_out_dir_exits_1_naming_it(self, tmp_path, capsys, monkeypatch):
+        # Without --config or --out, eval reads the current directory; a
+        # config with no out_dir names no run, so it is a config error.
+        cfg = self._write_config(tmp_path, gp_raw())
+        assert main(["trf", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path / "run")
+        assert main(["eval"]) == 0
+        assert "endpoint_error_median" in json.loads(capsys.readouterr().out)
+        assert main(["eval", "--config", cfg]) == 1
+        assert capsys.readouterr() == ("", "config error: missing required config key 'out_dir'\n")
 
     @pytest.mark.parametrize("key", ["start", "end"])
     def test_a_blob_position_off_the_grid_exits_1_naming_it(self, tmp_path, capsys, key):
@@ -833,7 +856,7 @@ class TestCli:
         out = str(tmp_path / "run")
         assert main(["train", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "checkpoint.trfw"))
-        curve = open(os.path.join(out, "loss_curve.csv")).read().splitlines()
+        curve = pathlib.Path(out, "loss_curve.csv").read_text().splitlines()
         assert curve[0] == "step,loss"
         assert len(curve) == 31
 
@@ -889,7 +912,7 @@ class TestCli:
         cfg = self._write_config(tmp_path, raw)
         out = str(tmp_path / "sweep")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
-        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        summary = json.loads(pathlib.Path(out, "summary.json").read_text())
         assert sha256_file(os.path.join(out, "summary.json")) == SWEEP_SUMMARY_SHA256
         assert len(summary["runs"]) == 4
         for i, run in enumerate(summary["runs"]):
@@ -900,7 +923,7 @@ class TestCli:
         # Same grid rerun reproduces every fingerprint.
         out2 = str(tmp_path / "sweep2")
         assert main(["sweep", "--config", cfg, "--out", out2]) == 0
-        summary2 = json.loads(open(os.path.join(out2, "summary.json")).read())
+        summary2 = json.loads(pathlib.Path(out2, "summary.json").read_text())
         assert [r["fingerprint"] for r in summary["runs"]] == \
             [r["fingerprint"] for r in summary2["runs"]]
 

@@ -1,6 +1,7 @@
 """Fused bidirectional sampling: weights, fusion, Algorithm-1 loop, baselines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -405,6 +406,33 @@ class TestTrfSample:
         batch = run(FrameReversedRng(RngBatch.from_seeds(seeds)))
         for i, seed in enumerate(seeds):
             npt.assert_array_equal(batch[i], run(FrameReversedRng(RngStream(seed))))
+
+    def test_a_run_holds_one_frame_map_and_computes_each_once(self, monkeypatch):
+        # 256 frames over 30 levels: one 256 x 256 frame map is 0.5 MiB, so
+        # keeping one per noise level would pass 20 MiB.
+        backend = AnalyticGaussianBackend(PinnedGaussianProcessWorld(a=1.0, q=0.3, dim=1, n_frames=256))
+        frame_map = backend.frame_map
+        last, computed = [None], []  # the map last handed out; the sigma of each new one
+
+        def spy(sigma):
+            m = frame_map(sigma)
+            if m is not last[0]:
+                last[0] = m
+                computed.append(sigma)
+            return m
+
+        monkeypatch.setattr(backend, "frame_map", spy)
+        cfg = TrfConfig(alpha=alpha_weights("linear", 256))
+        tracemalloc.start()
+        try:
+            trf_sample(backend, build_karras(30, 0.002, 80.0), Condition(np.zeros(1)), Condition(np.ones(1)),
+                       ChurnParams(), cfg, RngBatch.from_seeds([0, 1]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert len(backend._factors) == 1
+        assert len(computed) == len(set(computed)) > 30
 
 
 class TestNoiseTables:
