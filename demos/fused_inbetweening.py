@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from trflab.core import RngStream
+from trflab.core import RngBatch
 from trflab.denoiser import AnalyticGaussianBackend, Condition
 from trflab.harness import export_trajectory_csv
 from trflab.metrics import endpoint_error
@@ -47,24 +47,21 @@ def main():
     print(f"random-walk world, {args.n_frames} frames; start {start}, end {end}")
     print(f"{args.seeds} chains per sampler\n")
 
-    rows = {"fused": [], "forward": [], "interp": []}
-    for seed in range(args.seeds):
-        xt, _ = trf_sample(backend, sched, c_s, c_e, churn, cfg, RngStream(seed))
-        xf, _ = sample(backend, sched, c_s, churn, RngStream(seed))
-        xi, _ = baseline_condition_interp(backend, sched, c_s, c_e, churn, RngStream(seed))
-        rows["fused"].append(endpoint_error(xt, end))
-        rows["forward"].append(endpoint_error(xf, end))
-        rows["interp"].append(endpoint_error(xi, end))
-        if seed == 0:
-            export_trajectory_csv(xt, os.path.join(args.out, "fused.csv"))
-            export_trajectory_csv(xf, os.path.join(args.out, "forward.csv"))
-            export_trajectory_csv(xi, os.path.join(args.out, "interp.csv"))
+    # Each sampler runs every seed as one (B, N, d) batch; row i is seed i's chain.
+    seeds = range(args.seeds)
+    runs = {
+        "fused": trf_sample(backend, sched, c_s, c_e, churn, cfg, RngBatch.from_seeds(seeds))[0],
+        "forward": sample(backend, sched, c_s, churn, RngBatch.from_seeds(seeds))[0],
+        "interp": baseline_condition_interp(backend, sched, c_s, c_e, churn, RngBatch.from_seeds(seeds))[0],
+    }
+    for name, xs in runs.items():
+        export_trajectory_csv(xs[0], os.path.join(args.out, f"{name}.csv"))
 
     print("median distance of the final frame from the requested end frame:")
     for name, label in (("fused", "fused two-path sampling"),
                         ("interp", "interpolated-condition baseline"),
                         ("forward", "forward-only sampling")):
-        print(f"  {label:34s} {np.median(rows[name]):8.4f}")
+        print(f"  {label:34s} {np.median(endpoint_error(runs[name], end)):8.4f}")
     print(f"\nwrote example trajectories to {args.out}/")
 
 

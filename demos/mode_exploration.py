@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from trflab.core import RngStream
+from trflab.core import RngBatch, RngStream
 from trflab.denoiser import AnalyticGmmBackend, Condition
 from trflab.harness import export_trajectory_csv
 from trflab.metrics import energy_distance, mode_coverage
@@ -44,8 +44,8 @@ def main():
     print(f"arc world: {world.n_modes} routes, {world.n_frames} frames, tau {world.tau}")
     print(f"drawing {args.seeds} fused sequences\n")
 
-    draws = [trf_sample(backend, sched, c_s, c_e, ChurnParams(), cfg, RngStream(seed))[0]
-             for seed in range(args.seeds)]
+    # One (B, N, d) batch of every seed; row i is seed i's chain.
+    draws, _ = trf_sample(backend, sched, c_s, c_e, ChurnParams(), cfg, RngBatch.from_seeds(range(args.seeds)))
     cov = mode_coverage(draws, world)
 
     for k, n in enumerate(cov.counts):

@@ -25,13 +25,11 @@ def as_frame(x, dim: int | None = None) -> np.ndarray:
     return f
 
 
-def as_sequence(x, n_frames: int | None = None, dim: int | None = None) -> np.ndarray:
+def as_sequence(x, dim: int | None = None) -> np.ndarray:
     """Validate and return ``x`` as an (N, d) float64 sequence."""
     s = np.asarray(x, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] < 1 or s.shape[1] < 1:
         raise ValueError(f"sequence must be a 2-D (N, d) array, got shape {s.shape}")
-    if n_frames is not None and s.shape[0] != n_frames:
-        raise ValueError(f"sequence has {s.shape[0]} frames, expected {n_frames}")
     if dim is not None and s.shape[1] != dim:
         raise ValueError(f"sequence frame dimension is {s.shape[1]}, expected {dim}")
     if not np.all(np.isfinite(s)):

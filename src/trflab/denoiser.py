@@ -6,9 +6,10 @@ answers for a stack of sequences at once, each slice of the stack under its
 own condition. The analytic backends answer it exactly (posterior means of
 Gaussian or Gaussian-mixture worlds) and serve as ground-truth oracles for
 every sampler in this package: each world gives its conditional law as
-arrays, and its backend here is the one place that law is denoised. The
-preconditioned trainable backend answers it with a small network wrapped in
-input/output scalings so one set of weights covers all noise levels.
+arrays, and its backend here is the one place that law is denoised.
+``PerFrameConditionBackend`` wraps any backend to condition each output
+frame on its own condition. The trainable backend, a small network and its
+noise-level preconditioning, is ``trflab.train.MlpBackend``.
 """
 
 from dataclasses import dataclass
@@ -97,31 +98,6 @@ def _mixture_posterior(x, sigma, log_weights, means, sq_norms, variances):
     mean = (r * (1.0 - shrink)[:, None, None]) @ means[:, None]
     mean += (r @ shrink[:, None, :, None]) * rows
     return r[:, :, 0], mean[:, :, 0]
-
-
-def edm_scalings(sigma, sigma_data: float):
-    """EDM preconditioning (Karras et al. 2022) at one sigma or an array of them:
-    c_skip = sd^2 / (sigma^2 + sd^2), c_out = sigma sd / sqrt(sigma^2 + sd^2),
-    c_in = 1 / sqrt(sigma^2 + sd^2) and c_noise = ln(sigma) / 4, in that order."""
-    sd2 = sigma_data * sigma_data
-    s2 = sigma * sigma
-    c_skip = sd2 / (s2 + sd2)
-    c_out = sigma * sigma_data / np.sqrt(s2 + sd2)
-    c_in = 1.0 / np.sqrt(s2 + sd2)
-    return c_skip, c_out, c_in, np.log(sigma) / 4.0
-
-
-def precondition_apply(net, x: np.ndarray, sigma: float, conds: tuple[Condition, ...], sigma_data: float) -> np.ndarray:
-    """Wrap a raw network in noise-level-dependent input/output scalings:
-    c_skip * x + c_out * net(c_in * x, c_noise, conds), coefficients from
-    :func:`edm_scalings`. At low sigma the skip path dominates (the input is
-    nearly clean); at high sigma the network output, bounded by c_out -> sd,
-    carries the prediction.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    c_skip, c_out, c_in, c_noise = edm_scalings(sigma, sigma_data)
-    return c_skip * x + c_out * net(c_in * x, c_noise, conds)
 
 
 class AnalyticGaussianBackend(DenoiserBackend):

@@ -2,8 +2,11 @@
 
 The network is a two-hidden-layer SiLU MLP mapping
 [scaled noisy sequence, Fourier features of ln(sigma)/4, condition frame]
-to a raw prediction, wrapped in the standard noise-level preconditioning so
-one set of weights serves every sigma. Training minimizes the
+to a raw prediction, wrapped in the EDM noise-level preconditioning
+(Karras et al. 2022) so one set of weights serves every sigma. This module
+is the network's one definition: its preconditioning (:func:`edm_scalings`),
+its input rows (:func:`_net_inputs`, for sampling and training alike) and
+its weights. Training minimizes the
 lambda(sigma)-weighted denoising loss, which in preconditioned form is a
 plain mean-squared error on the raw network output — gradients are exact
 and checked against finite differences in the tests.
@@ -17,12 +20,12 @@ network's shape fits a world is the caller's check.
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RngStream, _atomic_write_bytes
-from .denoiser import Condition, DenoiserBackend, _on_condition_axis, edm_scalings, precondition_apply
+from .denoiser import Condition, DenoiserBackend
 
 CHECKPOINT_MAGIC = b"TRFW"
 CHECKPOINT_VERSION = 1
@@ -30,8 +33,6 @@ CHECKPOINT_VERSION = 1
 #: hidden, n_freq (u32 each) and sigma_data (f64).
 _HEADER_FORMAT = "<6Id"
 _HEADER_SIZE = len(CHECKPOINT_MAGIC) + struct.calcsize(_HEADER_FORMAT)
-
-_BLOCK_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class CheckpointError(Exception):
@@ -78,6 +79,8 @@ class ArchDescriptor:
         return self.seq_dim + self.n_freq + self.frame_dim
 
     def block_shapes(self) -> dict[str, tuple]:
+        """Every weight block's shape, in the one order blocks are stored,
+        checkpointed and updated."""
         h = self.hidden
         return {
             "w1": (self.input_dim, h), "b1": (h,),
@@ -98,18 +101,14 @@ class MlpParams:
 
     def __post_init__(self):
         # C-contiguous, so that every block has a flat view to update in place.
-        shapes = self.arch.block_shapes()
-        for name in _BLOCK_NAMES:
+        for name, shape in self.arch.block_shapes().items():
             block = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if block.shape != shapes[name]:
-                raise ValueError(f"layer {name}: shape {block.shape} does not match descriptor {shapes[name]}")
+            if block.shape != shape:
+                raise ValueError(f"layer {name}: shape {block.shape} does not match descriptor {shape}")
             setattr(self, name, block)
 
     def blocks(self):
-        return [(name, getattr(self, name)) for name in _BLOCK_NAMES]
-
-    def copy(self) -> "MlpParams":
-        return replace(self, **{name: block.copy() for name, block in self.blocks()})
+        return [(name, getattr(self, name)) for name in self.arch.block_shapes()]
 
 
 def init_params(arch: ArchDescriptor, rng: RngStream) -> MlpParams:
@@ -123,6 +122,18 @@ def init_params(arch: ArchDescriptor, rng: RngStream) -> MlpParams:
     return MlpParams(arch, **blocks)
 
 
+def edm_scalings(sigma, sigma_data: float):
+    """EDM preconditioning (Karras et al. 2022) at one sigma or an array of them:
+    c_skip = sd^2 / (sigma^2 + sd^2), c_out = sigma sd / sqrt(sigma^2 + sd^2),
+    c_in = 1 / sqrt(sigma^2 + sd^2) and c_noise = ln(sigma) / 4, in that order."""
+    sd2 = sigma_data * sigma_data
+    s2 = sigma * sigma
+    c_skip = sd2 / (s2 + sd2)
+    c_out = sigma * sigma_data / np.sqrt(s2 + sd2)
+    c_in = 1.0 / np.sqrt(s2 + sd2)
+    return c_skip, c_out, c_in, np.log(sigma) / 4.0
+
+
 def fourier_features(c_noise, n_freq: int) -> np.ndarray:
     """sin/cos features of the noise embedding at octave frequencies 1, 2, 4, ...;
     (n_freq,) for one c_noise, (..., n_freq) for an array of them."""
@@ -131,14 +142,31 @@ def fourier_features(c_noise, n_freq: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
+def _net_inputs(arch: ArchDescriptor, x: np.ndarray, c_in, c_noise, frames) -> np.ndarray:
+    """The network's input rows [c_in x, fourier_features(c_noise), condition frame].
+
+    ``x`` is (..., N d), one flattened sequence per row; ``c_in``, ``c_noise``
+    and ``frames`` broadcast against the leading axes, as one value for every
+    row or one per row (``c_in`` with a trailing singleton axis). Each block
+    is written straight into its columns of one buffer, returned as
+    (rows, input_dim) in the order of x's leading axes.
+    """
+    inputs = np.empty(x.shape[:-1] + (arch.input_dim,))
+    cond_at = arch.seq_dim + arch.n_freq
+    np.multiply(c_in, x, out=inputs[..., :arch.seq_dim])
+    inputs[..., arch.seq_dim:cond_at] = fourier_features(c_noise, arch.n_freq)
+    inputs[..., cond_at:] = frames
+    return inputs.reshape(-1, arch.input_dim)
+
+
 def _silu(z):
     s = 1.0 / (1.0 + np.exp(-z))
     return z * s, s
 
 
 def forward(params: MlpParams, inputs: np.ndarray):
-    """Batched forward pass; returns (outputs, cache-for-backward)."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    """Forward pass over (rows, input_dim) float64 inputs; returns
+    (outputs, cache-for-backward)."""
     z1 = inputs @ params.w1 + params.b1
     h1, s1 = _silu(z1)
     z2 = h1 @ params.w2 + params.b2
@@ -184,7 +212,6 @@ def backward(params: MlpParams, cache, grad_out: np.ndarray):
     gradient is ever resident, only one chunk and batch-sized temporaries.
     """
     inputs, z1, s1, h1, z2, s2, h2 = cache
-    grad_out = np.atleast_2d(grad_out)
     whole = np.s_[:]
     yield "b3", whole, grad_out.sum(axis=0)
     gh2 = grad_out @ params.w3.T
@@ -199,7 +226,11 @@ def backward(params: MlpParams, cache, grad_out: np.ndarray):
 
 
 class MlpBackend(DenoiserBackend):
-    """Denoiser contract over trained MLP weights (preconditioned).
+    """Denoiser contract over trained MLP weights, preconditioned:
+    c_skip x + c_out F(c_in x, c_noise, condition), coefficients from
+    :func:`edm_scalings`. At low sigma the skip path dominates (the input is
+    nearly clean); at high sigma the network output F, scaled by
+    c_out -> sigma_data, carries the prediction.
 
     Every sequence of the input is one row of a single forward pass, and
     each row carries the frame of the condition it is denoised under, so a
@@ -208,26 +239,21 @@ class MlpBackend(DenoiserBackend):
 
     def __init__(self, params: MlpParams):
         self.params = params
-        self.arch = params.arch
 
     @property
     def seq_shape(self) -> tuple[int, int]:
-        return (self.arch.n_frames, self.arch.frame_dim)
-
-    def _net(self, x_scaled: np.ndarray, c_noise: float, conds: tuple[Condition, ...]) -> np.ndarray:
-        # One input row per sequence of the input, all in one forward pass.
-        lead = x_scaled.shape[:-2]
-        frames = _on_condition_axis(np.stack([c.frame for c in conds]), len(lead) + 1)
-        rows = np.concatenate([
-            x_scaled.reshape(lead + (-1,)),
-            np.broadcast_to(fourier_features(c_noise, self.arch.n_freq), lead + (self.arch.n_freq,)),
-            np.broadcast_to(frames, lead + (self.arch.frame_dim,)),
-        ], axis=-1)
-        out, _ = forward(self.params, rows.reshape(-1, self.arch.input_dim))
-        return out.reshape(x_scaled.shape)
+        return (self.params.arch.n_frames, self.params.arch.frame_dim)
 
     def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
-        return precondition_apply(self._net, x, sigma, conds, self.arch.sigma_data)
+        if sigma <= 0:
+            raise ValueError(f"sigma must be > 0, got {sigma}")
+        arch = self.params.arch
+        c_skip, c_out, c_in, c_noise = edm_scalings(sigma, arch.sigma_data)
+        # Slice c of the condition axis holds the rows denoised under conds[c].
+        frames = np.stack([c.frame for c in conds])[:, None]
+        rows = _net_inputs(arch, x.reshape(len(conds), -1, arch.seq_dim), c_in, c_noise, frames)
+        out, _ = forward(self.params, rows)
+        return c_skip * x + c_out * out.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -279,18 +305,14 @@ def edm_loss_terms(params: MlpParams, batch, sigmas: np.ndarray, noise: np.ndarr
     sigmas = np.asarray(sigmas, dtype=np.float64).reshape(n_items, 1)
     c_skip, c_out, c_in, c_noise = edm_scalings(sigmas, arch.sigma_data)
 
-    # Row i is [c_in x_noisy, fourier(c_noise), condition frame], filled by column
-    # slices. Each (n, N d) intermediate is written into a buffer whose
-    # contents are dead, and the batch, the noise and y are dropped before the
-    # forward pass: train hands over the batch and the noise without keeping
-    # a reference, so dropping them here frees them.
-    inputs = np.empty((n_items, arch.input_dim))
-    cond_at = arch.seq_dim + arch.n_freq
+    # One network input row per item. Each (n, N d) intermediate is
+    # written into a buffer whose contents are dead, and the batch, the noise
+    # and y are dropped before the forward pass: train hands over the batch
+    # and the noise without keeping a reference, so dropping them here frees
+    # them.
     x_noisy = np.multiply(sigmas, noise.reshape(n_items, arch.seq_dim))
     x_noisy += y
-    np.multiply(c_in, x_noisy, out=inputs[:, :arch.seq_dim])
-    inputs[:, arch.seq_dim:cond_at] = fourier_features(c_noise[:, 0], arch.n_freq)
-    inputs[:, cond_at:] = [cond.frame for _, cond in batch]
+    inputs = _net_inputs(arch, x_noisy, c_in, c_noise[:, 0], [cond.frame for _, cond in batch])
     del batch, noise
     targets = np.multiply(c_skip, x_noisy, out=x_noisy)
     np.subtract(y, targets, out=targets)

@@ -59,3 +59,8 @@ def collect_gradients(arch, stream):
     for name, count in hits.items():
         assert np.all(count == 1), f"{name}: the chunks do not tile the block"
     return MlpParams(arch, **grads)
+
+
+def copy_params(params):
+    """An ``MlpParams`` with the same architecture and copies of every block."""
+    return MlpParams(params.arch, **{name: block.copy() for name, block in params.blocks()})

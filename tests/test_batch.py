@@ -92,14 +92,15 @@ def test_batch_rows_match_batch_of_one(name, kind):
 MIXTURE_DIGEST = "f5e26c5bbefaa31d03fdb3b5aab8e8e916b6fbfbdf67ddc7320db2197c63693a"
 #: SHA-256 over the outputs and traces of test_gaussian_outputs_are_pinned.
 GAUSSIAN_DIGEST = "bf9eddc3248e63210e8c9039d8f3c487685146cb7cdd0b406f0fc3327ee3736d"
+#: SHA-256 over the outputs and traces of test_mlp_outputs_are_pinned.
+MLP_DIGEST = "26ca2561a0ff35eaaae65d000ebab30c8ff2b563e1ba0655b5a3743fb77f34b2"
 
 
-def _pinned_digest(backend, c_s, c_e):
+def _pinned_digest(backend, c_s, c_e, seeds=(100, 101, 102, 103)):
     """SHA-256 over the outputs and traces of sample and trf with m = 0 and 2,
-    and over the outputs of both baselines, each run on a 4-seed batch over
-    12 levels."""
+    and over the outputs of both baselines, each run on one batch of
+    ``seeds`` over 12 levels."""
     sched = build_karras(12, 0.01, 20.0)
-    seeds = [100, 101, 102, 103]
     churn = ChurnParams()
     runs = [sample(backend, sched, c_s, churn, RngBatch.from_seeds(seeds), diagnostics=True)]
     for m in (0, 2):
@@ -110,7 +111,7 @@ def _pinned_digest(backend, c_s, c_e):
         runs.append((baseline(backend, sched, c_s, c_e, churn, RngBatch.from_seeds(seeds))[0], None))
     digest = hashlib.sha256()
     for x, trace in runs:
-        assert x.shape == (4, 6, 2) and x.dtype == np.float64
+        assert x.shape == (len(seeds), 6, 2) and x.dtype == np.float64
         digest.update(np.ascontiguousarray(x).tobytes())
         if trace is not None:
             digest.update(trace.to_json_lines().encode())
@@ -131,6 +132,13 @@ def test_mixture_outputs_are_pinned():
 def test_gaussian_outputs_are_pinned():
     backend, start, end = _gp()
     assert _pinned_digest(backend, Condition(start), Condition(end)) == GAUSSIAN_DIGEST
+
+
+def test_mlp_outputs_are_pinned():
+    # Untrained weights of the same shape as a trained network's: the pin
+    # covers the network's input rows, preconditioning and forward pass.
+    backend, start, end = _mlp()
+    assert _pinned_digest(backend, Condition(start), Condition(end), seeds=(100, 101, 102)) == MLP_DIGEST
 
 
 @pytest.mark.parametrize("kind", KINDS)

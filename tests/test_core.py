@@ -219,8 +219,6 @@ class TestValidation:
             as_sequence([1.0, 2.0])
         with pytest.raises(ValueError):
             as_sequence([[1.0], [2.0]], dim=2)
-        with pytest.raises(ValueError):
-            as_sequence([[1.0], [2.0]], n_frames=3)
 
     def test_as_sequence_nonfinite(self):
         with pytest.raises(ValueError):

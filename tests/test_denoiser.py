@@ -28,8 +28,6 @@ from trflab.denoiser import (
     Condition,
     PerFrameConditionBackend,
     _mixture_posterior,
-    edm_scalings,
-    precondition_apply,
 )
 from trflab.schedule import build_karras
 from trflab.worlds import PinnedGaussianProcessWorld, TrajectoryGmmWorld
@@ -305,67 +303,6 @@ class TestGmmPosterior:
             np.testing.assert_array_equal(r[0, :, 3:], 0.0)
             np.testing.assert_allclose(backend.predict_x0(x[None], sigma, (cond,))[0],
                                        forward.posterior_x0(x, sigma), rtol=0, atol=1e-12)
-
-
-class TestPrecondition:
-    def test_coefficients_at_unit_sigma(self):
-        # sigma_data = 0.5, sigma = 1: c_skip = 0.2, c_out = 0.4472,
-        # c_in = 0.8944, c_noise = 0.
-        seen = {}
-
-        def net(x_in, c_noise, cond):
-            seen["x_in"] = x_in
-            seen["c_noise"] = c_noise
-            return np.ones_like(x_in)
-
-        x = np.array([[1.0, -2.0]])
-        out = precondition_apply(net, x, 1.0, (Condition(np.zeros(2)),), sigma_data=0.5)
-        np.testing.assert_allclose(seen["x_in"], x / np.sqrt(1.25), atol=1e-15)
-        assert seen["c_noise"] == 0.0
-        np.testing.assert_allclose(out, 0.2 * x + 0.5 / np.sqrt(1.25), atol=1e-15)
-
-    def test_scalings_over_an_array_match_scalar_calls(self):
-        # Training takes the coefficients of a whole batch in one call and
-        # sampling one sigma at a time; both must agree bit for bit.
-        sigmas = np.array([0.002, 0.1, 1.0, 80.0])
-        stacked = edm_scalings(sigmas, 0.1)
-        for i, sigma in enumerate(sigmas.tolist()):
-            assert [c[i] for c in stacked] == list(edm_scalings(sigma, 0.1))
-
-    def test_skip_is_half_at_sigma_data(self):
-        def net_zero(x_in, c_noise, cond):
-            return np.zeros_like(x_in)
-
-        x = np.array([[3.0, -1.0]])
-        out = precondition_apply(net_zero, x, 0.5, (Condition(np.zeros(2)),), sigma_data=0.5)
-        np.testing.assert_allclose(out, 0.5 * x, atol=1e-15)
-
-    def test_zero_network_gives_skip_path(self):
-        def net_zero(x_in, c_noise, cond):
-            return np.zeros_like(x_in)
-
-        x = np.array([[1.0], [2.0]])
-        for sigma in (0.1, 1.0, 7.0):
-            c_skip = 0.25 / (sigma ** 2 + 0.25)
-            np.testing.assert_allclose(
-                precondition_apply(net_zero, x, sigma, (Condition(np.zeros(1)),), 0.5),
-                c_skip * x,
-                atol=1e-15,
-            )
-
-    def test_noise_embedding_tracks_log_sigma(self):
-        seen = {}
-
-        def net(x_in, c_noise, cond):
-            seen["c_noise"] = c_noise
-            return np.zeros_like(x_in)
-
-        precondition_apply(net, np.zeros((1, 1)), 3.0, (Condition(np.zeros(1)),), 0.5)
-        np.testing.assert_allclose(seen["c_noise"], np.log(3.0) / 4.0, atol=1e-15)
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            precondition_apply(lambda x, s, c: x, np.zeros((1, 1)), 0.0, (Condition(np.zeros(1)),), 0.5)
 
 
 class TestAnalyticBackends:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import trflab.train as train_module
-from helpers import collect_gradients
+from helpers import collect_gradients, copy_params
 from trflab.core import RngStream
 from trflab.denoiser import Condition
 from trflab.train import (
@@ -26,8 +26,10 @@ from trflab.train import (
     TrainConfig,
     TrainingDivergedError,
     adam_step,
+    _net_inputs,
     backward,
     edm_loss_terms,
+    edm_scalings,
     forward,
     fourier_features,
     init_params,
@@ -54,6 +56,11 @@ def tiny_batch(arch, rng, n_items=3):
     sigmas = np.exp(rng.normal((n_items,)) * 0.5)
     noise = rng.normal((n_items, arch.n_frames, arch.frame_dim))
     return batch, sigmas, noise
+
+
+def zero_params(arch, **blocks):
+    """All-zero weights of ``arch``, except the blocks given."""
+    return MlpParams(arch, **{**{n: np.zeros(s) for n, s in arch.block_shapes().items()}, **blocks})
 
 
 class TestGradients:
@@ -107,8 +114,7 @@ class TestLoss:
         # loss reduces to mean(F_target^2) with
         # F_target = (y - c_skip x_noisy) / c_out.
         arch = tiny_arch()
-        shapes = arch.block_shapes()
-        params = MlpParams(arch, **{n: np.zeros(s) for n, s in shapes.items()})
+        params = zero_params(arch)
         rng = RngStream(21)
         batch, sigmas, noise = tiny_batch(arch, rng)
         loss, _ = edm_loss_terms(params, batch, sigmas, noise)
@@ -233,6 +239,83 @@ class TestNetwork:
             MlpParams(tiny_arch(), **{n: np.zeros((3, 3)) for n in _BLOCKS})
 
 
+class TestPrecondition:
+    """The EDM preconditioning and input rows of the network, on real weights."""
+
+    def test_scalings_over_an_array_match_scalar_calls(self):
+        # Training takes the coefficients of a whole batch in one call and
+        # sampling one sigma at a time; both must agree bit for bit.
+        sigmas = np.array([0.002, 0.1, 1.0, 80.0])
+        stacked = edm_scalings(sigmas, 0.1)
+        for i, sigma in enumerate(sigmas.tolist()):
+            assert [c[i] for c in stacked] == list(edm_scalings(sigma, 0.1))
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+    def test_net_inputs_are_scaled_sequence_noise_features_and_frame(self, per_row):
+        arch = tiny_arch()
+        rng = RngStream(60)
+        x = rng.normal((3, arch.seq_dim))
+        frames = rng.normal((3, arch.frame_dim))
+        if per_row:
+            c_in, c_noise = np.array([[0.5], [1.5], [2.0]]), np.array([-0.3, 0.0, 0.7])
+        else:
+            c_in, c_noise = 0.8, 0.25
+        rows = _net_inputs(arch, x, c_in, c_noise, frames)
+        assert rows.shape == (3, arch.input_dim)
+        cond_at = arch.seq_dim + arch.n_freq
+        np.testing.assert_array_equal(rows[:, :arch.seq_dim], c_in * x)
+        np.testing.assert_array_equal(rows[:, arch.seq_dim:cond_at],
+                                      np.broadcast_to(fourier_features(c_noise, arch.n_freq), (3, arch.n_freq)))
+        np.testing.assert_array_equal(rows[:, cond_at:], frames)
+
+    def test_prediction_is_skip_path_plus_scaled_network_output(self):
+        # Two conditions on the leading axis, two rows each: slice c's rows
+        # carry conds[c]'s frame, and the network sees c_in x and ln(sigma)/4.
+        arch = tiny_arch()
+        params = init_params(arch, RngStream(61))
+        x = RngStream(62).normal((2, 2, arch.n_frames, arch.frame_dim))
+        conds = (Condition(np.array([0.5, -0.5])), Condition(np.array([-1.0, 2.0])))
+        sigma = 3.0
+        sd2 = arch.sigma_data ** 2
+        rows = np.concatenate([
+            x.reshape(4, -1) / np.sqrt(sigma ** 2 + sd2),
+            np.broadcast_to(fourier_features(np.log(sigma) / 4.0, arch.n_freq), (4, arch.n_freq)),
+            np.repeat([c.frame for c in conds], 2, axis=0),
+        ], axis=1)
+        raw, _ = forward(params, rows)
+        expected = (sd2 / (sigma ** 2 + sd2)) * x \
+            + (sigma * arch.sigma_data / np.sqrt(sigma ** 2 + sd2)) * raw.reshape(x.shape)
+        np.testing.assert_allclose(MlpBackend(params).predict_x0(x, sigma, conds), expected,
+                                   rtol=0, atol=1e-14)
+
+    def test_zero_weights_give_the_skip_path(self):
+        arch = tiny_arch()
+        backend = MlpBackend(zero_params(arch))
+        x = RngStream(63).normal((1, arch.n_frames, arch.frame_dim))
+        cond = (Condition(np.zeros(arch.frame_dim)),)
+        for sigma in (0.1, 1.0, 7.0):
+            c_skip = 0.25 / (sigma ** 2 + 0.25)
+            np.testing.assert_allclose(backend.predict_x0(x, sigma, cond), c_skip * x, rtol=0, atol=1e-15)
+        # At sigma = sigma_data the skip path keeps exactly half the input.
+        np.testing.assert_allclose(backend.predict_x0(x, arch.sigma_data, cond), 0.5 * x, rtol=0, atol=1e-15)
+
+    def test_unit_output_bias_adds_c_out(self):
+        # sigma_data = 0.5, sigma = 1: c_skip = 0.2 and c_out = 0.5 / sqrt(1.25).
+        arch = tiny_arch()
+        backend = MlpBackend(zero_params(arch, b3=np.ones(arch.seq_dim)))
+        x = np.array([[[1.0, -2.0], [0.5, 3.0]]])
+        out = backend.predict_x0(x, 1.0, (Condition(np.zeros(arch.frame_dim)),))
+        np.testing.assert_allclose(out, 0.2 * x + 0.5 / np.sqrt(1.25), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_rejects_nonpositive_sigma(self, sigma):
+        arch = tiny_arch()
+        backend = MlpBackend(init_params(arch, RngStream(64)))
+        with pytest.raises(ValueError, match="sigma must be > 0"):
+            backend.predict_x0(np.zeros((1, arch.n_frames, arch.frame_dim)), sigma,
+                               (Condition(np.zeros(arch.frame_dim)),))
+
+
 def reference_adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float):
     """Whole-block Adam update: the form the chunked adam_step must reproduce."""
     state.t += 1
@@ -280,7 +363,7 @@ class TestAdam:
     ], ids=["chunk", "chunk+3", "blob-8x256"])
     def test_chunked_update_is_bit_identical_to_whole_block_form(self, arch):
         params = init_params(arch, RngStream(40))
-        ref_params = params.copy()
+        ref_params = copy_params(params)
         state, ref_state = AdamState(params), AdamState(ref_params)
         rng = RngStream(41)
         for _ in range(20):
@@ -298,7 +381,7 @@ class TestAdam:
         # exactly lr / (1 + eps) in every coordinate.
         arch = tiny_arch(hidden=1, n_freq=2)
         params = init_params(arch, RngStream(0))
-        before = params.copy()
+        before = copy_params(params)
         grads = MlpParams(arch, **{n: np.ones(s) for n, s in arch.block_shapes().items()})
         adam_step(params, whole_blocks(grads), AdamState(params), lr=0.1)
         for name in _BLOCKS:
@@ -308,7 +391,7 @@ class TestAdam:
     def test_zero_gradient_is_noop(self):
         arch = tiny_arch()
         params = init_params(arch, RngStream(0))
-        before = params.copy()
+        before = copy_params(params)
         grads = MlpParams(arch, **{n: np.zeros(s) for n, s in arch.block_shapes().items()})
         adam_step(params, whole_blocks(grads), AdamState(params), lr=0.1)
         for name in _BLOCKS:
@@ -346,7 +429,7 @@ class TestGradientStream:
         # still match whole-block gradients followed by the whole-block update.
         monkeypatch.setattr(train_module, "ADAM_CHUNK", 100)
         params = init_params(self.ARCH, RngStream(52))
-        ref_params = params.copy()
+        ref_params = copy_params(params)
         state, ref_state = AdamState(params), AdamState(ref_params)
         for step in range(3):
             batch, sigmas, noise = tiny_batch(self.ARCH, RngStream(53).split(step), n_items=5)
@@ -407,7 +490,7 @@ class TestTraining:
 
         def recording_adam(params, grads, state, lr):
             real_adam(params, grads, state, lr)
-            after.append((params, state, params.copy(),
+            after.append((params, state, copy_params(params),
                           {n: m.copy() for n, m in state.m.items()},
                           {n: v.copy() for n, v in state.v.items()}))
 
