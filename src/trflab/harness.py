@@ -42,7 +42,7 @@ from .worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWo
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 #: A trajectory output's file name: the only kind of file that a rerun
-#: deletes on an earlier manifest's word.
+#: deletes, or eval reads, on a manifest's word.
 _OUTPUT_NAME = re.compile(r"seed_[0-9]+\.trft")
 TENSOR_MAGIC = b"TRFT"
 TENSOR_VERSION = 1
@@ -96,13 +96,15 @@ def _dataclass_schema(cls) -> dict:
 #: after sampling: the initial latent has scale schedule.sigma_max, a GP
 #: world's frames scale with q, churn multiplies its noise by s_noise, and
 #: a condition is a frame, so its entries share sigma_max's bound.
+#: Training draws its noise levels as exp(p_mean + p_std z), so p_mean and
+#: p_std are bounded too (this lab trains at -1.2/-1.6 and 1.2/1.4).
 #: EDM (Karras et al. 2022) uses sigma_max = 80 and s_noise of 1 to 1.007.
 #:
 #: The size keys are bounded too, so that a mistyped size is a config error
 #: naming its key rather than a failed allocation or an hours-long run. The
 #: bounds sit far above the sizes this lab runs: 16 frames of dimension 2,
-#: 16 x 16 blob grids, 50 sampling steps, and 5000 training steps of a
-#: 256-wide network on batches of 64.
+#: 16 x 16 blob grids, 50 sampling steps, up to 8 re-injection rounds, and
+#: 5000 training steps of a 256-wide network on batches of 64.
 _SCHEMA = {
     "": {  # the config root
         "world": ("section", _REQUIRED),
@@ -147,7 +149,7 @@ _SCHEMA = {
     },
     "churn": {**_dataclass_schema(ChurnParams), "s_noise": ("number", ChurnParams.s_noise, 10.0)},
     "trf": {
-        "m_reinject": ("int", 2),
+        "m_reinject": ("int", 2, 100),
         "t0": ("int", None),
         "alpha_kind": ("str", KIND_LINEAR, (KIND_LINEAR, KIND_EXPONENTIAL)),
         "alpha_lam": ("number", 4.0),
@@ -156,6 +158,8 @@ _SCHEMA = {
     "train": {
         **_dataclass_schema(TrainConfig),
         "n_steps": ("int", TrainConfig.n_steps, 100_000),
+        "p_mean": ("number", TrainConfig.p_mean, 10.0),
+        "p_std": ("number", TrainConfig.p_std, 5.0),
         "batch_size": ("int", TrainConfig.batch_size, 4096),
         "hidden": ("int", TrainConfig.hidden, 2048),
         "n_freq": ("int", TrainConfig.n_freq, 64),
@@ -607,10 +611,15 @@ def _make_dir(path):
 def evaluate_run(run_dir) -> MetricReport:
     """Recompute metrics for a completed run, verifying output integrity.
 
-    Raises RuntimeError naming any entry of ``run_dir`` other than the
-    manifest and its outputs, such as a leftover ``*.tmp``."""
+    Raises RuntimeError naming any output name of the manifest other than a
+    plain ``seed_NNNN.trft``, so no path outside ``run_dir`` is read, and
+    any entry of ``run_dir`` other than the manifest and its outputs, such
+    as a leftover ``*.tmp``."""
     manifest_path = os.path.join(run_dir, MANIFEST_NAME)
     manifest = ExperimentManifest.load(manifest_path)
+    for name in sorted(manifest.outputs):
+        if not _OUTPUT_NAME.fullmatch(name):
+            raise RuntimeError(f"{manifest_path}: output name {name!r} is not a plain seed_NNNN.trft")
     unexpected = sorted(set(os.listdir(run_dir)) - {MANIFEST_NAME, *manifest.outputs})
     if unexpected:
         raise RuntimeError(f"{os.path.join(run_dir, unexpected[0])}: not an output "

@@ -2,8 +2,9 @@
 
 :func:`_walk` walks a noise schedule from sigma_max down to 0. It draws the
 initial latent, and at each step churns the latent up in noise, hands it to
-a per-step hook, checks that the hook's new latent is finite, and keeps the
-step record the hook returns. The hook does the denoising: an Euler step
+a per-step hook, checks that the hook's new latent is finite, and records
+the step: the walk builds every step record from its own levels and the
+fields the hook returns. The hook does the denoising: an Euler step
 toward the backend's clean-sequence prediction here in :func:`sample`, and
 the same step around per-frame conditions in
 :func:`~trflab.trf.baseline_condition_interp`; two
@@ -44,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import RngBatch, RngStream, _atomic_write_bytes, gaussian_noise, normal_rows, sequence_hash
+from .core import RngBatch, RngStream, gaussian_noise, normal_rows, sequence_hash
 from .denoiser import Condition, DenoiserBackend
 from .schedule import ChurnParams, NoiseSchedule, churn_gamma
 
@@ -65,6 +66,11 @@ class StepRecord:
     run with ``diagnostics=True`` and are None otherwise. In a batched run
     they are lists with one entry per chain; the noise levels and the
     fusion count are shared.
+
+    ``latent_hash`` hashes the churned latent the step starts from.
+    ``denoised_hash`` hashes the prediction D(x_hat) in :func:`sample`,
+    but in :func:`~trflab.trf.trf_sample` the fused latent after the step,
+    re-injection rounds included.
     """
 
     t: int
@@ -86,9 +92,6 @@ class StepTrace:
 
     records: list[StepRecord] = field(default_factory=list)
 
-    def append(self, record: StepRecord):
-        self.records.append(record)
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -98,9 +101,6 @@ class StepTrace:
 
     def to_json_lines(self) -> str:
         return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in self.records)
-
-    def save_jsonl(self, path):
-        _atomic_write_bytes(path, self.to_json_lines().encode())
 
 
 def churn_perturb(x: np.ndarray, sigma: float, gamma: float, s_noise: float,
@@ -168,11 +168,13 @@ def _walk(name: str, shape: tuple[int, int], schedule: NoiseSchedule, churn: Chu
     """Walk the schedule top to bottom: churn, then ``step``, per level.
 
     ``step(t, sigma, x_hat, sigma_hat, sigma_next)`` maps the churned
-    latent to the latent at sigma_next and returns it with the step's
-    record, which the trace keeps. The levels come from one
-    per-run list, ``levels[t] = schedule.sigma_at(t)`` as Python floats, so
-    sigma is ``levels[t]`` and sigma_next is ``levels[t - 1]`` (0 after the
-    last step). The initial latent is drawn from ``STREAM_INIT``, and the
+    latent to the latent at sigma_next and returns it with a dict of the
+    step's own record fields (fusions, diagnostics; empty for a hook that
+    has none). The walk builds the step's record from its levels and those
+    fields, and the trace keeps it. The levels come from one per-run list,
+    ``levels[t] = schedule.sigma_at(t)`` as Python floats, so sigma is
+    ``levels[t]`` and sigma_next is ``levels[t - 1]`` (0 after the last
+    step). The initial latent is drawn from ``STREAM_INIT``, and the
     churn noise of every step with gamma > 0 in one draw from
     ``STREAM_CHURN``, taken row by row; a non-finite latent after any step
     raises, naming ``name``.
@@ -182,17 +184,17 @@ def _walk(name: str, shape: tuple[int, int], schedule: NoiseSchedule, churn: Chu
     levels = schedule.sigmas[::-1].tolist()
     gammas = [churn_gamma(churn, sigma, n_steps) for sigma in levels]
     churn_rows = iter(normal_rows(rng.split(STREAM_CHURN), sum(g > 0 for g in gammas), shape))
-    trace = StepTrace()
+    records = []
     for t in range(n_steps - 1, -1, -1):
         sigma = levels[t]
         sigma_next = levels[t - 1] if t > 0 else 0.0
         gamma = gammas[t]
         x_hat, sigma_hat = churn_perturb(x, sigma, gamma, churn.s_noise,
                                          next(churn_rows) if gamma > 0 else None)
-        x, record = step(t, sigma, x_hat, sigma_hat, sigma_next)
+        x, fields = step(t, sigma, x_hat, sigma_hat, sigma_next)
         check_finite(x, name, t, sigma, rng)
-        trace.append(record)
-    return x, trace
+        records.append(StepRecord(t=t, sigma=sigma, sigma_hat=float(sigma_hat), **fields))
+    return x, StepTrace(records)
 
 
 def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
@@ -211,15 +213,14 @@ def sample(backend: DenoiserBackend, schedule: NoiseSchedule, cond: Condition,
 
 def _denoise_step(backend: DenoiserBackend, cond: Condition, diagnostics: bool):
     """The single-path ``_walk`` step: denoise the churned latent under
-    ``cond``, then one Euler step; the record carries the latent and
-    denoised hashes when ``diagnostics`` is set."""
+    ``cond``, then one Euler step; its record fields are the latent and
+    denoised hashes when ``diagnostics`` is set, and none otherwise."""
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         denoised = backend.predict_x0(x_hat[None], sigma_hat, (cond,))[0]
-        diag = {}
+        fields = {}
         if diagnostics:
-            diag = dict(latent_hash=sequence_hash(x_hat), denoised_hash=sequence_hash(denoised))
-        x = _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised)
-        return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat), **diag)
+            fields = dict(latent_hash=sequence_hash(x_hat), denoised_hash=sequence_hash(denoised))
+        return _euler_from_denoised(x_hat, sigma_hat, sigma_next, denoised), fields
 
     return step

@@ -31,9 +31,8 @@ import numpy as np
 
 from .core import RngBatch, RngStream, normal_rows, reverse, sequence_hash
 from .denoiser import Condition, DenoiserBackend, PerFrameConditionBackend
-from .sampler import (STREAM_REINJECT, StepRecord, StepTrace, _denoise_step, _euler_from_denoised, _walk,
-                      check_conditions)
-from .schedule import ChurnParams, NoiseSchedule
+from .sampler import STREAM_REINJECT, StepTrace, _denoise_step, _euler_from_denoised, _walk, check_conditions
+from .schedule import ChurnParams, NoiseSchedule, injection_std
 
 KIND_LINEAR = "linear"
 KIND_EXPONENTIAL = "exponential"
@@ -175,14 +174,13 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
     forward under c_s and reversed under c_e, fuse; while t is above the
     cutoff, re-noise the fused state back up to sigma_t (one shared draw),
     redo both denoise steps from sigma_t, and re-fuse, m_reinject times.
-    The re-injection std sqrt(sigma_t^2 - sigma_{t-1}^2) comes from the
-    levels the walk hands each step, its per-run list of levels, and the
-    re-injection noise of the whole run is one draw of
-    m_reinject * #{t > t0} rows, used in order. Returns the final fused
-    sequence (a (B, N, d) batch when ``rng`` is an RngBatch) and a T-record
-    trace of the fusion counts; with ``diagnostics`` set the records also
-    carry the state hashes and the last fusion's objective value and
-    path-disagreement norm, per chain.
+    The re-injection std is :func:`~trflab.schedule.injection_std` at t,
+    sqrt(sigma_t^2 - sigma_{t-1}^2), and the re-injection noise of the
+    whole run is one draw of m_reinject * #{t > t0} rows, used in order.
+    Returns the final fused sequence (a (B, N, d) batch when ``rng`` is an
+    RngBatch) and a T-record trace of the fusion counts; with
+    ``diagnostics`` set the records also carry the state hashes and the
+    last fusion's objective value and path-disagreement norm, per chain.
     """
     shape = backend.seq_shape
     if cfg.alpha.n_frames != shape[0]:
@@ -209,23 +207,20 @@ def trf_sample(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Condition
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
         fwd, bwd, x = fused(x_hat, sigma_hat, sigma_next)
-        fusions = 1
-        if t > t0:
-            # Re-injection: lift the fused state back to sigma_t (the new
-            # noise's variance is exactly sigma_t^2 - sigma_{t-1}^2), redo
-            # both paths from sigma_t with no churn, and fuse again.
-            inj = math.sqrt(sigma * sigma - sigma_next * sigma_next)
-            for _ in range(cfg.m_reinject):
+        rounds = cfg.m_reinject if t > t0 else 0
+        if rounds:
+            # Re-injection: lift the fused state back to sigma_t, redo both
+            # paths from sigma_t with no churn, and fuse again.
+            inj = injection_std(schedule, t)
+            for _ in range(rounds):
                 fwd, bwd, x = fused(x + inj * next(rein_rows), sigma, sigma_next)
-                fusions += 1
-        diag = {}
+        fields = dict(fusions=1 + rounds)
         if diagnostics:
             gap = (fwd - reverse(bwd)).reshape(fwd.shape[:-2] + (-1,))
-            diag = dict(latent_hash=sequence_hash(x_hat), denoised_hash=sequence_hash(x),
-                        objective=fusion_objective(x, fwd, bwd, cfg.alpha).tolist(),
-                        disagreement=np.linalg.norm(gap, axis=-1).tolist())
-        return x, StepRecord(t=t, sigma=float(sigma), sigma_hat=float(sigma_hat),
-                             fusions=fusions, **diag)
+            fields.update(latent_hash=sequence_hash(x_hat), denoised_hash=sequence_hash(x),
+                          objective=fusion_objective(x, fwd, bwd, cfg.alpha).tolist(),
+                          disagreement=np.linalg.norm(gap, axis=-1).tolist())
+        return x, fields
 
     return _walk("trf_sample", shape, schedule, churn, rng, step)
 
@@ -266,8 +261,8 @@ def baseline_inpaint(backend: DenoiserBackend, schedule: NoiseSchedule, c_s: Con
     denoise = _denoise_step(backend, c_s, False)
 
     def step(t, sigma, x_hat, sigma_hat, sigma_next):
-        x, record = denoise(t, sigma, x_hat, sigma_hat, sigma_next)
+        x, fields = denoise(t, sigma, x_hat, sigma_hat, sigma_next)
         x[..., -1, :] = c_e.frame + sigma_next * next(over_rows)
-        return x, record
+        return x, fields
 
     return _walk("baseline_inpaint", backend.seq_shape, schedule, churn, rng, step)

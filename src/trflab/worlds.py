@@ -185,8 +185,20 @@ class TrajectoryGmmWorld:
     def n_frames(self) -> int:
         return self.templates.shape[1]
 
-    def posterior_component_weights(self, cond: Condition) -> np.ndarray:
-        """Component probabilities given frame 0 = cond."""
+    def conditional_gmm(self, cond: Condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The isotropic mixture law given frame 0 = cond, as arrays:
+        weights (K,), stacked means (K, N*d) and variances (K,).
+
+        Components are reweighted by their frame-0 likelihood and their
+        frame-0 mean is replaced by cond; the isotropic tau^2 is retained,
+        frame 0 included, so the law pins frame 0 only softly: on the
+        default arcs world at T = 25, ``sample`` and ``trf_sample`` land
+        frame 0 a median 0.10 from cond (and ``trf_sample`` its last frame
+        0.10 from the end frame), where :meth:`sample_sequence` pins frame
+        0 exactly. Every component is kept, one whose weight underflows
+        with weight exactly 0, so the mixtures under all conditions share
+        one K. This is the only code that conditions the mixture.
+        """
         frame = as_frame(cond.frame, dim=self.dim)
         quad = ((self.components[:, 0, :] - frame[None, :]) ** 2).sum(axis=1)
         log_post = np.log(self.component_weights) - 0.5 * quad / self.tau ** 2
@@ -194,30 +206,17 @@ class TrajectoryGmmWorld:
         if not np.isfinite(top):
             raise ValueError("conditioning frame is too far from every component to weight the mixture")
         w = np.exp(log_post - top)
-        return w / w.sum()
-
-    def conditional_gmm(self, cond: Condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The isotropic mixture law given frame 0 = cond, as arrays:
-        weights (K,), stacked means (K, N*d) and variances (K,).
-
-        Components are reweighted by their frame-0 likelihood and their
-        frame-0 mean is replaced by cond; the isotropic tau^2 is retained.
-        Every component is kept, one whose weight underflows with weight
-        exactly 0, so the mixtures under all conditions share one K.
-        """
-        frame = as_frame(cond.frame, dim=self.dim)
         means = self.components.copy()
         means[:, 0, :] = frame[None, :]
-        kc = means.shape[0]
-        return self.posterior_component_weights(cond), means.reshape(kc, -1), np.full(kc, self.tau ** 2)
+        return w / w.sum(), means.reshape(len(means), -1), np.full(len(means), self.tau ** 2)
 
     def sample_sequence(self, cond: Condition, rng: RngStream) -> np.ndarray:
-        """Draw a route from the posterior weights, jitter it, pin frame 0."""
-        frame = as_frame(cond.frame, dim=self.dim)
-        post = self.posterior_component_weights(cond)
-        k = rng.choice(post.size, p=post)
-        x = self.components[k] + self.tau * rng.normal(self.components[k].shape)
-        x[0] = frame
+        """Draw a route from :meth:`conditional_gmm`'s weights, jitter its
+        mean, and pin frame 0 to cond exactly."""
+        weights, means, _ = self.conditional_gmm(cond)
+        k = rng.choice(weights.size, p=weights)
+        x = means[k].reshape(self.seq_shape) + self.tau * rng.normal(self.seq_shape)
+        x[0] = cond.frame
         return x
 
     def training_pair(self, rng: RngStream) -> tuple[np.ndarray, Condition]:
@@ -258,24 +257,11 @@ class MovingBlobWorld:
         center = (self.grid_size - 1) / 2.0
         return center + self.pixels_per_unit * (pos - self.origin)
 
-    def from_pixel(self, pix) -> np.ndarray:
-        pix = np.asarray(pix, dtype=np.float64)
-        center = (self.grid_size - 1) / 2.0
-        return self.origin + (pix - center) / self.pixels_per_unit
-
     def render_positions(self, positions: np.ndarray) -> tuple[np.ndarray, list[bool]]:
         """Render world-coordinate positions; returns (N, G^2) frames + clamp flags."""
         positions = as_sequence(positions, dim=2)
         grids, flags = render_blob(self, self.to_pixel(positions))
         return grids.reshape(positions.shape[0], self.dim), flags.tolist()
-
-    def sample_sequence(self, cond: Condition, rng: RngStream) -> np.ndarray:
-        """Conditional rollout of the underlying world, rendered to pixels."""
-        frame = as_frame(cond.frame, dim=self.dim)
-        pix = blob_position(frame.reshape(self.grid_size, self.grid_size), self.bump_std)
-        pos0 = self.from_pixel(pix)
-        positions = self.trajectory_world.sample_sequence(Condition(pos0), rng)
-        return self.render_positions(positions)[0]
 
     def training_pair(self, rng: RngStream) -> tuple[np.ndarray, Condition]:
         positions, _ = self.trajectory_world.training_pair(rng)

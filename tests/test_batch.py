@@ -125,7 +125,7 @@ def test_mixture_outputs_are_pinned():
     world = TrajectoryGmmWorld.arcs(n_frames=6, start=(-3.0, 0.0), end=(3.0, 0.0), tau=0.1)
     backend = AnalyticGmmBackend(world)
     c_s, c_e = Condition(np.array([-3.0, 0.0])), Condition(np.array([3.0, 0.0]))
-    assert [np.count_nonzero(world.posterior_component_weights(c)) for c in (c_s, c_e)] == [3, 3]
+    assert [np.count_nonzero(world.conditional_gmm(c)[0]) for c in (c_s, c_e)] == [3, 3]
     assert _pinned_digest(backend, c_s, c_e) == MIXTURE_DIGEST
 
 

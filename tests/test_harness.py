@@ -484,6 +484,28 @@ class TestRunExperiment:
         assert main(["eval", "--out", str(run_dir)]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../outside.trft", "sub/seed_0000.trft", "notes.txt"],
+                             ids=["parent", "subdirectory", "other-name"])
+    def test_evaluate_run_reads_only_plain_output_names(self, tmp_path, capsys, monkeypatch, name):
+        # A hand-edited manifest cannot make eval read a file outside the run:
+        # an output name that is not a plain seed_NNNN.trft is named before
+        # any output is read, and eval exits 2.
+        run_dir = tmp_path / "run"
+        run_experiment(ExperimentConfig.from_dict(gp_raw(seeds=[0, 1], out_dir=str(run_dir))))
+        target = run_dir / name
+        target.parent.mkdir(exist_ok=True)
+        os.replace(run_dir / "seed_0000.trft", target)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["outputs"][name] = manifest["outputs"].pop("seed_0000.trft")
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        read = []
+        monkeypatch.setattr("trflab.harness.sha256_file", lambda path: read.append(path))
+        with pytest.raises(RuntimeError, match=re.escape(repr(name))):
+            evaluate_run(run_dir)
+        assert main(["eval", "--out", str(run_dir)]) == 2
+        assert name in capsys.readouterr().err
+        assert read == []
+
     def test_rerun_with_fewer_seeds_leaves_no_stale_outputs(self, tmp_path, capsys):
         # trf with seeds 0..3, then 0..1 into one out_dir: the second run's
         # directory holds only its own outputs, so eval accepts it.
@@ -751,6 +773,12 @@ class TestCli:
         ("sweep", 'sweep={"t0":[1,999]}', r"invalid 'trf' config: t0 must be in \[0, 5\], got 999"),
         ("sweep", 'sweep={"m_reinject":[0,"x"]}', r"'sweep.m_reinject\[1\]' must be int"),
         ("sweep", 'sweep={"s_churn":[0.5,-1]}', r"invalid 'churn' config: s_churn must be >= 0"),
+        ("train", "train.p_mean=800", r"'train.p_mean' must be at most 10, got 800"),
+        ("train", "train.p_mean=-11", r"'train.p_mean' must be at least -10, got -11"),
+        ("train", "train.p_std=5.5", r"'train.p_std' must be at most 5, got 5.5"),
+        ("train", "train.p_std=0", r"invalid 'train' config: p_std and sigma_data must be positive"),
+        ("trf", f"trf.m_reinject={10 ** 12}", rf"'trf.m_reinject' must be at most 100, got {10 ** 12}"),
+        ("sweep", 'sweep={"m_reinject":[0,101]}', r"'sweep.m_reinject\[1\]' must be at most 100, got 101"),
         ("trf", "conditions.end=[1e300]", r"'conditions.end\[0\]' must be at most 10000, got 1e\+300"),
         ("trf", "conditions.start=[-1e300]",
          r"'conditions.start\[0\]' must be at least -10000, got -1e\+300"),

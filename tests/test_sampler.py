@@ -1,8 +1,6 @@
 """The single-path EDM sampling loop: churn, Euler steps, traces."""
 
-import json
 import math
-import os
 
 import numpy as np
 import numpy.testing as npt
@@ -131,35 +129,6 @@ class TestSample:
         _, trace = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(1))
         hats = [r.sigma_hat for r in trace.records]
         assert all(a > b for a, b in zip(hats, hats[1:]))
-
-    def test_trace_json_lines_roundtrip(self, tmp_path):
-        sched = build_karras(4, 0.01, 5.0)
-        _, trace = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(2),
-                          diagnostics=True)
-        path = tmp_path / "trace.jsonl"
-        trace.save_jsonl(path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == 4
-        assert rows[0]["t"] == 3
-        assert {"sigma", "sigma_hat", "latent_hash", "denoised_hash"} <= rows[0].keys()
-
-    def test_failed_trace_write_keeps_the_earlier_trace(self, tmp_path, monkeypatch):
-        sched = build_karras(4, 0.01, 5.0)
-        path = tmp_path / "trace.jsonl"
-        sample(self.backend, sched, self.cond, ChurnParams(), RngStream(2),
-               diagnostics=True)[1].save_jsonl(path)
-        before = path.read_bytes()
-        _, other = sample(self.backend, sched, self.cond, ChurnParams(), RngStream(3),
-                          diagnostics=True)
-
-        def fail(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(RuntimeError, match="cannot write"):
-            other.save_jsonl(path)
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["trace.jsonl"]
 
     def test_sampler_matches_conditional_mean(self):
         # Coarse distributional check; the tight version is acceptance
