@@ -6,7 +6,9 @@ answers for a stack of sequences at once, each slice of the stack under its
 own condition. The analytic backends answer it exactly (posterior means of
 Gaussian or Gaussian-mixture worlds) and serve as ground-truth oracles for
 every sampler in this package: each world gives its conditional law as
-arrays, and its backend here is the one place that law is denoised.
+arrays, and its backend here is the one place that law is denoised. Both
+keep the law of their last tuple of conditions through one cache,
+``_AnalyticBackend.law_for``.
 ``PerFrameConditionBackend`` wraps any backend to condition each output
 frame on its own condition. The trainable backend, a small network and its
 noise-level preconditioning, is ``trflab.train.MlpBackend``.
@@ -100,7 +102,37 @@ def _mixture_posterior(x, sigma, log_weights, means, sq_norms, variances):
     return r[:, :, 0], mean[:, :, 0]
 
 
-class AnalyticGaussianBackend(DenoiserBackend):
+class _AnalyticBackend(DenoiserBackend):
+    """An analytic oracle: a backend that denoises under its world's exact
+    conditional law.
+
+    The law under a tuple of conditions is stacked on the condition axis by
+    the subclass's ``_stack`` and kept for the last tuple only: a sampler
+    passes one tuple for a whole run, so the law is stacked once per run,
+    and a new tuple, even of equal frames, is stacked afresh.
+    """
+
+    def __init__(self, world):
+        self.world = world
+        self._conds: tuple[Condition, ...] | None = None
+        self._law = None
+
+    @property
+    def seq_shape(self) -> tuple[int, int]:
+        return self.world.seq_shape
+
+    def law_for(self, conds: tuple[Condition, ...]):
+        """The world's law under C conditions, stacked on a leading axis."""
+        if conds != self._conds:
+            self._law = self._stack(conds)
+            self._conds = conds
+        return self._law
+
+    def _stack(self, conds: tuple[Condition, ...]):
+        raise NotImplementedError
+
+
+class AnalyticGaussianBackend(_AnalyticBackend):
     """Denoiser contract over a Gaussian-process world, any conditioning frame.
 
     Conditioning pins frame 0 of the world's data process. The conditional
@@ -110,33 +142,21 @@ class AnalyticGaussianBackend(DenoiserBackend):
     M_sigma = F (F + sigma^2 I)^(-1) applied along the frame axis. With
     F = U diag(lam) U^T, eigendecomposed when the backend is built, every
     frame map is M_sigma = U diag(lam / (lam + sigma^2)) U^T, shared by
-    every condition; the per-condition mean comes from
-    ``world.conditional_moments``. A call applies the frame map once to the
-    whole stack. The backend keeps only what the last call used: the
-    stacked means of its tuple of conditions and the frame map of its
-    sigma, in ``_factors`` (at most one entry). A sampler stays on one
-    tuple for a whole run and comes back to a sigma only in the
-    back-to-back calls of one step, so a run computes each frame map once
-    and holds one N x N map, not one per noise level.
+    every condition. The law :meth:`law_for` keeps is the (C, N, d) stack
+    of ``world.conditional_moments`` means. A call applies the frame map
+    once to the whole stack. Only the frame map of the last sigma is kept,
+    in ``_factors`` (at most one entry): a sampler comes back to a sigma
+    only in the back-to-back calls of one step, so a run computes each
+    frame map once and holds one N x N map, not one per noise level.
     """
 
     def __init__(self, world):
-        self.world = world
-        self._conds: tuple[Condition, ...] | None = None
-        self._mean: np.ndarray | None = None
+        super().__init__(world)
         self._factors: dict[float, np.ndarray] = {}
         self._eigh = np.linalg.eigh(world.frame_cov)
 
-    @property
-    def seq_shape(self) -> tuple[int, int]:
-        return self.world.seq_shape
-
-    def mean_for(self, conds: tuple[Condition, ...]) -> np.ndarray:
-        """The (C, N, d) stack of the world's conditional means under C conditions."""
-        if conds != self._conds:
-            self._mean = np.stack([self.world.conditional_moments(c)[0] for c in conds])
-            self._conds = conds
-        return self._mean
+    def _stack(self, conds: tuple[Condition, ...]) -> np.ndarray:
+        return np.stack([self.world.conditional_moments(c)[0] for c in conds])
 
     def frame_map(self, sigma: float) -> np.ndarray:
         """M_sigma = F (F + sigma^2 I)^(-1), the posterior-mean map on frames."""
@@ -151,45 +171,31 @@ class AnalyticGaussianBackend(DenoiserBackend):
     def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
         if sigma == 0.0:
             return np.array(x, dtype=np.float64)
-        mean = _on_condition_axis(self.mean_for(conds), x.ndim)
+        mean = _on_condition_axis(self.law_for(conds), x.ndim)
         return mean + self.frame_map(sigma) @ (x - mean)
 
 
-class AnalyticGmmBackend(DenoiserBackend):
+class AnalyticGmmBackend(_AnalyticBackend):
     """Denoiser contract over a trajectory-mixture world, any conditioning frame.
 
     ``world.conditional_gmm`` gives the law under a condition as arrays:
     weights w_k, stacked means mu_k and isotropic variances tau_k^2 of K
-    components, all K of the world's under every condition. The mixtures
-    under C conditions stack into (C, K) log-weights, squared mean norms and
-    variances and (C, K, N*d) means, kept for the last tuple of conditions
-    (a sampler stays on one for a whole run), and a call denoises every
-    slice of the condition axis in one pass of :func:`_mixture_posterior`.
-    A weight of 0 is a log-weight of -inf.
+    components, all K of the world's under every condition. The law
+    :meth:`law_for` keeps is the mixtures under C conditions stacked into
+    (C, K) log-weights, (C, K, N*d) means, (C, K) squared mean norms and
+    (C, K) variances, and a call denoises every slice of the condition axis
+    in one pass of :func:`_mixture_posterior`. A weight of 0 is a
+    log-weight of -inf.
     """
 
-    def __init__(self, world):
-        self.world = world
-        self._conds: tuple[Condition, ...] | None = None
-        self._mixture: tuple[np.ndarray, ...] | None = None
-
-    @property
-    def seq_shape(self) -> tuple[int, int]:
-        return self.world.seq_shape
-
-    def mixture_for(self, conds: tuple[Condition, ...]) -> tuple[np.ndarray, ...]:
-        """The world's mixtures under C conditions, stacked: (log-weights,
-        means, squared mean norms, variances)."""
-        if conds != self._conds:
-            weights, means, variances = (np.stack(a) for a in zip(*(self.world.conditional_gmm(c) for c in conds)))
-            with np.errstate(divide="ignore"):
-                self._mixture = (np.log(weights), means, np.einsum("ckd,ckd->ck", means, means), variances)
-            self._conds = conds
-        return self._mixture
+    def _stack(self, conds: tuple[Condition, ...]) -> tuple[np.ndarray, ...]:
+        weights, means, variances = (np.stack(a) for a in zip(*(self.world.conditional_gmm(c) for c in conds)))
+        with np.errstate(divide="ignore"):
+            return np.log(weights), means, np.einsum("ckd,ckd->ck", means, means), variances
 
     def predict_x0(self, x: np.ndarray, sigma: float, conds: tuple[Condition, ...]) -> np.ndarray:
         x_flat = x.reshape(len(conds), -1, x.shape[-2] * x.shape[-1])
-        return _mixture_posterior(x_flat, sigma, *self.mixture_for(conds))[1].reshape(x.shape)
+        return _mixture_posterior(x_flat, sigma, *self.law_for(conds))[1].reshape(x.shape)
 
 
 class PerFrameConditionBackend(DenoiserBackend):

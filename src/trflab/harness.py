@@ -77,15 +77,17 @@ def _section_errors(section: str):
 _REQUIRED = object()
 
 
-def _dataclass_schema(cls) -> dict:
-    """Schema entries of a config dataclass: its fields, types and defaults."""
+def _dataclass_schema(cls, **limits) -> dict:
+    """Schema entries of a config dataclass: its fields, types and defaults,
+    and the limit in ``limits`` of each field named there."""
     kinds = {float: "number", int: "int"}
-    return {f.name: (kinds[f.type], f.default) for f in fields(cls)}
+    return {f.name: (kinds[f.type], f.default, limits.get(f.name)) for f in fields(cls)}
 
 
 #: Every config section: key -> (kind, default[, limit]), where a string's
 #: limit is the tuple of its allowed values, a number's, or each of a list
-#: of numbers', its largest magnitude, and an int's its largest value.
+#: of numbers', its largest magnitude, and an int's its largest value; a
+#: limit of None is none.
 #: A default of None makes the key optional, and an explicit null then means
 #: the same as leaving it out. A "section" value is checked against the
 #: entry named after its key; a world or backend section has a "kind" key,
@@ -95,7 +97,8 @@ def _dataclass_schema(cls) -> dict:
 #: overflow, so a huge finite setting is a config error, not a failure
 #: after sampling: the initial latent has scale schedule.sigma_max, a GP
 #: world's frames scale with q, churn multiplies its noise by s_noise, and
-#: a condition is a frame, so its entries share sigma_max's bound.
+#: a condition is a frame, so its entries share sigma_max's bound, and so
+#: do those of an arcs world's start, end and bulges, which place its routes.
 #: Training draws its noise levels as exp(p_mean + p_std z), so p_mean and
 #: p_std are bounded too (this lab trains at -1.2/-1.6 and 1.2/1.4).
 #: EDM (Karras et al. 2022) uses sigma_max = 80 and s_noise of 1 to 1.007.
@@ -126,9 +129,9 @@ _SCHEMA = {
            "n_frames": ("int", 16, 1024)},
     "gmm": {
         "n_frames": ("int", 16, 1024),
-        "start": ("numbers", [-1.0, 0.0]),
-        "end": ("numbers", [1.0, 0.0]),
-        "bulges": ("numbers", [0.8, 0.0, -0.8]),
+        "start": ("numbers", [-1.0, 0.0], 1e4),
+        "end": ("numbers", [1.0, 0.0], 1e4),
+        "bulges": ("numbers", [0.8, 0.0, -0.8], 1e4),
         "tau": ("number", 0.1),
         "time_symmetric": ("bool", True),
     },
@@ -147,7 +150,7 @@ _SCHEMA = {
         "sigma_max": ("number", 80.0, 1e4),
         "rho": ("number", 7.0),
     },
-    "churn": {**_dataclass_schema(ChurnParams), "s_noise": ("number", ChurnParams.s_noise, 10.0)},
+    "churn": _dataclass_schema(ChurnParams, s_noise=10.0),
     "trf": {
         "m_reinject": ("int", 2, 100),
         "t0": ("int", None),
@@ -156,13 +159,8 @@ _SCHEMA = {
     },
     "conditions": {"start": ("numbers", _REQUIRED, 1e4), "end": ("numbers", None, 1e4)},
     "train": {
-        **_dataclass_schema(TrainConfig),
-        "n_steps": ("int", TrainConfig.n_steps, 100_000),
-        "p_mean": ("number", TrainConfig.p_mean, 10.0),
-        "p_std": ("number", TrainConfig.p_std, 5.0),
-        "batch_size": ("int", TrainConfig.batch_size, 4096),
-        "hidden": ("int", TrainConfig.hidden, 2048),
-        "n_freq": ("int", TrainConfig.n_freq, 64),
+        **_dataclass_schema(TrainConfig, n_steps=100_000, p_mean=10.0, p_std=5.0, batch_size=4096,
+                            hidden=2048, n_freq=64),
         "seed": ("seed", TrainConfig.seed),
     },
 }
@@ -473,12 +471,30 @@ class ExperimentManifest:
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
+        """The manifest in file ``path``; a ValueError naming the file if it
+        is not JSON, not an object, of another format version, missing a
+        field, its outputs are not an object or its metrics are not
+        name -> {value, n_samples}."""
         with open(path) as fh:
-            d = json.load(fh)
+            try:
+                d = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: manifest is not valid JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: manifest is not a JSON object")
         if d.get("format_version") != MANIFEST_VERSION:
             raise ValueError(f"{path}: manifest format version {d.get('format_version')}, "
                              f"expected {MANIFEST_VERSION}")
-        return cls(**{f.name: d[f.name] for f in fields(cls)} | {"metrics": MetricReport.from_dict(d["metrics"])})
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise ValueError(f"{path}: manifest has no '{missing[0]}' field")
+        if not isinstance(d["outputs"], dict):
+            raise ValueError(f"{path}: manifest outputs are not an object")
+        try:
+            metrics = MetricReport.from_dict(d["metrics"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: manifest metrics are not name -> {{value, n_samples}}: {exc!r}") from exc
+        return cls(**{f.name: d[f.name] for f in fields(cls)} | {"metrics": metrics})
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentManifest:
@@ -529,11 +545,8 @@ def _clear_earlier_run(out_dir, names):
     if not os.path.exists(path):
         return
     try:
-        with open(path) as fh:
-            outputs = json.load(fh)["outputs"]
-        if not isinstance(outputs, dict):
-            raise ValueError("'outputs' is not an object")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        outputs = ExperimentManifest.load(path).outputs
+    except (OSError, ValueError) as exc:
         raise RuntimeError(f"{path}: cannot read the earlier run's manifest ({exc}); "
                            f"nothing was deleted") from exc
     os.remove(path)
@@ -686,15 +699,6 @@ def export_trajectory_csv(x: np.ndarray, path):
     for n, row in enumerate(x):
         lines.append(f"{n}," + ",".join(format(v, ".17g") for v in row))
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
-
-
-def load_trajectory_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "frame" or header[1:] != [f"dim{i}" for i in range(len(header) - 1)]:
-            raise ValueError(f"{path}: not a trajectory CSV (header {header})")
-        rows = [line.strip().split(",")[1:] for line in fh if line.strip()]
-    return np.array([[float(v) for v in row] for row in rows])
 
 
 def export_tensor(x: np.ndarray, path) -> str:

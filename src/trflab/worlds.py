@@ -27,6 +27,12 @@ from .denoiser import Condition
 # conditional covariances singular; this keeps every denoiser well-defined
 # at all noise levels.
 EPS_PIN = 1e-6
+#: The least jitter std of a mixture world, far below the 0.1 this lab uses.
+#: 2-D frames with entries within +-1e4 (the config bound on conditions and
+#: on an arcs world's endpoints) lie within 8e8 squared distance of each
+#: other, and 8e8 / MIN_TAU^2 is far below float overflow, so a route that
+#: starts there keeps a finite log-weight under every such condition.
+MIN_TAU = 1e-100
 
 
 class PinnedGaussianProcessWorld:
@@ -36,7 +42,9 @@ class PinnedGaussianProcessWorld:
     x_0 = c + sqrt(eps_pin) z_0, x_n = a x_{n-1} + q z_n, so frame n has
     conditional mean a^n c. |a| <= 1 is allowed up to and including the
     random-walk case a=1, which is time-reversible and therefore suits
-    both forward and backward conditioning.
+    both forward and backward conditioning. The recursion is stated once,
+    as the innovation factor ``lower`` (L): the frame covariance is L L^T,
+    and a draw is the conditional mean plus L z.
     """
 
     def __init__(self, a: float, q: float, dim: int = 2, n_frames: int = 16):
@@ -50,19 +58,20 @@ class PinnedGaussianProcessWorld:
         self.q = float(q)
         self.dim = int(dim)
         self.n_frames = int(n_frames)
-        # Innovation-form Cholesky factor of the per-dimension frame
+        n = self.n_frames
+        #: a^n, the decay of frame n's conditional mean from the pinned frame.
+        self.powers = self.a ** np.arange(n)
+        # Innovation-form Cholesky factor L of the per-dimension frame
         # covariance: column 0 carries the pinning draw, column j >= 1 the
         # j-th innovation propagated forward by a^(n-j). Building the
         # covariance as L L^T keeps it SPD even at a = 1.
-        n = self.n_frames
-        powers = self.a ** np.arange(n)
-        lower = np.zeros((n, n))
-        lower[:, 0] = powers * np.sqrt(EPS_PIN)
+        self.lower = np.zeros((n, n))
+        self.lower[:, 0] = self.powers * np.sqrt(EPS_PIN)
         for j in range(1, n):
-            lower[j:, j] = powers[: n - j] * self.q
+            self.lower[j:, j] = self.powers[: n - j] * self.q
         #: Per-dimension N x N frame covariance F; the conditional covariance
         #: of the stacked sequence is kron(F, I_d) whatever the condition.
-        self.frame_cov = lower @ lower.T
+        self.frame_cov = self.lower @ self.lower.T
         self.frame_cov.flags.writeable = False  # conditional_moments hands it out
 
     @property
@@ -77,18 +86,13 @@ class PinnedGaussianProcessWorld:
         only the mean depends on the condition.
         """
         frame = as_frame(cond.frame, dim=self.dim)
-        powers = self.a ** np.arange(self.n_frames)
-        return powers[:, None] * frame[None, :], self.frame_cov
+        return self.powers[:, None] * frame[None, :], self.frame_cov
 
     def sample_sequence(self, cond: Condition, rng: RngStream) -> np.ndarray:
-        """Exact conditional draw; matches conditional_moments by construction."""
-        frame = as_frame(cond.frame, dim=self.dim)
-        z = rng.normal((self.n_frames, self.dim))
-        x = np.empty((self.n_frames, self.dim))
-        x[0] = frame + np.sqrt(EPS_PIN) * z[0]
-        for n in range(1, self.n_frames):
-            x[n] = self.a * x[n - 1] + self.q * z[n]
-        return x
+        """Exact conditional draw: the mean plus L z for one (N, d) standard
+        normal draw z, L being the factor whose L L^T is ``frame_cov``."""
+        mean, _ = self.conditional_moments(cond)
+        return mean + self.lower @ rng.normal(self.seq_shape)
 
     def training_pair(self, rng: RngStream) -> tuple[np.ndarray, Condition]:
         """(clean sequence, condition) with a standard-normal start frame."""
@@ -112,15 +116,15 @@ class TrajectoryGmmWorld:
         templates = np.asarray(templates, dtype=np.float64)
         if templates.ndim != 3 or templates.shape[0] < 1:
             raise ValueError("templates must be (K, N, d) with K >= 1")
-        k, n, d = templates.shape
-        if n < 2:
+        self.n_modes, self.n_frames, self.dim = templates.shape
+        if self.n_frames < 2:
             raise ValueError("templates need at least 2 frames")
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+        if not tau >= MIN_TAU:
+            raise ValueError(f"tau must be at least {MIN_TAU:g}, got {tau}")
         if weights is None:
-            weights = np.full(k, 1.0 / k)
+            weights = np.full(self.n_modes, 1.0 / self.n_modes)
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (k,) or np.any(weights <= 0):
+        if weights.shape != (self.n_modes,) or np.any(weights <= 0):
             raise ValueError("need one positive weight per template")
         weights = weights / weights.sum()
 
@@ -170,20 +174,8 @@ class TrajectoryGmmWorld:
         return cls(templates, weights=weights, tau=tau, time_symmetric=time_symmetric)
 
     @property
-    def n_modes(self) -> int:
-        return self.templates.shape[0]
-
-    @property
     def seq_shape(self) -> tuple[int, int]:
-        return (self.templates.shape[1], self.templates.shape[2])
-
-    @property
-    def dim(self) -> int:
-        return self.templates.shape[2]
-
-    @property
-    def n_frames(self) -> int:
-        return self.templates.shape[1]
+        return (self.n_frames, self.dim)
 
     def conditional_gmm(self, cond: Condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The isotropic mixture law given frame 0 = cond, as arrays:

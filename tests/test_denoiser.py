@@ -131,7 +131,7 @@ def _posterior_x0(mixture, x: np.ndarray, sigma: float) -> np.ndarray:
 
 def _responsibilities(mixture, x_flat: np.ndarray, sigma: float) -> np.ndarray:
     """(..., K) posterior component probabilities of (..., N*d) observations."""
-    stack = _mixture_backend(mixture, (1, x_flat.shape[-1])).mixture_for((_ANY,))
+    stack = _mixture_backend(mixture, (1, x_flat.shape[-1])).law_for((_ANY,))
     r, _ = _mixture_posterior(x_flat.reshape(1, -1, x_flat.shape[-1]), sigma, *stack)
     return r[0].reshape(x_flat.shape[:-1] + (-1,))
 
@@ -299,7 +299,7 @@ class TestGmmPosterior:
         rng = RngStream(13)
         for sigma in LADDER:
             x = means.reshape((6,) + world.seq_shape) + sigma * rng.normal((6,) + world.seq_shape)
-            r, _ = _mixture_posterior(x.reshape(1, 6, -1), sigma, *backend.mixture_for((cond,)))
+            r, _ = _mixture_posterior(x.reshape(1, 6, -1), sigma, *backend.law_for((cond,)))
             np.testing.assert_array_equal(r[0, :, 3:], 0.0)
             np.testing.assert_allclose(backend.predict_x0(x[None], sigma, (cond,))[0],
                                        forward.posterior_x0(x, sigma), rtol=0, atol=1e-12)
@@ -339,11 +339,11 @@ class TestAnalyticBackends:
         c1 = Condition(np.array([1.0]))
         c2 = Condition(np.array([1.0]))
         conds = (c1,)
-        kept = backend.mean_for(conds)
-        assert backend.mean_for(conds) is kept
-        assert backend.mean_for((c1,)) is kept
+        kept = backend.law_for(conds)
+        assert backend.law_for(conds) is kept
+        assert backend.law_for((c1,)) is kept
         # An equal-valued new condition is a new tuple: computed afresh, equal.
-        again = backend.mean_for((c2,))
+        again = backend.law_for((c2,))
         assert again is not kept
         np.testing.assert_array_equal(again, kept)
         x = RngStream(9).normal((4, 1))
@@ -437,7 +437,7 @@ def test_gmm_backend_matches_the_difference_form_on_random_mixtures(call):
     backend = AnalyticGmmBackend(_TableWorld({c.frame.tobytes(): m for c, m in zip(conds, mixtures)}, x.shape[-2:]))
     out = backend.predict_x0(x, sigma, conds)
     x_flat = x.reshape(x.shape[:2] + (-1,))
-    r, _ = _mixture_posterior(x_flat, sigma, *backend.mixture_for(conds))
+    r, _ = _mixture_posterior(x_flat, sigma, *backend.law_for(conds))
     for c, mix in enumerate(mixtures):
         ref = DifferenceFormMixture(*mix)
         np.testing.assert_allclose(out[c], ref.posterior_x0(x[c], sigma), rtol=0, atol=1e-12)
@@ -504,28 +504,28 @@ class TestConditionAxis:
 
     def test_gp_keeps_the_stacked_mean_of_the_last_tuple(self):
         backend, conds = _condition_axis_cases()["gp"]
-        stacked = backend.mean_for(conds)
+        stacked = backend.law_for(conds)
         assert stacked.shape == (3, 5, 2)
-        assert backend.mean_for(conds) is stacked
-        np.testing.assert_array_equal(backend.mean_for(tuple(Condition(c.frame.copy()) for c in conds)), stacked)
+        assert backend.law_for(conds) is stacked
+        np.testing.assert_array_equal(backend.law_for(tuple(Condition(c.frame.copy()) for c in conds)), stacked)
         for c, cond in enumerate(conds):
-            np.testing.assert_array_equal(stacked[c], backend.mean_for((cond,))[0])
+            np.testing.assert_array_equal(stacked[c], backend.law_for((cond,))[0])
 
     def test_gmm_keeps_the_stacked_mixture_of_the_last_tuple(self, monkeypatch):
         backend, conds = _condition_axis_cases()["gmm"]
         calls = []
         conditional_gmm = backend.world.conditional_gmm
         monkeypatch.setattr(backend.world, "conditional_gmm", lambda c: calls.append(c) or conditional_gmm(c))
-        stacked = backend.mixture_for(conds)
+        stacked = backend.law_for(conds)
         assert [a.shape for a in stacked] == [(2, 6), (2, 6, 10), (2, 6), (2, 6)]
-        assert backend.mixture_for(conds) is stacked
+        assert backend.law_for(conds) is stacked
         assert calls == list(conds)
         copies = tuple(Condition(c.frame.copy()) for c in conds)
-        for whole, again in zip(stacked, backend.mixture_for(copies)):
+        for whole, again in zip(stacked, backend.law_for(copies)):
             np.testing.assert_array_equal(again, whole)
         assert calls == list(conds + copies)
         for c, cond in enumerate(conds):
-            for whole, single in zip(stacked, backend.mixture_for((cond,))):
+            for whole, single in zip(stacked, backend.law_for((cond,))):
                 np.testing.assert_array_equal(whole[c], single[0])
         # Both slices keep all six components; under the first condition
         # the three reversed routes have weight 0, log-weight -inf.

@@ -57,6 +57,18 @@ class TestGaussianProcessWorld:
         np.testing.assert_allclose(draws.mean(axis=0), mean.reshape(-1), atol=0.03)
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.03)
 
+    @pytest.mark.parametrize("a", [1.0, 0.7, -0.9])
+    def test_draw_follows_the_ar1_recursion(self, a):
+        # The draw is mean + L z in one product; the same z fed through the
+        # recursion x_0 = c + sqrt(eps_pin) z_0, x_n = a x_{n-1} + q z_n
+        # gives the same sequence up to rounding.
+        world = PinnedGaussianProcessWorld(a=a, q=0.3, dim=2, n_frames=16)
+        cond = Condition(np.array([0.4, -1.5]))
+        x = world.sample_sequence(cond, RngStream(5, 2))
+        z = RngStream(5, 2).normal((16, 2))
+        np.testing.assert_allclose(x[0], cond.frame + np.sqrt(EPS_PIN) * z[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x[1:] - a * x[:-1], 0.3 * z[1:], rtol=0, atol=1e-12)
+
     def test_covariance_is_spd_even_at_random_walk(self):
         for a in (0.0, 0.5, 1.0, -1.0):
             world = PinnedGaussianProcessWorld(a=a, q=0.3, dim=1, n_frames=12)
