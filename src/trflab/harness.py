@@ -18,6 +18,7 @@ File formats:
 import contextlib
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -75,13 +76,22 @@ def _section_errors(section: str):
 
 
 _REQUIRED = object()
+#: The config kind of each parameter annotation that a config key may have.
+_KINDS = {float: "number", int: "int", bool: "bool", int | None: "int",
+          tuple[float, float]: "numbers", tuple[float, ...]: "numbers"}
+#: Each world kind and the constructor that its config section calls.
+_WORLDS = {"gp": PinnedGaussianProcessWorld, "gmm": TrajectoryGmmWorld.arcs, "blob": MovingBlobWorld}
 
 
-def _dataclass_schema(cls, **limits) -> dict:
-    """Schema entries of a config dataclass: its fields, types and defaults,
-    and the limit in ``limits`` of each field named there."""
-    kinds = {float: "number", int: "int"}
-    return {f.name: (kinds[f.type], f.default, limits.get(f.name)) for f in fields(cls)}
+def _signature_schema(build, *skip, **limits) -> dict:
+    """Schema entries of callable ``build``: a key for each parameter that
+    has a default and is not named in ``skip``, its kind read from the
+    parameter's annotation, its default (a tuple as a list), and the limit
+    in ``limits`` of each key named there."""
+    params = inspect.signature(build).parameters.values()
+    return {p.name: (_KINDS[p.annotation], list(p.default) if isinstance(p.default, tuple) else p.default,
+                     limits.get(p.name))
+            for p in params if p.default is not p.empty and p.name not in skip}
 
 
 #: Every config section: key -> (kind, default[, limit]), where a string's
@@ -92,6 +102,11 @@ def _dataclass_schema(cls, **limits) -> dict:
 #: the same as leaving it out. A "section" value is checked against the
 #: entry named after its key; a world or backend section has a "kind" key,
 #: which picks the entry for its other keys.
+#:
+#: A section that configures a library object reads its keys, kinds and
+#: defaults from the signature of the code that builds it (see
+#: :func:`_signature_schema`), so the library's defaults are the config's,
+#: and only its limits are stated here.
 #:
 #: These bounds keep every value a run computes far from float
 #: overflow, so a huge finite setting is a config error, not a failure
@@ -122,44 +137,24 @@ _SCHEMA = {
         "train": ("section", {}),
         "sweep": ("sweep", None),
     },
-    "world": {"kind": ("str", _REQUIRED, ("gp", "gmm", "blob"))},
+    "world": {"kind": ("str", _REQUIRED, tuple(_WORLDS))},
     "trajectory": {"kind": ("str", _REQUIRED, ("gp", "gmm"))},
     "backend": {"kind": ("str", _REQUIRED, ("analytic", "checkpoint"))},
-    "gp": {"a": ("number", 1.0), "q": ("number", 0.3, 1e3), "dim": ("int", 2, 64),
-           "n_frames": ("int", 16, 1024)},
-    "gmm": {
-        "n_frames": ("int", 16, 1024),
-        "start": ("numbers", [-1.0, 0.0], 1e4),
-        "end": ("numbers", [1.0, 0.0], 1e4),
-        "bulges": ("numbers", [0.8, 0.0, -0.8], 1e4),
-        "tau": ("number", 0.1),
-        "time_symmetric": ("bool", True),
-    },
-    "blob": {
-        "grid_size": ("int", 16, 64),
-        "bump_std": ("number", 1.5),
-        "pixels_per_unit": ("number", 5.0),
-        "origin": ("numbers", [0.0, 0.0]),
-        "trajectory": ("section", _REQUIRED),
-    },
+    "gp": _signature_schema(PinnedGaussianProcessWorld, q=1e3, dim=64, n_frames=1024),
+    "gmm": _signature_schema(TrajectoryGmmWorld.arcs, "weights", n_frames=1024, start=1e4, end=1e4, bulges=1e4),
+    "blob": {**_signature_schema(MovingBlobWorld, grid_size=64), "trajectory": ("section", _REQUIRED)},
     "analytic": {},
     "checkpoint": {"path": ("str", _REQUIRED)},
-    "schedule": {
-        "n_steps": ("int", 25, 1000),
-        "sigma_min": ("number", 0.002),
-        "sigma_max": ("number", 80.0, 1e4),
-        "rho": ("number", 7.0),
-    },
-    "churn": _dataclass_schema(ChurnParams, s_noise=10.0),
+    "schedule": _signature_schema(build_karras, n_steps=1000, sigma_max=1e4),
+    "churn": _signature_schema(ChurnParams, s_noise=10.0),
     "trf": {
-        "m_reinject": ("int", 2, 100),
-        "t0": ("int", None),
+        **_signature_schema(TrfConfig, m_reinject=100),
         "alpha_kind": ("str", KIND_LINEAR, (KIND_LINEAR, KIND_EXPONENTIAL)),
         "alpha_lam": ("number", 4.0),
     },
     "conditions": {"start": ("numbers", _REQUIRED, 1e4), "end": ("numbers", None, 1e4)},
     "train": {
-        **_dataclass_schema(TrainConfig, n_steps=100_000, p_mean=10.0, p_std=5.0, batch_size=4096,
+        **_signature_schema(TrainConfig, n_steps=100_000, p_mean=10.0, p_std=5.0, batch_size=4096,
                             hidden=2048, n_freq=64),
         "seed": ("seed", TrainConfig.seed),
     },
@@ -378,11 +373,9 @@ def read_raw_config(path) -> dict:
 
 def _build_world(spec: dict):
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    if spec["kind"] == "gp":
-        return PinnedGaussianProcessWorld(**kwargs)
-    if spec["kind"] == "gmm":
-        return TrajectoryGmmWorld.arcs(**kwargs)
-    return MovingBlobWorld(_build_world(kwargs.pop("trajectory")), **kwargs)
+    if "trajectory" in kwargs:
+        kwargs["trajectory_world"] = _build_world(kwargs.pop("trajectory"))
+    return _WORLDS[spec["kind"]](**kwargs)
 
 
 def _frame_condition(world, values: list, key: str) -> Condition:
@@ -473,8 +466,8 @@ class ExperimentManifest:
     def load(cls, path) -> "ExperimentManifest":
         """The manifest in file ``path``; a ValueError naming the file if it
         is not JSON, not an object, of another format version, missing a
-        field, its outputs are not an object or its metrics are not
-        name -> {value, n_samples}."""
+        field, its outputs are not an object or are empty (every run writes
+        one or more), or its metrics are not name -> {value, n_samples}."""
         with open(path) as fh:
             try:
                 d = json.load(fh)
@@ -490,6 +483,8 @@ class ExperimentManifest:
             raise ValueError(f"{path}: manifest has no '{missing[0]}' field")
         if not isinstance(d["outputs"], dict):
             raise ValueError(f"{path}: manifest outputs are not an object")
+        if not d["outputs"]:
+            raise ValueError(f"{path}: manifest lists no outputs")
         try:
             metrics = MetricReport.from_dict(d["metrics"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -69,7 +69,8 @@ class NoiseSchedule:
         return float(self.sigmas[T - 1 - t])
 
 
-def build_karras(n_steps: int, sigma_min: float, sigma_max: float, rho: float = 7.0) -> NoiseSchedule:
+def build_karras(n_steps: int = 25, sigma_min: float = 0.002, sigma_max: float = 80.0,
+                 rho: float = 7.0) -> NoiseSchedule:
     """Power-interpolated noise ladder between sigma_max and sigma_min.
 
     sigmas[i] = (sigma_max^(1/rho) + (i/(T-1)) * (sigma_min^(1/rho) - sigma_max^(1/rho)))^rho.
@@ -81,8 +82,15 @@ def build_karras(n_steps: int, sigma_min: float, sigma_max: float, rho: float = 
         raise ValueError(f"need 0 < sigma_min < sigma_max, got ({sigma_min}, {sigma_max})")
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
+    try:
+        lo, hi = sigma_min ** (1.0 / rho), sigma_max ** (1.0 / rho)
+    except OverflowError:
+        hi = np.inf
+    # A power too large for a float raises; at a subnormal rho, 1/rho is
+    # already inf and the power returns inf without raising.
+    if hi == np.inf:
+        raise ValueError(f"rho must be large enough that sigma_max ** (1/rho) is finite, got {rho}")
     i = np.arange(n_steps, dtype=np.float64)
-    lo, hi = sigma_min ** (1.0 / rho), sigma_max ** (1.0 / rho)
     sigmas = (hi + i / (n_steps - 1) * (lo - hi)) ** rho
     # Pin the endpoints exactly; the power round trip can be off by an ulp.
     sigmas[0] = sigma_max

@@ -263,9 +263,9 @@ class TrainConfig:
     batch_size: int = 64
     p_mean: float = -1.2
     p_std: float = 1.2
-    sigma_data: float = 0.5
-    hidden: int = 256
-    n_freq: int = 8
+    sigma_data: float = ArchDescriptor.sigma_data
+    hidden: int = ArchDescriptor.hidden
+    n_freq: int = ArchDescriptor.n_freq
     seed: int = 0
 
     def __post_init__(self):

@@ -80,7 +80,9 @@ def alpha_weights(kind: str, n_frames: int, lam: float | None = None) -> AlphaSc
     linear: alpha_n = 1 - n/(N-1).
     exponential: alpha_n = (exp(-lam n/(N-1)) - exp(-lam)) / (1 - exp(-lam)),
     which decays faster up front for larger lam and tends to linear as
-    lam -> 0. Both kinds hit exactly 1 at frame 0 and 0 at frame N-1.
+    lam -> 0. lam must be at least 1e-6: below it 1 - exp(-lam) cancels,
+    costing about 1e-16/lam of accuracy, and at 1e-17 it is 0. Both kinds
+    hit exactly 1 at frame 0 and 0 at frame N-1.
     """
     if n_frames < 2:
         raise ValueError(f"need at least 2 frames, got {n_frames}")
@@ -90,6 +92,8 @@ def alpha_weights(kind: str, n_frames: int, lam: float | None = None) -> AlphaSc
     elif kind == KIND_EXPONENTIAL:
         if lam is None or lam <= 0:
             raise ValueError("exponential weights need lam > 0")
+        if lam < 1e-6:
+            raise ValueError(f"exponential weights need lam >= 1e-06, got {lam:g}")
         w = (np.exp(-lam * u) - np.exp(-lam)) / (1.0 - np.exp(-lam))
     else:
         raise ValueError(f"unknown alpha kind {kind!r}")

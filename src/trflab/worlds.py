@@ -47,7 +47,7 @@ class PinnedGaussianProcessWorld:
     and a draw is the conditional mean plus L z.
     """
 
-    def __init__(self, a: float, q: float, dim: int = 2, n_frames: int = 16):
+    def __init__(self, a: float = 1.0, q: float = 0.3, dim: int = 2, n_frames: int = 16):
         if not abs(a) <= 1.0:
             raise ValueError(f"AR coefficient must satisfy |a| <= 1, got {a}")
         if q <= 0:
@@ -153,9 +153,9 @@ class TrajectoryGmmWorld:
                     )
 
     @classmethod
-    def arcs(cls, n_frames: int = 16, start=(-1.0, 0.0), end=(1.0, 0.0),
-             bulges=(0.8, 0.0, -0.8), tau: float = 0.1, weights=None,
-             time_symmetric: bool = True) -> "TrajectoryGmmWorld":
+    def arcs(cls, n_frames: int = 16, start: tuple[float, float] = (-1.0, 0.0),
+             end: tuple[float, float] = (1.0, 0.0), bulges: tuple[float, ...] = (0.8, 0.0, -0.8),
+             tau: float = 0.1, weights=None, time_symmetric: bool = True) -> "TrajectoryGmmWorld":
         """K arc routes between fixed endpoints, bulging perpendicular to the chord."""
         start = as_frame(np.asarray(start, dtype=np.float64))
         end = as_frame(np.asarray(end, dtype=np.float64))
@@ -227,7 +227,7 @@ class MovingBlobWorld:
     """
 
     def __init__(self, trajectory_world, grid_size: int = 16, bump_std: float = 1.5,
-                 pixels_per_unit: float = 5.0, origin=(0.0, 0.0)):
+                 pixels_per_unit: float = 5.0, origin: tuple[float, float] = (0.0, 0.0)):
         if trajectory_world.dim != 2:
             raise ValueError("blob rendering needs a 2-D trajectory world")
         self.origin = np.asarray(origin, dtype=np.float64)

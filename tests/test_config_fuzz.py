@@ -44,7 +44,7 @@ BLOB = {
 }
 
 VALUES = st.sampled_from([None, True, "x", [], {}, [0.5, "x"], -1, 0, 1, 2, 3, 0.5, -0.5,
-                          float("nan"), float("inf"), -float("inf")])
+                          1e-300, 1e-16, 1e300, float("nan"), float("inf"), -float("inf")])
 # Every error names the config key or section it is about.
 NAMED = re.compile(r"\b(world|backend|schedule|churn|sampler|trf|conditions|seeds|out_dir|train|sweep)")
 

@@ -26,9 +26,10 @@ from trflab.harness import (
     run_experiment,
     sha256_file,
 )
-from trflab.schedule import ChurnParams
+from trflab.schedule import ChurnParams, build_karras
 from trflab.train import ArchDescriptor, TrainConfig, init_params, save_checkpoint
-from trflab.worlds import MovingBlobWorld, PinnedGaussianProcessWorld
+from trflab.trf import KIND_LINEAR, TrfConfig, alpha_weights
+from trflab.worlds import MovingBlobWorld, PinnedGaussianProcessWorld, TrajectoryGmmWorld
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: SHA-256 of the summary.json that test_sweep_grid's 2 x 2 grid writes.
@@ -239,6 +240,33 @@ class TestPinnedConfigHashes:
                     raw["out_dir"] = "train"
                 hashes[f"{workload}/{path.name}"] = ExperimentConfig.from_dict(raw).config_hash()
         assert hashes == PINNED_WORKLOADS
+
+
+def _state(obj) -> dict:
+    """An object's attributes, each array by its entries and each nested object by its own state."""
+    return {k: _state(v) if hasattr(v, "__dict__") else np.asarray(v).tolist() for k, v in vars(obj).items()}
+
+
+class TestLibraryDefaults:
+    """A config section left empty builds what the library builds when
+    called with no arguments: the config's defaults are the library's."""
+
+    @pytest.mark.parametrize("world, library", [
+        ({"kind": "gp"}, PinnedGaussianProcessWorld),
+        ({"kind": "gmm"}, TrajectoryGmmWorld.arcs),
+        ({"kind": "blob", "trajectory": {"kind": "gp"}}, lambda: MovingBlobWorld(PinnedGaussianProcessWorld())),
+    ], ids=["gp", "gmm", "blob"])
+    def test_world(self, world, library):
+        assert _state(ExperimentConfig.from_dict({"world": world}).build_world()) == _state(library())
+
+    def test_schedule_churn_trf_and_train(self):
+        cfg = ExperimentConfig.from_dict({"world": {"kind": "gp"}})
+        np.testing.assert_array_equal(cfg.build_schedule().sigmas, build_karras().sigmas)
+        assert cfg.build_churn() == ChurnParams()
+        assert cfg.build_train() == TrainConfig()
+        built, library = cfg.build_trf(16, 25), TrfConfig(alpha_weights(KIND_LINEAR, 16))
+        assert (built.m_reinject, built.t0) == (library.m_reinject, library.t0)
+        np.testing.assert_array_equal(built.alpha.weights, library.alpha.weights)
 
 
 class TestApplyOverrides:
@@ -587,10 +615,12 @@ class TestRunExperiment:
         (lambda d: [], r"not a JSON object"),
         (lambda d: {"format_version": 1}, r"has no 'config' field"),
         (lambda d: {**d, "outputs": list(d["outputs"])}, r"outputs are not an object"),
+        (lambda d: {**d, "outputs": {}}, r"manifest lists no outputs"),
         (lambda d: {**d, "metrics": []}, r"metrics are not name -> \{value, n_samples\}"),
         (lambda d: {**d, "metrics": {"roughness_median": [1.0, 4]}}, r"metrics are not name"),
         (lambda d: {**d, "metrics": {"roughness_median": {"value": 1.0}}}, r"metrics are not name"),
-    ], ids=["bad-json", "list", "missing-field", "outputs-list", "metrics-list", "metric-list", "metric-no-n_samples"])
+    ], ids=["bad-json", "list", "missing-field", "outputs-list", "outputs-empty", "metrics-list", "metric-list",
+            "metric-no-n_samples"])
     def test_malformed_manifest_is_a_value_error_naming_it(self, tmp_path, capsys, edit, named):
         cfg = ExperimentConfig.from_dict(gp_raw(out_dir=str(tmp_path / "run")))
         run_experiment(cfg)
@@ -780,7 +810,10 @@ class TestCli:
         ("trf", "churn.s_noise=1e300", r"'churn.s_noise' must be at most 10, got 1e\+300"),
         ("trf", "schedule.sigma_max=1e5", r"'schedule.sigma_max' must be at most 10000, got 100000"),
         ("train", "world.q=1e4", r"'world.q' must be at most 1000, got 10000"),
-        ("trf", "schedule.rho=1e-300", r"invalid 'schedule' config: "),
+        ("trf", "schedule.rho=1e-300",
+         r"invalid 'schedule' config: rho must be large enough that sigma_max \*\* \(1/rho\) is finite, got 1e-300"),
+        pytest.param("trf", ("trf.alpha_kind=exponential", "trf.alpha_lam=1e-16"),
+                     r"invalid 'trf' config: exponential weights need lam >= 1e-06, got 1e-16", id="alpha_lam-1e-16"),
         ("train", "train.lr=-1", r"invalid 'train' config: lr must be >= 0"),
         ("train", "train.batch_size=0", r"invalid 'train' config: .*batch_size >= 1"),
         ("train", "train.hidden=0", r"invalid 'train' config: hidden must be >= 1"),

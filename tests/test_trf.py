@@ -38,6 +38,16 @@ class TestAlphaWeights:
         exp = alpha_weights("exponential", 16, lam=1e-4).weights
         assert np.abs(lin - exp).max() < 1e-4
 
+    def test_lam_below_1e_6_rejected(self):
+        # Below 1e-6, 1 - exp(-lam) cancels: at 1e-16 the weights were a
+        # step, and at 1e-300 they divided 0 by 0.
+        for lam in (1e-300, 1e-16, 9.9e-7):
+            with pytest.raises(ValueError, match=r"need lam >= 1e-06"):
+                alpha_weights("exponential", 8, lam=lam)
+        u = np.arange(8) / 7
+        npt.assert_array_equal(alpha_weights("exponential", 8, lam=1e-6).weights,
+                               (np.exp(-1e-6 * u) - np.exp(-1e-6)) / (1.0 - np.exp(-1e-6)))
+
     def test_endpoints_exact(self):
         for kind, lam in (("linear", None), ("exponential", 4.0)):
             w = alpha_weights(kind, 7, lam=lam).weights
